@@ -11,7 +11,7 @@ FUZZ_TARGETS = \
 	./internal/jobs:FuzzDecodeRecord \
 	./internal/hashfn:FuzzEngineParity
 
-.PHONY: all build test vet staticcheck race chaos bench-smoke bench-json hash-bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
+.PHONY: all build test vet staticcheck race chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
 
 all: build test
 
@@ -49,19 +49,14 @@ chaos:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Prove -benchtime 1x .
 
-# Machine-readable end-to-end prove measurements (ns/op, allocs/op, B/op,
-# per-stage kernel counters, arena hit rates) for trend tracking, plus
-# batched-vs-solo throughput through the shared-structure plan
-# (DESIGN.md §15) at batch sizes 1/4/8/16.
-bench-json:
-	$(GO) test -run TestProveBenchJSON -benchjson BENCH_prove.json .
-	$(GO) test -run TestBatchBenchJSON -batchbench BENCH_batch.json .
-	$(GO) test -run TestClusterBenchJSON -clusterbench BENCH_cluster.json .
-
-# Per-engine Merkle-kernel measurements: one BENCH_hash_<engine>.json per
-# registered hash engine (logN 10/12/14, throughput, speedup vs sha3).
-hash-bench:
-	$(GO) test -run TestHashBenchJSON -hashbench . .
+# The repository's one benchmark (BENCHMARK.json; benchmark/README.md has
+# the workloads, metrics, and how to compare two result sets): by default
+# every workload, untraced then traced, appended to a result set under
+# the git-ignored build directory. Override BENCH_ARGS to run one
+# workload or to `compare` two sets.
+BENCH_ARGS ?= --workload all --seed 1 --seconds 12 --out .bench_build/results.jsonl
+bench:
+	bash benchmark/run.sh $(BENCH_ARGS)
 
 # Run each fuzz target for $(FUZZTIME) from its seeded corpus. A finding
 # is written to the package's testdata/fuzz directory and fails the run.

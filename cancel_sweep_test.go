@@ -33,9 +33,6 @@ func sweepBench() (*nocap.Benchmark, nocap.Params) {
 	bm := nocap.Synthetic(1 << 13)
 	params := nocap.TestParams()
 	params.Reps = 2
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
 	return bm, params
 }
 

@@ -31,9 +31,6 @@ import (
 func chaosBench() (*nocap.Benchmark, nocap.Params) {
 	bm := nocap.Synthetic(1024)
 	params := nocap.TestParams()
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
 	return bm, params
 }
 

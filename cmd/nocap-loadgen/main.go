@@ -77,6 +77,7 @@ import (
 	"nocap/internal/faultinject"
 	"nocap/internal/jobs"
 	"nocap/internal/leakcheck"
+	"nocap/internal/prover"
 	"nocap/internal/server"
 	"nocap/internal/tenant"
 )
@@ -1301,7 +1302,7 @@ func runClusterSoak(clients, requests int, duration time.Duration, n, workers, q
 
 	// The nodes prove with the real prover — the same Params the
 	// coordinator would use in-process, fitted per circuit.
-	prover := cluster.NewProver(cluster.ProverConfig{Params: params, Timeout: time.Minute})
+	node := prover.New(prover.Config{Params: params, Timeout: time.Minute})
 
 	// w0's exec can be "trapped": once armed, its next assignment parks
 	// until the node dies. That pins a lease on w0 at kill time, so the
@@ -1316,7 +1317,7 @@ func runClusterSoak(clients, requests int, duration time.Duration, n, workers, q
 			<-ctx.Done()
 			return jobs.Result{}, ctx.Err()
 		}
-		return prover.Exec(ctx, spec)
+		return node.Exec(ctx, spec)
 	}
 	startWorker := func(id string, exec jobs.Exec, seed int64) (*cluster.Worker, error) {
 		w, werr := cluster.NewWorker(cluster.WorkerConfig{
@@ -1326,7 +1327,7 @@ func runClusterSoak(clients, requests int, duration time.Duration, n, workers, q
 			PollWait:    200 * time.Millisecond,
 			RetryBase:   5 * time.Millisecond,
 			Exec:        exec,
-			BatchExec:   prover.BatchExec,
+			BatchExec:   node.BatchExec,
 			Seed:        seed,
 		})
 		if werr != nil {
@@ -1339,7 +1340,7 @@ func runClusterSoak(clients, requests int, duration time.Duration, n, workers, q
 	if err != nil {
 		return true, err
 	}
-	w1, err := startWorker("w1", prover.Exec, 22)
+	w1, err := startWorker("w1", node.Exec, 22)
 	if err != nil {
 		return true, err
 	}
@@ -1452,7 +1453,7 @@ func runClusterSoak(clients, requests int, duration time.Duration, n, workers, q
 	}
 	w0.Kill()
 	fmt.Printf("nocap-loadgen: killed worker w0 holding a lease; starting replacement w0b\n")
-	w0b, err := startWorker("w0b", prover.Exec, 23)
+	w0b, err := startWorker("w0b", node.Exec, 23)
 	if err != nil {
 		return true, err
 	}

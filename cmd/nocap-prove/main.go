@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"nocap"
+	"nocap/internal/prover"
 	"nocap/internal/zkerr"
 )
 
@@ -107,27 +109,26 @@ func run(ctx context.Context) (err error) {
 		defer cancel()
 	}
 
-	// Circuit lookup, size clamping included, is shared with the serving
-	// layer (internal/circuits.ByName): the CLI and the service agree on
-	// what every (circuit, n) pair means.
-	bm, err := nocap.CircuitByName(*circuit, *n)
-	if err != nil {
-		return err
-	}
-	stats := bm.Inst.Stats()
-	fmt.Printf("circuit %s: %d constraints, %d variables, %d nonzeros\n",
-		bm.Name, stats.Constraints, stats.Vars, stats.NNZ)
-
 	params := nocap.DefaultParams()
-	params.Reps = *reps
 	params.PCS.ZK = *zk
 	params.Recompute = *recompute
 	if params, err = nocap.WithHashEngine(params, *hash); err != nil {
 		return err
 	}
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
+	// The statement — circuit lookup with size clamping, the reps
+	// override, the PCS-geometry fit — is built and proved by the serving
+	// layer's executor (internal/prover), so the CLI and the service agree
+	// on what every (circuit, n, reps) triple means and prove it with the
+	// same recipe. A CLI run is a Prover with no cache and no request
+	// bounds: any size, and no deadline but -timeout (already on ctx).
+	pv := prover.New(prover.Config{Params: params, MaxN: math.MaxInt, Timeout: math.MaxInt64})
+	st, err := pv.Build(prover.Request{Circuit: *circuit, N: *n, Reps: *reps})
+	if err != nil {
+		return err
 	}
+	stats := st.Bench.Inst.Stats()
+	fmt.Printf("circuit %s: %d constraints, %d variables, %d nonzeros\n",
+		st.Bench.Name, stats.Constraints, stats.Vars, stats.NNZ)
 
 	if *in != "" {
 		// A file the OS can't read is an environment failure, not a usage
@@ -146,34 +147,35 @@ func run(ctx context.Context) (err error) {
 		if err != nil {
 			return fmt.Errorf("decode proof: %w", err)
 		}
-		if err := nocap.VerifyCtx(ctx, params, bm.Inst, bm.IO, proof); err != nil {
+		if err := st.Verify(ctx, proof); err != nil {
 			return fmt.Errorf("verify: %w", err)
 		}
 		fmt.Printf("proof from %s verified (%d bytes)\n", *in, len(data))
 		return nil
 	}
 
-	start := time.Now()
-	proof, err := nocap.ProveCtx(ctx, params, bm.Inst, bm.IO, bm.Witness)
+	res, _, err := pv.Prove(ctx, st)
 	if err != nil {
 		return fmt.Errorf("prove: %w", err)
 	}
-	fmt.Printf("proved in %v, proof %.2f MB\n", time.Since(start).Round(time.Millisecond),
+	// The recipe hands back what a recipient would get — the serialized
+	// bytes — so that is what gets written and, decoded, verified.
+	proof, err := nocap.UnmarshalProof(res.Proof)
+	if err != nil {
+		return fmt.Errorf("decode proof: %w", err)
+	}
+	fmt.Printf("proved in %v, proof %.2f MB\n", res.Elapsed.Round(time.Millisecond),
 		float64(proof.SizeBytes())/1e6)
 
 	if *out != "" {
-		data, err := nocap.MarshalProof(proof)
-		if err != nil {
-			return fmt.Errorf("marshal: %w", err)
-		}
-		if err := writeFileAtomic(*out, data, 0o644); err != nil {
+		if err := writeFileAtomic(*out, res.Proof, 0o644); err != nil {
 			return fmt.Errorf("write: %w", err)
 		}
-		fmt.Printf("proof written to %s (%d bytes)\n", *out, len(data))
+		fmt.Printf("proof written to %s (%d bytes)\n", *out, len(res.Proof))
 	}
 
-	start = time.Now()
-	if err := nocap.VerifyCtx(ctx, params, bm.Inst, bm.IO, proof); err != nil {
+	start := time.Now()
+	if err := st.Verify(ctx, proof); err != nil {
 		return fmt.Errorf("verify: %w", err)
 	}
 	fmt.Printf("verified in %v\n", time.Since(start).Round(time.Millisecond))

@@ -1,5 +1,6 @@
 // Command nocap-serve runs the multi-session proving service: an HTTP
-// front end over the library prover with multi-tenant bounded admission
+// front end over the one request→proof executor (internal/prover,
+// DESIGN.md §17) with multi-tenant bounded admission
 // (per-tenant queues under a weighted deficit-round-robin scheduler,
 // token-bucket rate limits, per-tenant 429s), a verified content-
 // addressed proof cache, per-request deadlines and decode limits,
@@ -61,8 +62,10 @@
 // /cluster/* (unencrypted HTTP/2) with lease-based reassignment —
 // a worker that dies mid-proof forfeits its lease after -lease-ttl and
 // the attempt is refunded and re-dispatched. With zero live workers the
-// coordinator proves in-process (-local-fallback, default) or sheds new
-// jobs with a typed 503 {"code":"no_workers"} and an EWMA Retry-After.
+// coordinator proves in-process (-local-fallback, default) — on the
+// same -workers pool and tenant scheduler as every other prove — or
+// sheds new jobs with a typed 503 {"code":"no_workers"} and an EWMA
+// Retry-After.
 // -cluster-key authenticates the worker plane.
 //
 // On SIGINT/SIGTERM the server stops admitting (503), lets queued and

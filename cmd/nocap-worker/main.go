@@ -1,12 +1,14 @@
 // Command nocap-worker runs one prover node of a nocap cluster
 // (DESIGN.md §16). It pulls leased assignments from a coordinator
-// (nocap-serve -cluster) over unencrypted HTTP/2, proves them with the
-// same pipeline the coordinator would use locally, heartbeats its
-// leases at a fully jittered interval, and reports outcomes. Losing a
-// lease (a heartbeat gap longer than the coordinator's -lease-ttl, e.g.
-// after a partition or a stop-the-world pause) makes the worker abandon
-// the attempt: the coordinator has already refunded and reassigned it,
-// and a late completion would be discarded as a duplicate.
+// (nocap-serve -cluster) over unencrypted HTTP/2, proves them with
+// internal/prover — the same executor the coordinator runs in-process,
+// so proof bytes and per-run stats do not depend on placement —
+// heartbeats its leases at a fully jittered interval, and reports
+// outcomes. Losing a lease (a heartbeat gap longer than the
+// coordinator's -lease-ttl, e.g. after a partition or a stop-the-world
+// pause) makes the worker abandon the attempt: the coordinator has
+// already refunded and reassigned it, and a late completion would be
+// discarded as a duplicate.
 //
 // Usage:
 //
@@ -33,6 +35,7 @@ import (
 
 	"nocap"
 	"nocap/internal/cluster"
+	"nocap/internal/prover"
 	"nocap/internal/zkerr"
 )
 
@@ -81,7 +84,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	prover := cluster.NewProver(cluster.ProverConfig{
+	node := prover.New(prover.Config{
 		Params:  params,
 		MaxN:    *maxN,
 		Timeout: *timeout,
@@ -92,8 +95,8 @@ func run() error {
 		Slots:       *slots,
 		Key:         *key,
 		PollWait:    *pollWait,
-		Exec:        prover.Exec,
-		BatchExec:   prover.BatchExec,
+		Exec:        node.Exec,
+		BatchExec:   node.BatchExec,
 		Logf:        log.Printf,
 	})
 	if err != nil {

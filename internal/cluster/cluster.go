@@ -40,8 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
-	"time"
 
 	"nocap/internal/faultinject"
 	"nocap/internal/zkerr"
@@ -199,35 +197,4 @@ func outcomeError(msg, code string) error {
 	default:
 		return zkerr.Internalf("%s", msg)
 	}
-}
-
-// fullJitter returns a duration uniform in [0, d). Every periodic clock
-// in the cluster (heartbeats, probes, retry backoff) is jittered so a
-// coordinator restart cannot synchronize the fleet into a reconnect
-// stampede (jitter_test.go asserts the spread).
-func fullJitter(rng *rand.Rand, d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	return time.Duration(rng.Int63n(int64(d)))
-}
-
-// heartbeatInterval draws a fully jittered renewal interval in
-// [ttl/6, ttl/3]: several beats fit inside one TTL even if a couple are
-// lost, and no two workers beat in phase.
-func heartbeatInterval(rng *rand.Rand, ttl time.Duration) time.Duration {
-	lo := ttl / 6
-	if lo <= 0 {
-		lo = time.Millisecond
-	}
-	return lo + fullJitter(rng, lo)
-}
-
-// probeDelay draws the jittered dead→probe re-admission delay:
-// base/2 + uniform(0, base/2), so probes spread across half the window.
-func probeDelay(rng *rand.Rand, base time.Duration) time.Duration {
-	if base <= 0 {
-		base = time.Second
-	}
-	return base/2 + fullJitter(rng, base/2)
 }

@@ -83,6 +83,18 @@ func echoBatch(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutc
 	return outs
 }
 
+// echoLocal is the in-process Executor the local-fallback tests plug
+// into Config.Local.
+type echoLocal struct{}
+
+func (echoLocal) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
+	return echoExec(ctx, spec)
+}
+
+func (echoLocal) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
+	return echoBatch(ctx, members)
+}
+
 func newTestWorker(t *testing.T, h *harness, id string, exec jobs.Exec, batch jobs.BatchExec) *Worker {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
@@ -284,8 +296,7 @@ func TestClusterLocalFallback(t *testing.T) {
 	h := newHarness(t, Config{
 		LeaseTTL:      100 * time.Millisecond,
 		LocalFallback: true,
-		LocalExec:     echoExec,
-		LocalBatch:    echoBatch,
+		Local:         echoLocal{},
 	})
 	res, err := h.coord.Exec(context.Background(), jobs.Spec{Payload: json.RawMessage(`7`), Tenant: "t0"})
 	if err != nil {
@@ -310,7 +321,7 @@ func TestClusterQueuedUnitReclaimedForLocal(t *testing.T) {
 		LeaseTTL:      100 * time.Millisecond,
 		DeadAfter:     200 * time.Millisecond,
 		LocalFallback: true,
-		LocalExec:     echoExec,
+		Local:         echoLocal{},
 	})
 	// One poll registers the node as live, then the "fleet" goes silent.
 	w := newTestWorker(t, h, "node-a", echoExec, nil)
@@ -639,4 +650,45 @@ func TestWorkerHTTP2(t *testing.T) {
 	if proto := gotProto.Load(); proto != "HTTP/2.0" {
 		t.Fatalf("worker RPC arrived as %v, want HTTP/2.0", proto)
 	}
+}
+
+// TestClusterClocksAreJittered pins the two periodic clocks at their
+// production call sites, so replacing either draw with a fixed interval
+// (which would synchronize the fleet into heartbeat and probe
+// stampedes) fails here. A worker's renewal interval lands in
+// [ttl/6, ttl/3) — at least three renewal opportunities fit inside one
+// TTL, or a single dropped beat could expire a healthy lease — and the
+// coordinator's dead-node probe delay in [ProbeBase/2, ProbeBase); both
+// essentially never repeat.
+func TestClusterClocksAreJittered(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{Coordinator: "http://unused", ID: "n", Exec: echoExec, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 5 * time.Second
+	c := New(Config{ProbeBase: base, Seed: 11})
+	defer c.Close()
+	jittered := func(name string, lo, hi time.Duration, draw func() time.Duration) {
+		t.Helper()
+		const n = 500
+		seen := make(map[time.Duration]struct{}, n)
+		for i := 0; i < n; i++ {
+			d := draw()
+			if d < lo || d >= hi {
+				t.Fatalf("%s = %v outside [%v, %v)", name, d, lo, hi)
+			}
+			seen[d] = struct{}{}
+		}
+		if len(seen) < n*9/10 {
+			t.Errorf("%s: only %d/%d distinct draws — jitter has collapsed", name, len(seen), n)
+		}
+	}
+	for _, ttl := range []time.Duration{100 * time.Millisecond, 3 * time.Second, time.Minute} {
+		jittered("heartbeatEvery", ttl/6, ttl/3, func() time.Duration { return w.heartbeatEvery(ttl) })
+	}
+	jittered("probeDelayLocked", base/2, base, func() time.Duration {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.probeDelayLocked()
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"nocap/internal/backoff"
 	"nocap/internal/faultinject"
 	"nocap/internal/jobs"
 )
@@ -58,11 +59,9 @@ type Config struct {
 	// MaxPollWait caps worker long-polls so Shutdown never waits on a
 	// parked handler (default 2s).
 	MaxPollWait time.Duration
-	// LocalExec/LocalBatch run attempts in-process when no live worker
-	// exists and LocalFallback is set. LocalExec is required when
-	// LocalFallback is true.
-	LocalExec     jobs.Exec
-	LocalBatch    jobs.BatchExec
+	// Local runs attempts in-process when no live worker exists and
+	// LocalFallback is set; required when LocalFallback is true.
+	Local         Executor
 	LocalFallback bool
 	// TenantWeight returns a tenant's fair-share weight (<=0 → 1), so
 	// cross-node dispatch honours the same DRR weights as local
@@ -74,6 +73,13 @@ type Config struct {
 	// Seed seeds lease/probe jitter for deterministic tests (0 →
 	// time-based).
 	Seed int64
+}
+
+// Executor proves attempts in-process: a solo spec, or a whole batch
+// with member-scoped outcomes (the jobs package's two executor shapes).
+type Executor interface {
+	Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error)
+	BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome
 }
 
 func (c Config) withDefaults() Config {
@@ -104,11 +110,13 @@ type member struct {
 	ctx     context.Context
 }
 
-// unitResult resolves a unit: outcomes from a worker completion, or a
-// unit-scoped transport error (lease lost).
+// unitResult resolves a unit: outcomes from a worker completion, a
+// unit-scoped error (lease lost, caller gone), or the local-fallback
+// escape — prove it in-process.
 type unitResult struct {
 	outcomes []JobOutcome
 	err      error
+	local    bool
 }
 
 // unit is one dispatchable piece of work: a solo job or a whole batch.
@@ -295,14 +303,7 @@ func (c *Coordinator) RetryAfterHint() time.Duration {
 	if c.ewmaPollNS <= 0 {
 		return 5 * time.Second
 	}
-	d := time.Duration(2 * c.ewmaPollNS)
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	return d
+	return backoff.ClampRetryAfter(time.Duration(2 * c.ewmaPollNS))
 }
 
 // Metrics snapshots the counters and node table.
@@ -341,63 +342,33 @@ func (c *Coordinator) Metrics() Metrics {
 	return m
 }
 
-// Exec is the jobs.Exec the cluster-mode server installs: it queues the
-// spec as a solo unit and blocks until a worker completes it, the lease
-// is lost (→ attempt refund upstream), or ctx is cancelled. With zero
-// live workers and LocalFallback it proves in-process instead.
+// Exec is the jobs.Exec the cluster-mode server installs: it dispatches
+// the spec as a solo unit and blocks until a worker completes it, the
+// lease is lost (→ attempt refund upstream), or ctx is cancelled. With
+// zero live workers and LocalFallback it proves in-process instead.
 func (c *Coordinator) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-	if c.tryLocalSolo() {
-		return c.cfg.LocalExec(ctx, spec)
-	}
 	c.mu.Lock()
 	c.seq++
-	u := &unit{
-		tenant:  spec.Tenant,
-		members: []member{{id: fmt.Sprintf("solo-%d", c.seq), payload: spec.Payload}},
-		cost:    1,
-		res:     make(chan unitResult, 1),
-	}
-	if c.cfg.LocalityKey != nil {
-		if k, ok := c.cfg.LocalityKey(spec.Payload); ok {
-			u.key = k
-		}
-	}
-	c.enqueueLocked(u)
+	id := fmt.Sprintf("solo-%d", c.seq)
 	c.mu.Unlock()
-
-	r, ok := c.await(ctx, u)
-	if !ok {
-		return jobs.Result{}, ctx.Err()
-	}
-	if r.err != nil {
-		return jobs.Result{}, r.err
-	}
-	if r.local {
-		c.countLocalFallback()
-		return c.cfg.LocalExec(ctx, spec)
-	}
-	if len(r.outcomes) != 1 {
-		return jobs.Result{}, fmt.Errorf("cluster: %d outcomes for solo unit: %w", len(r.outcomes), ErrLeaseLost)
-	}
-	o := r.outcomes[0]
-	if o.Error != "" || o.Code != "" {
-		return jobs.Result{}, outcomeError(o.Error, o.Code)
-	}
-	return jobs.Result{Proof: o.Proof, Stats: o.Stats}, nil
+	out := c.dispatch(ctx, false, []jobs.BatchMember{{ID: id, Spec: spec}})[0]
+	return out.Result, out.Err
 }
 
 // BatchExec dispatches a coalesced batch whole to one node; failure is
 // member-scoped (each outcome classifies independently, and a lost
 // lease refunds every member's attempt).
 func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	outs := make([]jobs.BatchOutcome, len(members))
-	if c.tryLocalBatch() {
-		return c.cfg.LocalBatch(ctx, members)
-	}
-	c.mu.Lock()
+	return c.dispatch(ctx, true, members)
+}
+
+// dispatch runs members as one unit: queued for the next polling node,
+// or — local fallback on and no live worker, now or after a full lease
+// TTL in the queue — handed to the in-process executor.
+func (c *Coordinator) dispatch(ctx context.Context, batch bool, members []jobs.BatchMember) []jobs.BatchOutcome {
 	u := &unit{
 		tenant: members[0].Spec.Tenant,
-		batch:  true,
+		batch:  batch,
 		cost:   len(members),
 		res:    make(chan unitResult, 1),
 	}
@@ -409,26 +380,26 @@ func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember)
 			u.key = k
 		}
 	}
-	c.enqueueLocked(u)
+	c.mu.Lock()
+	r := unitResult{local: c.localOKLocked()}
+	if !r.local {
+		c.enqueueLocked(u)
+	}
 	c.mu.Unlock()
-
-	r, ok := c.await(ctx, u)
-	if !ok {
-		for i := range outs {
-			outs[i] = jobs.BatchOutcome{Err: ctx.Err()}
-		}
-		return outs
+	if !r.local {
+		r = c.await(ctx, u)
 	}
 	if r.local {
-		c.countLocalFallback()
-		return c.cfg.LocalBatch(ctx, members)
-	}
-	if r.err != nil {
-		for i := range outs {
-			outs[i] = jobs.BatchOutcome{Err: r.err}
+		c.mu.Lock()
+		c.localFallbacks++
+		c.mu.Unlock()
+		if batch {
+			return c.cfg.Local.BatchExec(ctx, members)
 		}
-		return outs
+		res, err := c.cfg.Local.Exec(ctx, members[0].Spec)
+		return []jobs.BatchOutcome{{Result: res, Err: err}}
 	}
+	outs := make([]jobs.BatchOutcome, len(members))
 	byID := make(map[string]JobOutcome, len(r.outcomes))
 	for _, o := range r.outcomes {
 		byID[o.ID] = o
@@ -436,47 +407,23 @@ func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember)
 	for i, mb := range members {
 		o, found := byID[mb.ID]
 		switch {
+		case r.err != nil:
+			outs[i].Err = r.err
 		case !found:
-			outs[i] = jobs.BatchOutcome{Err: fmt.Errorf("cluster: no outcome for member %s: %w", mb.ID, ErrLeaseLost)}
+			outs[i].Err = fmt.Errorf("cluster: no outcome for member %s: %w", mb.ID, ErrLeaseLost)
 		case o.Error != "" || o.Code != "":
-			outs[i] = jobs.BatchOutcome{Err: outcomeError(o.Error, o.Code)}
+			outs[i].Err = outcomeError(o.Error, o.Code)
 		default:
-			outs[i] = jobs.BatchOutcome{Result: jobs.Result{Proof: o.Proof, Stats: o.Stats}}
+			outs[i].Result = jobs.Result{Proof: o.Proof, Stats: o.Stats}
 		}
 	}
 	return outs
 }
 
-func (c *Coordinator) tryLocalSolo() bool {
-	if !c.cfg.LocalFallback || c.cfg.LocalExec == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.liveWorkersLocked() > 0 {
-		return false
-	}
-	c.localFallbacks++
-	return true
-}
-
-func (c *Coordinator) tryLocalBatch() bool {
-	if !c.cfg.LocalFallback || c.cfg.LocalBatch == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.liveWorkersLocked() > 0 {
-		return false
-	}
-	c.localFallbacks++
-	return true
-}
-
-func (c *Coordinator) countLocalFallback() {
-	c.mu.Lock()
-	c.localFallbacks++
-	c.mu.Unlock()
+// localOKLocked reports whether an attempt should run in-process: local
+// fallback is configured and no live worker exists.
+func (c *Coordinator) localOKLocked() bool {
+	return c.cfg.LocalFallback && c.cfg.Local != nil && c.liveWorkersLocked() == 0
 }
 
 func (c *Coordinator) enqueueLocked(u *unit) {
@@ -499,25 +446,17 @@ func (c *Coordinator) enqueueLocked(u *unit) {
 	c.wakeLocked()
 }
 
-// awaitResult extends unitResult with the local-fallback escape: the
-// unit sat queued with zero live workers, so the caller should prove
-// in-process.
-type awaitResult struct {
-	outcomes []JobOutcome
-	err      error
-	local    bool
-}
-
-// await blocks until the unit resolves, ctx fires, or — when local
-// fallback is enabled — the unit has sat queued through a full lease
-// TTL with zero live workers (the fleet died after submission).
-func (c *Coordinator) await(ctx context.Context, u *unit) (awaitResult, bool) {
+// await blocks until the unit resolves, ctx fires (the result carries
+// ctx's error), or — when local fallback is enabled — the unit has sat
+// queued through a full lease TTL with zero live workers (the fleet
+// died after submission; the result says to prove in-process).
+func (c *Coordinator) await(ctx context.Context, u *unit) unitResult {
 	tick := time.NewTicker(c.cfg.LeaseTTL)
 	defer tick.Stop()
 	for {
 		select {
 		case r := <-u.res:
-			return awaitResult{outcomes: r.outcomes, err: r.err}, true
+			return r
 		case <-ctx.Done():
 			c.mu.Lock()
 			delivered := u.delivered
@@ -525,37 +464,21 @@ func (c *Coordinator) await(ctx context.Context, u *unit) (awaitResult, bool) {
 			c.mu.Unlock()
 			if delivered {
 				// Raced with a resolution: take it.
-				r := <-u.res
-				return awaitResult{outcomes: r.outcomes, err: r.err}, true
+				return <-u.res
 			}
-			return awaitResult{}, false
+			return unitResult{err: ctx.Err()}
 		case <-tick.C:
-			if c.reclaimForLocal(u) {
-				return awaitResult{local: true}, true
+			c.mu.Lock()
+			reclaimed := !u.delivered && !u.leased && c.localOKLocked()
+			if reclaimed {
+				u.delivered = true
+			}
+			c.mu.Unlock()
+			if reclaimed {
+				return unitResult{local: true}
 			}
 		}
 	}
-}
-
-// reclaimForLocal pulls a still-queued unit back for in-process
-// execution when the fleet has died out from under it.
-func (c *Coordinator) reclaimForLocal(u *unit) bool {
-	if !c.cfg.LocalFallback {
-		return false
-	}
-	if u.batch && c.cfg.LocalBatch == nil {
-		return false
-	}
-	if !u.batch && c.cfg.LocalExec == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if u.delivered || u.leased || c.liveWorkersLocked() > 0 {
-		return false
-	}
-	u.delivered = true
-	return true
 }
 
 // touchNode fetches or creates the node record and refreshes lastSeen.
@@ -667,6 +590,14 @@ func (c *Coordinator) pruneLocked(tq *tenantQueue) {
 	tq.units = kept
 }
 
+// probeDelayLocked draws the jittered dead→probe re-admission delay:
+// ProbeBase/2 + uniform(0, ProbeBase/2), so probes spread across half
+// the window.
+func (c *Coordinator) probeDelayLocked() time.Duration {
+	half := c.cfg.ProbeBase / 2
+	return backoff.Range(c.rng, half, 2*half)
+}
+
 // reap expires stale leases: the unit resolves with ErrLeaseLost (→
 // journal-backed attempt refund upstream) and the node pays the breaker
 // verdict (suspect, then dead past FailThreshold with a jittered probe
@@ -697,7 +628,7 @@ func (c *Coordinator) reap() {
 				n.fails++
 				if n.fails >= c.cfg.FailThreshold {
 					n.state = nodeDead
-					n.retryAt = now.Add(probeDelay(c.rng, c.cfg.ProbeBase))
+					n.retryAt = now.Add(c.probeDelayLocked())
 				} else if n.state == nodeHealthy {
 					n.state = nodeSuspect
 				}
@@ -708,7 +639,7 @@ func (c *Coordinator) reap() {
 			if n.state != nodeDead && now.Sub(n.lastSeen) > c.cfg.DeadAfter {
 				n.state = nodeDead
 				n.fails = 0
-				n.retryAt = now.Add(probeDelay(c.rng, c.cfg.ProbeBase))
+				n.retryAt = now.Add(c.probeDelayLocked())
 			}
 		}
 		c.mu.Unlock()

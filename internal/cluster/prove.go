@@ -1,158 +1,16 @@
 package cluster
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"time"
+import "nocap/internal/prover"
 
-	"nocap"
-	"nocap/internal/jobs"
-	"nocap/internal/zkerr"
+// A worker node's real prover is internal/prover (DESIGN.md §17): the
+// same executor the coordinator's own process uses, so a proof and its
+// per-run stats are identical no matter which node ran the attempt.
+// These names remain for callers that configure a node through this
+// package.
+type (
+	ProverConfig = prover.Config
+	Prover       = prover.Prover
 )
 
-// provePayload mirrors the server's ProveRequest wire shape: the
-// coordinator dispatches journaled payloads verbatim, so a worker node
-// decodes exactly what POST /jobs accepted.
-type provePayload struct {
-	Circuit   string `json:"circuit"`
-	N         int    `json:"n"`
-	Reps      int    `json:"reps,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
-}
-
-// ProverConfig configures a worker node's real prover.
-type ProverConfig struct {
-	// Params is the node's base proving configuration; per-payload reps
-	// override Params.Reps, and PCS geometry is fitted per circuit the
-	// way the server's buildFor does.
-	Params nocap.Params
-	// MaxN bounds accepted circuit sizes (default 1<<20).
-	MaxN int
-	// Timeout bounds one attempt; a payload's timeout_ms shortens it
-	// (default 60s).
-	Timeout time.Duration
-}
-
-// Prover executes journaled prove payloads on a worker node with the
-// same validation and deadline semantics as the coordinator's local
-// path, so a proof is byte-identical no matter which node ran it.
-type Prover struct {
-	cfg ProverConfig
-}
-
-// NewProver builds a Prover.
-func NewProver(cfg ProverConfig) *Prover {
-	if cfg.MaxN <= 0 {
-		cfg.MaxN = 1 << 20
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
-	}
-	return &Prover{cfg: cfg}
-}
-
-// setup validates the payload and returns the fitted params, benchmark,
-// and attempt deadline.
-func (p *Prover) setup(payload json.RawMessage) (nocap.Params, *nocap.Benchmark, time.Duration, error) {
-	var req provePayload
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return nocap.Params{}, nil, 0, zkerr.Usagef("cluster: decode payload: %v", err)
-	}
-	if req.N > p.cfg.MaxN {
-		return nocap.Params{}, nil, 0, zkerr.Resourcef("cluster: n=%d exceeds worker max %d", req.N, p.cfg.MaxN)
-	}
-	reps := req.Reps
-	if reps == 0 {
-		reps = 1
-	}
-	if reps < 1 || reps > 64 {
-		return nocap.Params{}, nil, 0, zkerr.Usagef("cluster: reps must be in [1,64], got %d", reps)
-	}
-	params := p.cfg.Params
-	params.Reps = reps
-	bm, err := nocap.CircuitByName(req.Circuit, req.N)
-	if err != nil {
-		return nocap.Params{}, nil, 0, err
-	}
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
-	timeout := p.cfg.Timeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	return params, bm, timeout, nil
-}
-
-// Exec is the jobs.Exec a worker node runs for solo assignments.
-func (p *Prover) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-	params, bm, timeout, err := p.setup(spec.Payload)
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	proof, err := nocap.ProveCtx(ctx, params, bm.Inst, bm.IO, bm.Witness)
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	data, err := nocap.MarshalProof(proof)
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	return jobs.Result{Proof: data}, nil
-}
-
-// BatchExec proves a whole assignment through one shared-structure plan
-// (DESIGN.md §15): batch-mates share (circuit, n, reps) by
-// construction, so synthesis, z assembly, SpMV, digest, and the warmed
-// PCS geometry are paid once. Each member keeps its own context and
-// deadline; plan construction failure fails every member (they would
-// all have failed the same way solo).
-func (p *Prover) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	outs := make([]jobs.BatchOutcome, len(members))
-	fail := func(err error) []jobs.BatchOutcome {
-		for i := range outs {
-			outs[i] = jobs.BatchOutcome{Err: err}
-		}
-		return outs
-	}
-	if len(members) == 0 {
-		return outs
-	}
-	params, bm, timeout, err := p.setup(members[0].Spec.Payload)
-	if err != nil {
-		return fail(err)
-	}
-	plan, err := nocap.NewBatchPlanForCtx(ctx, params, bm)
-	if err != nil {
-		return fail(fmt.Errorf("cluster: batch plan: %w", err))
-	}
-	for i, mb := range members {
-		mctx := mb.Ctx
-		if mctx == nil {
-			mctx = ctx
-		}
-		if mctx.Err() != nil {
-			outs[i] = jobs.BatchOutcome{Err: mctx.Err()}
-			continue
-		}
-		runCtx, cancel := context.WithTimeout(mctx, timeout)
-		proof, err := plan.ProveMemberCtx(runCtx)
-		cancel()
-		if err != nil {
-			outs[i] = jobs.BatchOutcome{Err: err}
-			continue
-		}
-		data, err := nocap.MarshalProof(proof)
-		if err != nil {
-			outs[i] = jobs.BatchOutcome{Err: err}
-			continue
-		}
-		outs[i] = jobs.BatchOutcome{Result: jobs.Result{Proof: data}}
-	}
-	return outs
-}
+// NewProver builds a worker node's prover.
+func NewProver(cfg ProverConfig) *Prover { return prover.New(cfg) }

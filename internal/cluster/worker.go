@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"nocap/internal/backoff"
 	"nocap/internal/faultinject"
 	"nocap/internal/jobs"
 )
@@ -107,7 +108,7 @@ func (w *Worker) Start() {
 	sem := make(chan struct{}, w.cfg.Slots)
 	go func() {
 		defer w.wg.Done()
-		backoff := w.cfg.RetryBase
+		retry := w.cfg.RetryBase
 		for {
 			select {
 			case sem <- struct{}{}:
@@ -120,13 +121,13 @@ func (w *Worker) Start() {
 				if w.pollCtx.Err() != nil {
 					return
 				}
-				w.sleep(w.jitter(backoff))
-				if backoff < 2*time.Second {
-					backoff *= 2
+				w.sleep(w.between(0, retry))
+				if retry < 2*time.Second {
+					retry *= 2
 				}
 				continue
 			}
-			backoff = w.cfg.RetryBase
+			retry = w.cfg.RetryBase
 			if a == nil {
 				<-sem
 				continue
@@ -166,16 +167,22 @@ func (w *Worker) Kill() {
 // Killed reports whether Kill was called.
 func (w *Worker) Killed() bool { return w.killed.Load() }
 
-func (w *Worker) jitter(d time.Duration) time.Duration {
+// between draws a duration uniform in [lo, hi) from the worker's seeded
+// source. Every clock the worker runs (heartbeats, RPC retry backoff) is
+// jittered so a coordinator restart cannot synchronize the fleet into a
+// reconnect stampede.
+func (w *Worker) between(lo, hi time.Duration) time.Duration {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return fullJitter(w.rng, d)
+	return backoff.Range(w.rng, lo, hi)
 }
 
+// heartbeatEvery draws a renewal interval in [ttl/6, ttl/3): several
+// beats fit inside one TTL even if a couple are lost, and no two
+// workers beat in phase.
 func (w *Worker) heartbeatEvery(ttl time.Duration) time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return heartbeatInterval(w.rng, ttl)
+	lo := max(ttl/6, time.Millisecond)
+	return w.between(lo, 2*lo)
 }
 
 func (w *Worker) sleep(d time.Duration) {
@@ -340,60 +347,46 @@ func (w *Worker) runAssignment(a *Assignment) {
 }
 
 // execute proves the assignment's members, honouring each member's
-// context. The cluster.worker.exec fault point fires per member before
-// its attempt.
+// context: whole through BatchExec when the assignment is a batch and
+// the node has one, member by member through Exec otherwise. The
+// cluster.worker.exec fault point fires per member before any attempt;
+// a member it fails never reaches the executor.
 func (w *Worker) execute(a *Assignment, mctx map[string]context.Context) []JobOutcome {
-	if a.Batch && w.cfg.BatchExec != nil && len(a.Jobs) > 1 {
-		members := make([]jobs.BatchMember, 0, len(a.Jobs))
-		skipped := make(map[string]error, len(a.Jobs))
-		for _, j := range a.Jobs {
-			if err := faultinject.Check(FIWorkerExec); err != nil {
-				skipped[j.ID] = err
-				continue
-			}
-			members = append(members, jobs.BatchMember{ID: j.ID, Spec: jobs.Spec{Payload: j.Payload}, Ctx: mctx[j.ID]})
+	outcomes := make([]JobOutcome, len(a.Jobs))
+	fail := func(i int, err error) {
+		outcomes[i].Error, outcomes[i].Code = err.Error(), outcomeCode(err)
+	}
+	var members []jobs.BatchMember
+	var slot []int // members[k] is a.Jobs[slot[k]]
+	for i, j := range a.Jobs {
+		outcomes[i].ID = j.ID
+		if err := faultinject.Check(FIWorkerExec); err != nil {
+			fail(i, err)
+			continue
 		}
-		var outs []jobs.BatchOutcome
+		members = append(members, jobs.BatchMember{ID: j.ID, Spec: jobs.Spec{Payload: j.Payload}, Ctx: mctx[j.ID]})
+		slot = append(slot, i)
+	}
+	var outs []jobs.BatchOutcome
+	if a.Batch && w.cfg.BatchExec != nil && len(a.Jobs) > 1 {
 		if len(members) > 0 {
 			outs = w.cfg.BatchExec(w.killCtx, members)
 		}
-		outcomes := make([]JobOutcome, 0, len(a.Jobs))
-		byID := make(map[string]jobs.BatchOutcome, len(members))
-		for i, mb := range members {
-			if i < len(outs) {
-				byID[mb.ID] = outs[i]
-			}
+	} else {
+		for _, mb := range members {
+			res, err := w.cfg.Exec(mb.Ctx, mb.Spec)
+			outs = append(outs, jobs.BatchOutcome{Result: res, Err: err})
 		}
-		for _, j := range a.Jobs {
-			if err, ok := skipped[j.ID]; ok {
-				outcomes = append(outcomes, JobOutcome{ID: j.ID, Error: err.Error(), Code: outcomeCode(err)})
-				continue
-			}
-			out, ok := byID[j.ID]
-			switch {
-			case !ok:
-				outcomes = append(outcomes, JobOutcome{ID: j.ID, Error: "cluster: batch executor returned no outcome", Code: "internal"})
-			case out.Err != nil:
-				outcomes = append(outcomes, JobOutcome{ID: j.ID, Error: out.Err.Error(), Code: outcomeCode(out.Err)})
-			default:
-				outcomes = append(outcomes, JobOutcome{ID: j.ID, Proof: out.Result.Proof, Stats: out.Result.Stats})
-			}
-		}
-		return outcomes
 	}
-
-	outcomes := make([]JobOutcome, 0, len(a.Jobs))
-	for _, j := range a.Jobs {
-		if err := faultinject.Check(FIWorkerExec); err != nil {
-			outcomes = append(outcomes, JobOutcome{ID: j.ID, Error: err.Error(), Code: outcomeCode(err)})
-			continue
+	for k, i := range slot {
+		switch {
+		case k >= len(outs):
+			outcomes[i].Error, outcomes[i].Code = "cluster: batch executor returned no outcome", "internal"
+		case outs[k].Err != nil:
+			fail(i, outs[k].Err)
+		default:
+			outcomes[i].Proof, outcomes[i].Stats = outs[k].Result.Proof, outs[k].Result.Stats
 		}
-		res, err := w.cfg.Exec(mctx[j.ID], jobs.Spec{Payload: j.Payload})
-		if err != nil {
-			outcomes = append(outcomes, JobOutcome{ID: j.ID, Error: err.Error(), Code: outcomeCode(err)})
-			continue
-		}
-		outcomes = append(outcomes, JobOutcome{ID: j.ID, Proof: res.Proof, Stats: res.Stats})
 	}
 	return outcomes
 }
@@ -402,7 +395,7 @@ func (w *Worker) execute(a *Assignment, mctx map[string]context.Context) []JobOu
 // pollCtx) bounds it: a draining worker still completes its leases.
 func (w *Worker) complete(a *Assignment, outcomes []JobOutcome) {
 	req := CompleteRequest{Node: w.cfg.ID, Lease: a.Lease, Outcomes: outcomes}
-	backoff := w.cfg.RetryBase
+	retry := w.cfg.RetryBase
 	for attempt := 0; attempt < 3; attempt++ {
 		if w.killed.Load() {
 			return
@@ -418,13 +411,13 @@ func (w *Worker) complete(a *Assignment, outcomes []JobOutcome) {
 			return
 		}
 		w.logf("worker %s: complete %s failed (attempt %d): %v", w.cfg.ID, a.Lease, attempt+1, err)
-		t := time.NewTimer(w.jitter(backoff))
+		t := time.NewTimer(w.between(0, retry))
 		select {
 		case <-t.C:
 		case <-w.killCtx.Done():
 			t.Stop()
 			return
 		}
-		backoff *= 2
+		retry *= 2
 	}
 }

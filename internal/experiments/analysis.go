@@ -51,9 +51,6 @@ func MultiplyAnalysis(logN int) MultiplyAnalysisResult {
 	bm := circuits.Synthetic(1 << uint(logN))
 	params := spartan.DefaultParams()
 	params.PCS.ZK = false // ZK masking noise excluded from op counts
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
 	field.EnableMulCount(true)
 	proof, err := spartan.Prove(params, bm.Inst, bm.IO, bm.Witness)
 	muls := field.MulCount()

@@ -65,9 +65,6 @@ func MeasuredEngineCtx(ctx context.Context, logN, reps int, hashName string) (Me
 	}
 	params.PCS.ZK = false // keep commit geometry identical to the isolated
 	// encode timing below, so the encode/Merkle split is exact
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
 
 	start := time.Now()
 	proof, err := spartan.ProveCtx(ctx, params, bm.Inst, bm.IO, bm.Witness)

@@ -322,10 +322,10 @@ func TestBatchExecPanicAndMiscountContained(t *testing.T) {
 	}
 }
 
-// TestGateNChargesBatchCost: with GateN set, a coalesced batch is
-// charged its full size so external DRR fairness accounting sees k
-// jobs, not one cheap slot.
-func TestGateNChargesBatchCost(t *testing.T) {
+// TestGateChargesBatchCost: a coalesced batch is charged its full size
+// at the gate so external DRR fairness accounting sees k jobs, not one
+// cheap slot.
+func TestGateChargesBatchCost(t *testing.T) {
 	var mu sync.Mutex
 	type charge struct {
 		tenant string
@@ -337,7 +337,7 @@ func TestGateNChargesBatchCost(t *testing.T) {
 			return Result{Proof: []byte("solo")}, nil
 		},
 		proveAll)
-	cfg.GateN = func(ctx context.Context, tenantID string, cost int, run func()) error {
+	cfg.Gate = func(ctx context.Context, tenantID string, cost int, run func()) error {
 		mu.Lock()
 		charges = append(charges, charge{tenantID, cost})
 		mu.Unlock()

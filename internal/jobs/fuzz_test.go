@@ -100,7 +100,7 @@ func fuzzSeedCorpus(f *testing.F) [][]byte {
 // bytes: it must never panic, every rejection must classify as
 // zkerr.ErrMalformedProof, and every acceptance must satisfy the
 // decoder's own invariants (non-empty job, known state, non-negative
-// counters, verified checksum when present).
+// counters, verified checksum).
 func FuzzDecodeRecord(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus(f) {
 		f.Add(seed)
@@ -122,15 +122,16 @@ func FuzzDecodeRecord(f *testing.F) {
 		if r.Attempt < 0 || r.ProofBytes < 0 || r.BackoffMS < 0 {
 			t.Fatalf("accepted record with negative counters: %+v", r)
 		}
-		if r.CRC != nil {
-			// Re-encoding an accepted record must verify again.
-			reline, err := encodeRecord(r)
-			if err != nil {
-				t.Fatalf("re-encode accepted record: %v", err)
-			}
-			if _, err := decodeRecord(reline[:len(reline)-1]); err != nil {
-				t.Fatalf("re-encoded record rejected: %v", err)
-			}
+		if r.CRC == nil {
+			t.Fatalf("accepted record without a checksum: %q", line)
+		}
+		// Re-encoding an accepted record must verify again.
+		reline, err := encodeRecord(r)
+		if err != nil {
+			t.Fatalf("re-encode accepted record: %v", err)
+		}
+		if _, err := decodeRecord(reline[:len(reline)-1]); err != nil {
+			t.Fatalf("re-encoded record rejected: %v", err)
 		}
 	})
 }

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"nocap/internal/backoff"
 	"nocap/internal/faultinject"
 	"nocap/internal/zkerr"
 )
@@ -120,15 +121,12 @@ type Exec func(ctx context.Context, spec Spec) (Result, error)
 // its bounded HTTP worker pool so sync requests and async attempts
 // share the same concurrency budget; tenantID lets it join the right
 // per-tenant scheduler queue, so async attempts are subject to the same
-// fairness policy as synchronous requests.
-type Gate func(ctx context.Context, tenantID string, run func()) error
-
-// GateN is the batch-aware variant of Gate: cost is the number of jobs
-// the gated run will prove (the batch size), so the external scheduler
-// can charge the tenant's fairness account for the whole batch instead
-// of letting batching bypass DRR accounting. Like Gate, it must execute
-// run synchronously or return an error without having called run.
-type GateN func(ctx context.Context, tenantID string, cost int, run func()) error
+// fairness policy as synchronous requests. cost is the number of jobs
+// the gated run will prove — 1 for a solo attempt, the batch size for a
+// coalesced batch — so the external scheduler charges the tenant's
+// fairness account for the whole batch instead of letting batching
+// bypass DRR accounting.
+type Gate func(ctx context.Context, tenantID string, cost int, run func()) error
 
 // BatchMember is one job of a batch handed to BatchExec. Ctx is the
 // member's own attempt context: cancelling one member (DELETE /jobs/id)
@@ -161,7 +159,8 @@ type Config struct {
 	Dir string
 	// Exec produces proofs; required.
 	Exec Exec
-	// Gate optionally routes attempts onto an external worker pool.
+	// Gate optionally routes attempts onto an external worker pool,
+	// charged 1 per solo attempt and k per batch of k jobs.
 	Gate Gate
 	// Workers is the number of dispatcher goroutines (default 2). With
 	// a Gate each dispatcher blocks inside the external pool, so this
@@ -194,7 +193,7 @@ type Config struct {
 	// JournalMaxBytes / JournalMaxRecords cap the journal before the
 	// background compactor rewrites it as snapshot + tail (DESIGN.md
 	// §13). Zero disables that cap; with both zero no compactor runs
-	// and the journal grows without bound (the pre-v2 behaviour).
+	// and the journal grows without bound.
 	JournalMaxBytes   int64
 	JournalMaxRecords int64
 	// Retention is how long terminal jobs (and their proof files) stay
@@ -225,11 +224,6 @@ type Config struct {
 	// A group that closes with a single member bypasses it and runs
 	// through the solo Exec path unchanged.
 	BatchExec BatchExec
-	// GateN, when set, is preferred over Gate for routing attempts onto
-	// the external worker pool: it carries the batch size as an explicit
-	// cost so coalescing cannot bypass per-tenant fairness accounting
-	// (one batch of k jobs is charged like k solo jobs).
-	GateN GateN
 	// BatchWindow is how long the planner holds a group open for
 	// batch-mates after its first job arrives (default 5ms); BatchMax
 	// caps the batch size, flushing a group early when reached
@@ -423,8 +417,8 @@ type Manager struct {
 	batches chan []*jobRec
 	wg      sync.WaitGroup
 
-	randMu sync.Mutex
-	rand   *rand.Rand
+	// rand seeds retry jitter; guarded by mu.
+	rand *rand.Rand
 
 	mu      sync.Mutex
 	byID    map[string]*jobRec
@@ -489,13 +483,13 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	baseCtx, cancelBase := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:        cfg,
-		journal:    jl,
-		breaker:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
-		baseCtx:    baseCtx,
-		cancelBase: cancelBase,
-		quit:       make(chan struct{}),
-		ready:      make(chan *jobRec, 2*cfg.MaxPending+16),
+		cfg:          cfg,
+		journal:      jl,
+		breaker:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
+		baseCtx:      baseCtx,
+		cancelBase:   cancelBase,
+		quit:         make(chan struct{}),
+		ready:        make(chan *jobRec, 2*cfg.MaxPending+16),
 		rand:         rand.New(rand.NewSource(cfg.Seed)),
 		byID:         make(map[string]*jobRec),
 		activeTenant: make(map[string]int64),
@@ -635,8 +629,8 @@ func (m *Manager) replay(info replayInfo) error {
 		}
 		if j.terminal() {
 			if j.terminalAt.IsZero() {
-				// Pre-v2 records carry no usable timestamp; date them now
-				// so the retention clock still starts ticking.
+				// A terminal record whose timestamp does not parse: date
+				// it now so the retention clock still starts ticking.
 				j.terminalAt = now
 			}
 			close(j.done)
@@ -1200,22 +1194,21 @@ func (m *Manager) breakerRetryDelay() time.Duration {
 	return d
 }
 
-// dispatchGranted routes one breaker-granted solo attempt through the
-// external pool gate (GateN with cost 1 when set, else Gate) or runs it
-// directly.
-func (m *Manager) dispatchGranted(j *jobRec, probe bool) {
-	run := func() { m.runAttempt(j, probe) }
-	var err error
-	switch {
-	case m.cfg.GateN != nil:
-		err = m.cfg.GateN(m.baseCtx, j.spec.Tenant, 1, run)
-	case m.cfg.Gate != nil:
-		err = m.cfg.Gate(m.baseCtx, j.spec.Tenant, run)
-	default:
+// gated runs one breaker-granted attempt through the external pool gate
+// at the given fairness cost, or directly when no gate is configured.
+// A non-nil error means the pool shed the attempt without running it.
+func (m *Manager) gated(tenantID string, cost int, run func()) error {
+	if m.cfg.Gate == nil {
 		run()
-		return
+		return nil
 	}
-	if err != nil {
+	return m.cfg.Gate(m.baseCtx, tenantID, cost, run)
+}
+
+// dispatchGranted routes one breaker-granted solo attempt through the
+// gate at cost 1.
+func (m *Manager) dispatchGranted(j *jobRec, probe bool) {
+	if err := m.gated(j.spec.Tenant, 1, func() { m.runAttempt(j, probe) }); err != nil {
 		// The external pool shed us without running the attempt: no
 		// budget consumed, the probe slot (if held) goes back, try
 		// again shortly.
@@ -1230,8 +1223,8 @@ func (m *Manager) dispatchGranted(j *jobRec, probe bool) {
 // solo path (Exec, per-attempt breaker grant) unchanged. A real batch
 // takes one breaker grant for the whole attempt; a half-open probe must
 // be a single attempt, so the first member probes solo and the rest
-// requeue. The gate is charged the full batch size via GateN so DRR
-// fairness sees k jobs, not one.
+// requeue. The gate is charged the full batch size so DRR fairness sees
+// k jobs, not one.
 func (m *Manager) dispatchBatch(batch []*jobRec) {
 	if len(batch) == 1 {
 		m.dispatch(batch[0])
@@ -1252,18 +1245,7 @@ func (m *Manager) dispatchBatch(batch []*jobRec) {
 		}
 		return
 	}
-	run := func() { m.runBatch(batch) }
-	var err error
-	switch {
-	case m.cfg.GateN != nil:
-		err = m.cfg.GateN(m.baseCtx, batch[0].spec.Tenant, len(batch), run)
-	case m.cfg.Gate != nil:
-		err = m.cfg.Gate(m.baseCtx, batch[0].spec.Tenant, run)
-	default:
-		run()
-		return
-	}
-	if err != nil {
+	if err := m.gated(batch[0].spec.Tenant, len(batch), func() { m.runBatch(batch) }); err != nil {
 		for _, j := range batch {
 			m.requeueAfter(j, 50*time.Millisecond)
 		}
@@ -1578,22 +1560,8 @@ func (m *Manager) markTerminalLocked(j *jobRec, st State) {
 	close(j.done)
 }
 
-// backoffFor returns the full-jitter backoff after the given number of
-// attempts: uniform in (0, min(BackoffMax, BackoffBase·2^(attempt-1))].
+// backoffFor draws the full-jitter retry delay after the given number
+// of attempts from the manager's seeded source. Caller holds m.mu.
 func (m *Manager) backoffFor(attempt int) time.Duration {
-	d := m.cfg.BackoffBase
-	for i := 1; i < attempt && d < m.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > m.cfg.BackoffMax {
-		d = m.cfg.BackoffMax
-	}
-	m.randMu.Lock()
-	f := m.rand.Float64()
-	m.randMu.Unlock()
-	b := time.Duration(float64(d) * f)
-	if b <= 0 {
-		b = time.Millisecond
-	}
-	return b
+	return backoff.Exponential(m.rand, m.cfg.BackoffBase, m.cfg.BackoffMax, attempt)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -525,7 +524,7 @@ func TestHalfOpenProbeShedByGateDoesNotWedge(t *testing.T) {
 	cfg.MaxAttempts = 50
 	cfg.BreakerThreshold = 1
 	cfg.BreakerCooldown = 40 * time.Millisecond
-	cfg.Gate = func(ctx context.Context, tenantID string, run func()) error {
+	cfg.Gate = func(ctx context.Context, tenantID string, cost int, run func()) error {
 		if shed.Add(-1) >= 0 {
 			return errors.New("external pool full")
 		}
@@ -692,7 +691,7 @@ func TestGateRoutesAttempts(t *testing.T) {
 	cfg := testConfig(t, func(ctx context.Context, spec Spec) (Result, error) {
 		return Result{Proof: []byte("ok")}, nil
 	})
-	cfg.Gate = func(ctx context.Context, tenantID string, run func()) error {
+	cfg.Gate = func(ctx context.Context, tenantID string, cost int, run func()) error {
 		gated.Add(1)
 		done := make(chan struct{})
 		select {
@@ -772,36 +771,6 @@ func TestListOrdersBySubmission(t *testing.T) {
 		}
 		if info.State != StateDone {
 			t.Fatalf("List[%d] state %s", i, info.State)
-		}
-	}
-}
-
-func TestBackoffCappedExponentialFullJitter(t *testing.T) {
-	cfg, err := Config{
-		Dir:  t.TempDir(),
-		Exec: func(context.Context, Spec) (Result, error) { return Result{}, nil },
-		// 10ms base, 40ms cap.
-		BackoffBase: 10 * time.Millisecond,
-		BackoffMax:  40 * time.Millisecond,
-		Seed:        42,
-	}.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := &Manager{cfg: cfg, rand: rand.New(rand.NewSource(42))}
-	caps := map[int]time.Duration{
-		1: 10 * time.Millisecond,
-		2: 20 * time.Millisecond,
-		3: 40 * time.Millisecond,
-		4: 40 * time.Millisecond, // capped
-		9: 40 * time.Millisecond,
-	}
-	for attempt, ceil := range caps {
-		for i := 0; i < 100; i++ {
-			b := m.backoffFor(attempt)
-			if b <= 0 || b > ceil {
-				t.Fatalf("attempt %d backoff %v outside (0, %v]", attempt, b, ceil)
-			}
 		}
 	}
 }

@@ -22,23 +22,21 @@ import (
 // synced. Recovery is therefore a pure replay: snapshot (if present)
 // then journal tail, the in-memory table a cache of their suffix state.
 //
-// Journal v2 (DESIGN.md §13): every record appended carries a CRC32
+// Checksums (DESIGN.md §13): every record appended carries a CRC32
 // checksum of its own JSON encoding, so replay distinguishes three
 // kinds of damage instead of one:
 //
 //   - a torn tail (crash mid-append: unterminated or undecodable FINAL
 //     line) is dropped and the file truncated back to its last clean
 //     record — the affected job resumes from its previous state;
-//   - a corrupt record anywhere (bad checksum, undecodable mid-file
-//     line, semantically bogus fields) is skipped and counted, because
+//   - a corrupt record anywhere (bad or missing checksum, undecodable
+//     mid-file line, semantically bogus fields) is skipped and counted,
+//     because
 //     one flipped sector must not take down a journal with thousands of
 //     healthy records around it;
 //   - more than maxConsecutiveCorrupt corrupt records in a row is not
 //     bit-rot but a destroyed file, and recovery refuses to start
 //     rather than silently serve a fraction of the truth.
-//
-// Records from v1 journals (no crc field) are accepted unverified so an
-// upgraded binary replays its existing history.
 
 // journalName is the journal file's name inside the data directory.
 const journalName = "journal.jsonl"
@@ -60,8 +58,8 @@ const probeJobID = "_probe"
 const maxConsecutiveCorrupt = 16
 
 // Disk-fault injection points (DESIGN.md §13). fiJournalAppend fires
-// before every journal append (legacy point, models an EIO/ENOSPC
-// refusal before any byte lands); fiJournalWrite fires at the write
+// before every journal append (models an EIO/ENOSPC refusal before any
+// byte lands); fiJournalWrite fires at the write
 // syscall and leaves a SHORT write behind — half the record's bytes,
 // exactly the torn state a full disk produces; fiJournalFsync fires at
 // the fsync after a clean write, the fsyncgate case where the data may
@@ -121,12 +119,12 @@ type record struct {
 	// Cached marks a done record whose proof came from the proof cache.
 	Cached bool `json:"cached,omitempty"`
 	// CRC is the IEEE CRC32 of this record's JSON encoding with the crc
-	// field absent (journal v2). nil means a v1 record, accepted
-	// unverified on replay.
+	// field absent. A record without one is corrupt: damage that ate the
+	// key must not also skip the check.
 	CRC *uint32 `json:"crc,omitempty"`
 }
 
-// encodeRecord marshals r with its v2 checksum and trailing newline.
+// encodeRecord marshals r with its checksum and trailing newline.
 // The CRC covers the record's own compact JSON encoding with the crc
 // field omitted; verification re-derives that encoding from the decoded
 // value, so any bit flip in any field — including inside the opaque
@@ -165,18 +163,19 @@ func decodeRecord(line []byte) (record, error) {
 		return record{}, zkerr.Malformedf("jobs: journal record with negative counters (attempt=%d proof_bytes=%d backoff_ms=%d)",
 			r.Attempt, r.ProofBytes, r.BackoffMS)
 	}
-	if r.CRC != nil {
-		want := *r.CRC
-		r.CRC = nil
-		base, err := json.Marshal(r)
-		if err != nil {
-			return record{}, zkerr.Malformedf("jobs: journal record re-encode: %v", err)
-		}
-		if got := crc32.ChecksumIEEE(base); got != want {
-			return record{}, zkerr.Malformedf("jobs: journal record checksum mismatch (crc %08x, computed %08x)", want, got)
-		}
-		r.CRC = &want
+	if r.CRC == nil {
+		return record{}, zkerr.Malformedf("jobs: journal record without a checksum")
 	}
+	want := *r.CRC
+	r.CRC = nil
+	base, err := json.Marshal(r)
+	if err != nil {
+		return record{}, zkerr.Malformedf("jobs: journal record re-encode: %v", err)
+	}
+	if got := crc32.ChecksumIEEE(base); got != want {
+		return record{}, zkerr.Malformedf("jobs: journal record checksum mismatch (crc %08x, computed %08x)", want, got)
+	}
+	r.CRC = &want
 	return r, nil
 }
 

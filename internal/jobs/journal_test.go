@@ -24,19 +24,9 @@ func writeJournal(t *testing.T, raw string) string {
 	return dir
 }
 
-// recLine marshals a record WITHOUT a checksum — the v1 wire format —
-// so these fixtures double as the legacy-journal compatibility corpus.
+// recLine is one journal line as the manager writes it: encodeRecord's
+// output, checksum included.
 func recLine(t *testing.T, r record) string {
-	t.Helper()
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b) + "\n"
-}
-
-// crcLine is the v2 form: encodeRecord's output, checksum included.
-func crcLine(t *testing.T, r record) string {
 	t.Helper()
 	b, err := encodeRecord(r)
 	if err != nil {
@@ -54,8 +44,8 @@ func parseAll(raw []byte) (replayInfo, int64, error) {
 
 func TestParseJournalCleanFile(t *testing.T) {
 	raw := recLine(t, record{Seq: 1, Job: "j-a", State: recAccepted}) +
-		crcLine(t, record{Seq: 2, Job: "j-a", State: recRunning, Attempt: 1}) +
-		crcLine(t, record{Seq: 3, Job: "j-a", State: recDone, Attempt: 1})
+		recLine(t, record{Seq: 2, Job: "j-a", State: recRunning, Attempt: 1}) +
+		recLine(t, record{Seq: 3, Job: "j-a", State: recDone, Attempt: 1})
 	info, clean, err := parseAll([]byte(raw))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -116,25 +106,30 @@ func TestParseJournalMidFileCorruptionSkippedAndCounted(t *testing.T) {
 	}
 }
 
-// A record whose stored checksum disagrees with its content is corrupt
-// even though it is perfectly valid JSON.
+// A record whose stored checksum disagrees with its content — or that
+// carries no checksum at all, as when the damage ate the crc key — is
+// corrupt even though it is perfectly valid JSON.
 func TestParseJournalChecksumMismatchSkipped(t *testing.T) {
-	bad := crcLine(t, record{Seq: 2, Job: "j-a", State: recRunning, Attempt: 1})
-	// Flip one byte inside the job id, leaving the stored crc behind.
-	bad = strings.Replace(bad, `"job":"j-a"`, `"job":"j-b"`, 1)
-	raw := crcLine(t, record{Seq: 1, Job: "j-a", State: recAccepted}) +
-		bad +
-		crcLine(t, record{Seq: 3, Job: "j-a", State: recDone, Attempt: 1})
-	info, _, err := parseAll([]byte(raw))
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if len(info.records) != 2 || info.corrupt != 1 {
-		t.Fatalf("records %d corrupt %d, want 2/1", len(info.records), info.corrupt)
-	}
-	for _, r := range info.records {
-		if r.Seq == 2 {
-			t.Fatal("checksum-mismatched record survived replay")
+	good := recLine(t, record{Seq: 2, Job: "j-a", State: recRunning, Attempt: 1})
+	for name, bad := range map[string]string{
+		// Flip one byte inside the job id, leaving the stored crc behind.
+		"mismatch": strings.Replace(good, `"job":"j-a"`, `"job":"j-b"`, 1),
+		"missing":  `{"seq":2,"job":"j-a","state":"running","attempt":1}` + "\n",
+	} {
+		raw := recLine(t, record{Seq: 1, Job: "j-a", State: recAccepted}) +
+			bad +
+			recLine(t, record{Seq: 3, Job: "j-a", State: recDone, Attempt: 1})
+		info, _, err := parseAll([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		if len(info.records) != 2 || info.corrupt != 1 {
+			t.Fatalf("%s: records %d corrupt %d, want 2/1", name, len(info.records), info.corrupt)
+		}
+		for _, r := range info.records {
+			if r.Seq == 2 {
+				t.Fatalf("%s: unverifiable record survived replay", name)
+			}
 		}
 	}
 }
@@ -183,6 +178,7 @@ func TestDecodeRecordValidation(t *testing.T) {
 		"no-job":           `{"seq":1,"state":"done"}`,
 		"unknown-state":    `{"seq":1,"job":"j-a","state":"zombie"}`,
 		"negative-attempt": `{"seq":1,"job":"j-a","state":"done","attempt":-1}`,
+		"no-checksum":      `{"seq":1,"job":"j-a","state":"done"}`,
 		"truncated":        string(line[:len(line)/2]),
 	} {
 		if _, err := decodeRecord([]byte(raw)); !errors.Is(err, zkerr.ErrMalformedProof) {

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"nocap/internal/cluster"
 	"nocap/internal/jobs"
+	"nocap/internal/prover"
 	"nocap/internal/zkerr"
 )
 
@@ -34,8 +37,7 @@ func (s *Server) openCluster() error {
 		LeaseTTL:      s.cfg.ClusterLeaseTTL,
 		DeadAfter:     s.cfg.ClusterDeadAfter,
 		ProbeBase:     s.cfg.ClusterProbeBase,
-		LocalExec:     s.proveExec,
-		LocalBatch:    s.batchProveExec,
+		Local:         pooledExecutor{s},
 		LocalFallback: s.cfg.ClusterLocalFallback,
 		Seed:          s.cfg.ClusterSeed,
 		TenantWeight: func(tenantID string) int {
@@ -45,7 +47,7 @@ func (s *Server) openCluster() error {
 			return s.reg.Default().Weight
 		},
 		LocalityKey: func(payload json.RawMessage) (string, bool) {
-			return s.jobBatchKey(jobs.Spec{Payload: payload})
+			return prover.BatchKey(jobs.Spec{Payload: payload})
 		},
 	})
 	s.mux.HandleFunc("POST /cluster/poll", s.withClusterKey(s.coord.HandlePoll))
@@ -53,6 +55,51 @@ func (s *Server) openCluster() error {
 	s.mux.HandleFunc("POST /cluster/complete", s.withClusterKey(s.coord.HandleComplete))
 	s.mux.HandleFunc("GET /cluster/nodes", s.withClusterKey(s.coord.HandleNodes))
 	return nil
+}
+
+// pooledExecutor is the coordinator's in-process fallback: the server's
+// own executors, run on the worker pool through jobGate like every
+// other in-process prove — so a fleet outage cannot turn the job
+// dispatchers (which deliberately bypass the gate in cluster mode,
+// because they normally park on RPC) into extra proving concurrency
+// outside the -workers budget and the tenant scheduler. The coordinator
+// calls it after the attempt's running record is journaled, so a shed
+// (tenant queue full, pool stopping) is reported as jobs.ErrLeaseLost:
+// the attempt never reached a prover, and the manager refunds it with
+// the same journal-backed retry record a dead node's lease gets.
+type pooledExecutor struct{ s *Server }
+
+// pooled runs one fallback attempt proving cost jobs on the pool. The
+// pool goroutine is outside the manager's containment boundary, so a
+// panicking attempt must still surface as a retryable internal error,
+// not a crash.
+func (p pooledExecutor) pooled(ctx context.Context, tenantID string, cost int, run func()) (err error) {
+	shed := p.s.jobGate(ctx, tenantID, cost, func() {
+		defer zkerr.RecoverTo(&err, "server: in-process fallback attempt")
+		run()
+	})
+	if shed != nil {
+		return fmt.Errorf("server: in-process fallback shed by the worker pool (%v): %w", shed, jobs.ErrLeaseLost)
+	}
+	return err
+}
+
+func (p pooledExecutor) Exec(ctx context.Context, spec jobs.Spec) (res jobs.Result, err error) {
+	if perr := p.pooled(ctx, spec.Tenant, 1, func() { res, err = p.s.soloExec()(ctx, spec) }); perr != nil {
+		return jobs.Result{}, perr
+	}
+	return res, err
+}
+
+func (p pooledExecutor) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
+	var outs []jobs.BatchOutcome
+	if err := p.pooled(ctx, members[0].Spec.Tenant, len(members), func() { outs = p.s.prover.BatchExec(ctx, members) }); err != nil {
+		outs = make([]jobs.BatchOutcome, len(members))
+		for i := range outs {
+			outs[i].Err = err
+		}
+	}
+	return outs
 }
 
 // withClusterKey gates the worker plane: when a cluster key is

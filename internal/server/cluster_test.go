@@ -18,6 +18,7 @@ import (
 	"nocap"
 	"nocap/internal/cluster"
 	"nocap/internal/leakcheck"
+	"nocap/internal/prover"
 )
 
 // clusterConfig is jobsConfig plus coordinator mode with a short lease
@@ -37,7 +38,7 @@ func clusterConfig(t *testing.T) Config {
 // params so proofs are comparable with the server's own local path.
 func startInProcessWorker(t *testing.T, base, id string, params nocap.Params, key string) *cluster.Worker {
 	t.Helper()
-	prover := cluster.NewProver(cluster.ProverConfig{Params: params, Timeout: time.Minute})
+	node := prover.New(prover.Config{Params: params, Timeout: time.Minute})
 	w, err := cluster.NewWorker(cluster.WorkerConfig{
 		Coordinator: base,
 		ID:          id,
@@ -45,8 +46,8 @@ func startInProcessWorker(t *testing.T, base, id string, params nocap.Params, ke
 		Key:         key,
 		PollWait:    200 * time.Millisecond,
 		RetryBase:   5 * time.Millisecond,
-		Exec:        prover.Exec,
-		BatchExec:   prover.BatchExec,
+		Exec:        node.Exec,
+		BatchExec:   node.BatchExec,
 		Seed:        7,
 		Logf:        t.Logf,
 	})

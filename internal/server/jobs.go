@@ -6,13 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
-	"strconv"
 	"time"
 
-	"nocap"
 	"nocap/internal/jobs"
+	"nocap/internal/prover"
 	"nocap/internal/tenant"
 	"nocap/internal/zkerr"
 )
@@ -75,19 +73,14 @@ func jobResponse(info jobs.JobInfo) JobResponse {
 // with journal size) never delays the listener; /readyz reports 503
 // until it finishes.
 func (s *Server) openJobs() {
-	exec := s.cfg.JobsExec
-	if exec == nil {
-		exec = s.proveExec
-	}
+	exec := s.soloExec()
 	var batchKey func(jobs.Spec) (string, bool)
 	var batchExec jobs.BatchExec
-	var gateN jobs.GateN
 	if s.cfg.JobBatchWindow > 0 {
-		batchKey = s.jobBatchKey
-		batchExec = s.batchProveExec
-		gateN = s.jobGateN
+		batchKey = prover.BatchKey
+		batchExec = s.prover.BatchExec
 	}
-	gate := s.jobGate
+	gate := jobs.Gate(s.jobGate)
 	workers := s.cfg.JobWorkers
 	if s.coord != nil {
 		// Cluster mode: attempts execute on remote worker nodes, so the
@@ -95,11 +88,13 @@ func (s *Server) openJobs() {
 		// spend their time parked on RPC, not proving. Fairness moves
 		// with them: the coordinator stride-schedules dispatch across
 		// tenants with the same weights the local DRR scheduler uses.
+		// (An attempt the coordinator falls back to proving in-process
+		// joins the pool through pooledExecutor instead.)
 		exec = s.coord.Exec
 		if batchExec != nil {
 			batchExec = s.coord.BatchExec
 		}
-		gate, gateN = nil, nil
+		gate = nil
 		if workers <= 0 {
 			workers = 8
 		}
@@ -108,7 +103,6 @@ func (s *Server) openJobs() {
 		Dir:               s.cfg.DataDir,
 		Exec:              exec,
 		Gate:              gate,
-		GateN:             gateN,
 		BatchKey:          batchKey,
 		BatchExec:         batchExec,
 		BatchWindow:       s.cfg.JobBatchWindow,
@@ -146,24 +140,25 @@ func (s *Server) jobsManager() (*jobs.Manager, error) {
 	return s.jobsMgr, s.jobsErr
 }
 
+// soloExec is the in-process executor for one async attempt: the
+// prover, unless a test substituted its own.
+func (s *Server) soloExec() jobs.Exec {
+	if s.cfg.JobsExec != nil {
+		return s.cfg.JobsExec
+	}
+	return s.prover.Exec
+}
+
 // jobGate routes an async proving attempt through the same scheduler
 // and bounded worker pool that serve synchronous requests, so "workers"
 // is one concurrency budget and the DRR fairness policy governs all
-// work no matter how it arrives. It either runs the attempt to
-// completion or returns an error without having run it (the manager
-// re-queues and tries again).
-func (s *Server) jobGate(ctx context.Context, tenantID string, run func()) error {
-	return s.jobGateCost(ctx, tenantID, 1, run)
-}
-
-// jobGateN is the batch-aware gate: a coalesced batch of k jobs is
-// charged k against its tenant's DRR deficit, so batching amortizes
-// proving work without amortizing fairness accounting.
-func (s *Server) jobGateN(ctx context.Context, tenantID string, cost int, run func()) error {
-	return s.jobGateCost(ctx, tenantID, cost, run)
-}
-
-func (s *Server) jobGateCost(ctx context.Context, tenantID string, cost int, run func()) error {
+// work no matter how it arrives. cost is the number of jobs the run
+// proves: a coalesced batch of k jobs is charged k against its tenant's
+// DRR deficit, so batching amortizes proving work without amortizing
+// fairness accounting. It either runs the attempt to completion or
+// returns an error without having run it (the manager re-queues and
+// tries again).
+func (s *Server) jobGate(ctx context.Context, tenantID string, cost int, run func()) error {
 	select {
 	case <-s.quit:
 		// The worker pool is stopping; shed rather than enqueue an entry
@@ -171,253 +166,17 @@ func (s *Server) jobGateCost(ctx context.Context, tenantID string, cost int, run
 		return jobs.ErrQueueFull
 	default:
 	}
-	j := &job{run: run, done: make(chan struct{}), enqueued: time.Now()}
-	err := s.sched.Enqueue(tenantID, j, cost)
+	err := s.runPooled(tenantID, cost, run)
 	if errors.Is(err, tenant.ErrUnknownTenant) {
 		// A journaled tenant no longer configured (keyfile changed across
 		// a restart): the job still owes its attempt, run it on the
 		// default tenant's queue rather than stranding it.
-		err = s.sched.Enqueue(s.reg.Default().ID, j, cost)
+		err = s.runPooled(s.reg.Default().ID, cost, run)
 	}
 	if err != nil {
-		return jobs.ErrQueueFull
-	}
-	// Once enqueued the attempt normally runs (a worker picks it up and
-	// the manager's own closing check makes late runs no-ops), so honour
-	// the Gate contract and wait for it. The exception is shutdown after
-	// the drain deadline: the workers can exit with entries still queued,
-	// so when workersDone fires we sweep the queue ourselves — every
-	// stranded entry (possibly including this one) is completed without
-	// running, and dropped tells us the attempt was provably shed.
-	select {
-	case <-j.done:
-	case <-s.workersDone:
-		s.drainJobQueue()
-		<-j.done
-	}
-	if j.dropped {
 		return jobs.ErrQueueFull
 	}
 	return nil
-}
-
-// proveExec is the production Exec: one proving attempt for a journaled
-// ProveRequest, with the same validation, deadline, and per-run
-// collector accounting as the synchronous POST /prove path.
-func (s *Server) proveExec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-	var req ProveRequest
-	if err := json.Unmarshal(spec.Payload, &req); err != nil {
-		return jobs.Result{}, zkerr.Usagef("jobs: decode journaled request: %v", err)
-	}
-	params, timeout, err := s.requestSetup(req.Circuit, req.N, req.Reps, req.TimeoutMS)
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	bm, params, err := buildFor(params, req.Circuit, req.N)
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	if s.cache != nil {
-		return s.cachedProveExec(ctx, req, params, bm)
-	}
-	data, statsRaw, err := s.runProve(ctx, params, bm)
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	return jobs.Result{Proof: data, Stats: statsRaw}, nil
-}
-
-// runProve executes one real prove with per-run collector accounting
-// and returns the marshalled proof plus stats JSON.
-func (s *Server) runProve(ctx context.Context, params nocap.Params, bm *nocap.Benchmark) ([]byte, json.RawMessage, error) {
-	col := nocap.NewCollector()
-	proof, err := nocap.ProveCtx(col.Attach(ctx), params, bm.Inst, bm.IO, bm.Witness)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := nocap.MarshalProof(proof)
-	if err != nil {
-		return nil, nil, err
-	}
-	statsRaw, err := json.Marshal(statsJSON(col.Stats()))
-	if err != nil {
-		return nil, nil, zkerr.Internalf("jobs: marshal stats: %v", err)
-	}
-	return data, statsRaw, nil
-}
-
-// cachedProveExec is proveExec behind the proof cache: hits and
-// coalesced followers return the leader's verified bytes with
-// Cached=true; a leader proves, Commits (verify-on-insert), and owns
-// resolving the flight. A follower here blocks its worker slot while
-// waiting, which is safe: the leader always holds a different worker
-// and makes progress (with one worker no follower can exist — the
-// single worker is the leader).
-func (s *Server) cachedProveExec(ctx context.Context, req ProveRequest, params nocap.Params, bm *nocap.Benchmark) (jobs.Result, error) {
-	return s.cachedProve(ctx, req, params, bm, func(ctx context.Context) ([]byte, json.RawMessage, error) {
-		return s.runProve(ctx, params, bm)
-	})
-}
-
-// cachedProve is the cache/singleflight protocol shared by the solo and
-// batched executors; prove runs only when this call is the flight
-// leader.
-func (s *Server) cachedProve(ctx context.Context, req ProveRequest, params nocap.Params, bm *nocap.Benchmark, prove func(context.Context) ([]byte, json.RawMessage, error)) (jobs.Result, error) {
-	key := proveCacheKey(req.Circuit, params, bm)
-	acq := s.cache.Acquire(key)
-	switch {
-	case acq.Hit:
-		return jobs.Result{Proof: acq.Data, Cached: true}, nil
-	case !acq.Leader:
-		data, err := acq.Flight.Wait(ctx)
-		if err != nil {
-			if ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-				// The LEADER's request died, not this job: report a
-				// retryable failure so the manager re-proves, instead of
-				// inheriting a cancellation this job never asked for.
-				return jobs.Result{}, zkerr.Internalf("jobs: cache leader abandoned prove: %v", err)
-			}
-			return jobs.Result{}, err
-		}
-		return jobs.Result{Proof: data, Cached: true}, nil
-	}
-	data, statsRaw, err := prove(ctx)
-	if err != nil {
-		s.cache.Abort(key, err)
-		return jobs.Result{}, err
-	}
-	data, err = s.cache.Commit(ctx, key, data, s.verifyOnInsert(params, bm))
-	if err != nil {
-		return jobs.Result{}, err
-	}
-	return jobs.Result{Proof: data, Stats: statsRaw}, nil
-}
-
-// jobBatchKey derives the coalescing key for a journaled ProveRequest:
-// jobs with the same circuit, size, and reps share every piece of plan
-// state (proving params and hash engine are server-wide), so they can
-// prove through one shared-structure plan. Requests that fail to decode
-// never batch; the solo path owns reporting that error.
-func (s *Server) jobBatchKey(spec jobs.Spec) (string, bool) {
-	var req ProveRequest
-	if err := json.Unmarshal(spec.Payload, &req); err != nil {
-		return "", false
-	}
-	return fmt.Sprintf("%s|%d|%d", req.Circuit, req.N, req.Reps), true
-}
-
-// batchProveExec proves a coalesced batch through one shared-structure
-// plan (DESIGN.md §15). The once-per-batch work — circuit build, z
-// assembly, the SpMV products and satisfaction check, the instance
-// digest, the PCS geometry plan with warmed encoder/twiddle caches —
-// runs once under the plan's own collector and is charged back to the
-// members in exact proportional shares; each member then proves with
-// its own transcript, deadline, collector, and (with ZK) randomness, so
-// per-member proofs are byte-identical to solo proofs of the same
-// request. With the proof cache enabled the first member leads the
-// flight and its committed bytes serve the rest, exactly like the solo
-// cached path.
-func (s *Server) batchProveExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	outs := make([]jobs.BatchOutcome, len(members))
-	fail := func(err error) []jobs.BatchOutcome {
-		for i := range outs {
-			outs[i] = jobs.BatchOutcome{Err: err}
-		}
-		return outs
-	}
-	// Every member shares the batch key, so the first member's request
-	// describes the batch's statement; per-member timeouts still apply
-	// member by member.
-	var req ProveRequest
-	if err := json.Unmarshal(members[0].Spec.Payload, &req); err != nil {
-		return fail(zkerr.Usagef("jobs: decode journaled request: %v", err))
-	}
-	params, _, err := s.requestSetup(req.Circuit, req.N, req.Reps, req.TimeoutMS)
-	if err != nil {
-		return fail(err)
-	}
-	bm, params, err := buildFor(params, req.Circuit, req.N)
-	if err != nil {
-		return fail(err)
-	}
-	planCol := nocap.NewCollector()
-	plan, err := nocap.NewBatchPlanForCtx(planCol.Attach(ctx), params, bm)
-	if err != nil {
-		return fail(err)
-	}
-	shares := nocap.SplitProveStats(planCol.Stats(), len(members))
-	for i, mb := range members {
-		outs[i] = s.proveBatchMember(mb, params, bm, plan, shares[i])
-	}
-	return outs
-}
-
-// proveBatchMember proves one member of a batch against the shared
-// plan, honouring the member's own cancellation and request deadline.
-func (s *Server) proveBatchMember(mb jobs.BatchMember, params nocap.Params, bm *nocap.Benchmark, plan *nocap.BatchPlan, share nocap.ProveStats) jobs.BatchOutcome {
-	if err := mb.Ctx.Err(); err != nil {
-		return jobs.BatchOutcome{Err: err}
-	}
-	var req ProveRequest
-	if err := json.Unmarshal(mb.Spec.Payload, &req); err != nil {
-		return jobs.BatchOutcome{Err: zkerr.Usagef("jobs: decode journaled request: %v", err)}
-	}
-	_, timeout, err := s.requestSetup(req.Circuit, req.N, req.Reps, req.TimeoutMS)
-	if err != nil {
-		return jobs.BatchOutcome{Err: err}
-	}
-	ctx, cancel := context.WithTimeout(mb.Ctx, timeout)
-	defer cancel()
-	prove := func(ctx context.Context) ([]byte, json.RawMessage, error) {
-		return s.runBatchMember(ctx, plan, share)
-	}
-	if s.cache != nil {
-		res, err := s.cachedProve(ctx, req, params, bm, prove)
-		return jobs.BatchOutcome{Result: res, Err: err}
-	}
-	data, statsRaw, err := prove(ctx)
-	if err != nil {
-		return jobs.BatchOutcome{Err: err}
-	}
-	return jobs.BatchOutcome{Result: jobs.Result{Proof: data, Stats: statsRaw}}
-}
-
-// runBatchMember is runProve through the shared plan: the member's
-// proportional share of the plan's work is pre-credited to its
-// collector, so per-job stats stay conservative (the members' counters
-// sum to exactly the aggregate work the batch did).
-func (s *Server) runBatchMember(ctx context.Context, plan *nocap.BatchPlan, share nocap.ProveStats) ([]byte, json.RawMessage, error) {
-	col := nocap.NewCollector()
-	col.AddStats(share)
-	proof, err := plan.ProveMemberCtx(col.Attach(ctx))
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := nocap.MarshalProof(proof)
-	if err != nil {
-		return nil, nil, err
-	}
-	statsRaw, err := json.Marshal(statsJSON(col.Stats()))
-	if err != nil {
-		return nil, nil, zkerr.Internalf("jobs: marshal stats: %v", err)
-	}
-	return data, statsRaw, nil
-}
-
-// retryAfterJitter renders a Retry-After header value of at least min
-// seconds with up to spread extra seconds of jitter, so a shed client
-// herd does not reconverge on the same instant.
-func retryAfterJitter(min time.Duration, spread int) string {
-	secs := int(min / time.Second)
-	if min%time.Second != 0 || secs < 1 {
-		secs++
-	}
-	if spread > 0 {
-		secs += rand.Intn(spread + 1)
-	}
-	return strconv.Itoa(secs)
 }
 
 // jobsUnavailable writes the 503 for an endpoint that needs the manager
@@ -428,7 +187,7 @@ func (s *Server) jobsUnavailable(w http.ResponseWriter) bool {
 		return true
 	}
 	if s.recovering.Load() {
-		w.Header().Set("Retry-After", retryAfterJitter(time.Second, 2))
+		w.Header().Set("Retry-After", s.retryAfter(time.Second, 2))
 		writeError(w, http.StatusServiceUnavailable, "journal recovery in progress", "recovering")
 		return true
 	}
@@ -457,7 +216,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate before journaling: a request that could never prove gets
 	// its 400 now instead of an accepted job that fails permanently.
-	if _, _, err := s.requestSetup(req.Circuit, req.N, req.Reps, req.TimeoutMS); err != nil {
+	if _, err := s.prover.Check(req); err != nil {
 		s.writeTaxonomyError(w, err)
 		return
 	}
@@ -468,7 +227,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// the tenant's token bucket.
 	if s.coord != nil && !s.cfg.ClusterLocalFallback && !s.coord.HasLiveWorkers() {
 		s.metrics.jobShedNoWorkers.Add(1)
-		w.Header().Set("Retry-After", retryAfterJitter(s.coord.RetryAfterHint(), 2))
+		w.Header().Set("Retry-After", s.retryAfter(s.coord.RetryAfterHint(), 2))
 		writeError(w, http.StatusServiceUnavailable, "no live worker nodes", "no_workers")
 		return
 	}
@@ -487,18 +246,18 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, jobs.ErrBreakerOpen):
 		s.metrics.jobShedBreaker.Add(1)
 		_, remaining := mgr.BreakerState()
-		w.Header().Set("Retry-After", retryAfterJitter(remaining, 2))
+		w.Header().Set("Retry-After", s.retryAfter(remaining, 2))
 		writeError(w, http.StatusServiceUnavailable, "proving backend circuit breaker is open", "breaker-open")
 		return
 	case errors.Is(err, jobs.ErrQueueFull):
 		s.metrics.rejectedQueueFull.Add(1)
-		w.Header().Set("Retry-After", retryAfterJitter(s.drainEst.retryAfter(s.sched.Len(), s.cfg.Workers), 2))
+		w.Header().Set("Retry-After", s.drainRetryAfter())
 		writeError(w, http.StatusTooManyRequests, "job queue is full", "queue-full")
 		return
 	case errors.Is(err, jobs.ErrTenantQuota):
 		ten.RecordJobQuotaReject()
 		s.metrics.rejectedTenantQuota.Add(1)
-		w.Header().Set("Retry-After", retryAfterJitter(s.drainEst.retryAfter(s.sched.Len(), s.cfg.Workers), 2))
+		w.Header().Set("Retry-After", s.drainRetryAfter())
 		s.quotaHeaders(w, ten)
 		writeTenantError(w, http.StatusTooManyRequests, "tenant live-job quota exceeded", "tenant-jobs-quota", ten.ID)
 		return
@@ -508,7 +267,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		// accepted jobs still work, so this is a typed shed of exactly
 		// the durable path, not a blanket outage.
 		s.metrics.jobShedDegraded.Add(1)
-		w.Header().Set("Retry-After", retryAfterJitter(s.drainEst.retryAfter(s.sched.Len(), s.cfg.Workers), 2))
+		w.Header().Set("Retry-After", s.drainRetryAfter())
 		writeError(w, http.StatusServiceUnavailable, "durable job storage is degraded: journal writes are failing", "degraded")
 		return
 	case errors.Is(err, jobs.ErrClosed):
@@ -622,7 +381,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.DataDir != "" {
 		if s.recovering.Load() {
-			w.Header().Set("Retry-After", retryAfterJitter(time.Second, 2))
+			w.Header().Set("Retry-After", s.retryAfter(time.Second, 2))
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "recovering", "code": "recovering"})
 			return
 		}
@@ -632,7 +391,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if st, remaining := mgr.BreakerState(); st == jobs.BreakerOpen {
-			w.Header().Set("Retry-After", retryAfterJitter(remaining, 2))
+			w.Header().Set("Retry-After", s.retryAfter(remaining, 2))
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "breaker-open", "code": "breaker-open"})
 			return
 		}

@@ -1,6 +1,6 @@
 // Package server implements the multi-session proving service: an HTTP
-// front end over the library's ProveCtx/VerifyCtx with the admission
-// control a shared prover needs. Proving is seconds of CPU and hundreds
+// front end over internal/prover (the one statement→proof executor,
+// DESIGN.md §17) with the admission control a shared prover needs. Proving is seconds of CPU and hundreds
 // of megabytes of scratch per request, so the server never lets HTTP
 // concurrency become proving concurrency: a fixed worker pool executes
 // the cryptographic work and bounded per-tenant queues in front of it
@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"strconv"
@@ -52,10 +53,11 @@ import (
 	"time"
 
 	"nocap"
+	"nocap/internal/backoff"
 	"nocap/internal/cluster"
-	"nocap/internal/hashfn"
 	"nocap/internal/jobs"
 	"nocap/internal/proofcache"
+	"nocap/internal/prover"
 	"nocap/internal/tenant"
 	"nocap/internal/zkerr"
 )
@@ -124,8 +126,8 @@ type Config struct {
 	JobDegradedThreshold int
 	JobProbeInterval     time.Duration
 	JobCompactCheck      time.Duration
-	// JobsExec overrides the proving executor for async jobs (test hook;
-	// nil means the real ProveCtx pipeline).
+	// JobsExec overrides the in-process solo executor for async jobs
+	// (test hook; nil means internal/prover).
 	JobsExec jobs.Exec
 	// JobBatchWindow enables the batch planner (DESIGN.md §15): queued
 	// jobs for the same tenant with the same (circuit, n, reps) key that
@@ -204,11 +206,10 @@ func (c Config) decodeLimits() nocap.DecodeLimits {
 // guarantee rides on this: http.Server.Shutdown waits for handlers,
 // handlers wait for workers).
 type job struct {
-	run      func()
-	done     chan struct{}
-	enqueued time.Time
+	run  func()
+	done chan struct{}
 	// dropped is set (before done closes) when the shutdown sweep
-	// completed this entry without running it; jobGate reads it after
+	// completed this entry without running it; runPooled reads it after
 	// <-done to tell "ran" from "provably shed".
 	dropped bool
 }
@@ -239,14 +240,7 @@ func (d *drainEstimator) retryAfter(backlog, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1
 	}
-	est := mean * time.Duration(backlog+1) / time.Duration(workers)
-	if est < time.Second {
-		est = time.Second
-	}
-	if est > 30*time.Second {
-		est = 30 * time.Second
-	}
-	return est
+	return backoff.ClampRetryAfter(mean * time.Duration(backlog+1) / time.Duration(workers))
 }
 
 // Server is the proving service. Create with New, start with Serve or
@@ -259,8 +253,12 @@ type Server struct {
 	reg      *tenant.Registry
 	sched    *tenant.Scheduler
 	cache    *proofcache.Cache
+	prover   *prover.Prover
 	coord    *cluster.Coordinator
 	drainEst drainEstimator
+	// rng jitters every Retry-After the server sends; guarded by rngMu.
+	rngMu    sync.Mutex
+	rng      *rand.Rand
 	draining atomic.Bool
 	inflight atomic.Int64
 	metrics  metrics
@@ -313,12 +311,20 @@ func New(cfg Config) (*Server, error) {
 		mux:         http.NewServeMux(),
 		reg:         reg,
 		sched:       tenant.NewScheduler(queues),
+		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		quit:        make(chan struct{}),
 		workersDone: make(chan struct{}),
 	}
 	if cfg.CacheMB > 0 {
 		s.cache = proofcache.New(proofcache.Config{MaxBytes: int64(cfg.CacheMB) << 20})
 	}
+	s.prover = prover.New(prover.Config{
+		Params:  cfg.Params,
+		MaxN:    cfg.MaxN,
+		Timeout: cfg.RequestTimeout,
+		Cache:   s.cache,
+		Limits:  s.limits,
+	})
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /prove", s.withTenant(s.handleProve))
 	s.mux.HandleFunc("POST /verify", s.withTenant(s.handleVerify))
@@ -470,36 +476,55 @@ func (s *Server) worker() {
 	}
 }
 
-// admit enqueues work on the tenant's queue and blocks until it has
-// run, or rejects it (writing the response itself) when the server is
-// draining or the tenant's queue is full. A full queue is a per-tenant
-// condition: other tenants' backlog can never cause this 429.
+// runPooled enqueues run on the tenant's scheduler queue at the given
+// fairness cost and blocks until a pool worker has run it. A non-nil
+// error means run never ran: the scheduler's own refusal (queue full,
+// unknown tenant, stopped), or tenant.ErrStopped when the entry was
+// swept at shutdown. Handlers are waited on before the workers stop, so
+// only async attempts can be stranded by a blown drain deadline: the
+// workers exit with entries still queued, and when workersDone fires
+// the waiter sweeps the queue itself — every stranded entry (possibly
+// including this one) is completed without running, and dropped says
+// the attempt was provably shed.
+func (s *Server) runPooled(tenantID string, cost int, run func()) error {
+	j := &job{run: run, done: make(chan struct{})}
+	if err := s.sched.Enqueue(tenantID, j, cost); err != nil {
+		return err
+	}
+	select {
+	case <-j.done:
+	case <-s.workersDone:
+		s.drainJobQueue()
+		<-j.done
+	}
+	if j.dropped {
+		return tenant.ErrStopped
+	}
+	return nil
+}
+
+// admit runs work on the pool under the tenant's queue, or rejects it
+// (writing the response itself) when the server is draining or the
+// tenant's queue is full. A full queue is a per-tenant condition: other
+// tenants' backlog can never cause this 429.
 func (s *Server) admit(w http.ResponseWriter, ten *tenant.Tenant, run func()) bool {
-	if s.draining.Load() {
+	err := tenant.ErrStopped // a draining server refuses like a stopped scheduler
+	if !s.draining.Load() {
+		err = s.runPooled(ten.ID, 1, run)
+	}
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, tenant.ErrStopped):
 		s.metrics.rejectedDraining.Add(1)
 		writeError(w, http.StatusServiceUnavailable, "server is draining", "draining")
-		return false
-	}
-	j := &job{run: run, done: make(chan struct{}), enqueued: time.Now()}
-	if err := s.sched.Enqueue(ten.ID, j, 1); err != nil {
-		if errors.Is(err, tenant.ErrStopped) {
-			s.metrics.rejectedDraining.Add(1)
-			writeError(w, http.StatusServiceUnavailable, "server is draining", "draining")
-			return false
-		}
+	default:
 		s.metrics.rejectedQueueFull.Add(1)
-		w.Header().Set("Retry-After", retryAfterJitter(s.drainEst.retryAfter(s.sched.Len(), s.cfg.Workers), 2))
+		w.Header().Set("Retry-After", s.drainRetryAfter())
 		s.quotaHeaders(w, ten)
 		writeTenantError(w, http.StatusTooManyRequests, "tenant admission queue is full", "queue-full", ten.ID)
-		return false
 	}
-	<-j.done
-	if j.dropped {
-		s.metrics.rejectedDraining.Add(1)
-		writeError(w, http.StatusServiceUnavailable, "server is draining", "draining")
-		return false
-	}
-	return true
+	return false
 }
 
 // rateGate resolves the request's tenant and charges its token bucket.
@@ -510,7 +535,7 @@ func (s *Server) rateGate(w http.ResponseWriter, r *http.Request) (*tenant.Tenan
 	if ok, retryIn := ten.Allow(); !ok {
 		ten.RecordRateReject()
 		s.metrics.rejectedRateLimited.Add(1)
-		w.Header().Set("Retry-After", retryAfterJitter(retryIn, 1))
+		w.Header().Set("Retry-After", s.retryAfter(retryIn, 1))
 		s.quotaHeaders(w, ten)
 		writeTenantError(w, http.StatusTooManyRequests, "tenant rate limit exceeded", "rate-limited", ten.ID)
 		return nil, false
@@ -534,63 +559,19 @@ func (s *Server) quotaHeaders(w http.ResponseWriter, ten *tenant.Tenant) {
 	}
 }
 
-// ProveRequest is the POST /prove body.
-type ProveRequest struct {
-	// Circuit is a benchmark name (see nocap.CircuitNames).
-	Circuit string `json:"circuit"`
-	// N is the circuit size parameter; clamped to the circuit minimum,
-	// bounded above by the server's MaxN.
-	N int `json:"n"`
-	// Reps is the soundness repetition count (default 1).
-	Reps int `json:"reps,omitempty"`
-	// TimeoutMS shortens (never extends) the server's request timeout.
-	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-}
-
-// StageJSON is one kernel stage's per-request counters.
-type StageJSON struct {
-	Calls  int64 `json:"calls"`
-	Elems  int64 `json:"elems"`
-	WallNs int64 `json:"wall_ns"`
-}
-
-// StatsJSON is the per-request execution breakdown, measured by the
-// request's own collector (truthful under concurrency).
-type StatsJSON struct {
-	Stages map[string]StageJSON `json:"stages"`
-	Arena  struct {
-		Gets        int64 `json:"gets"`
-		Puts        int64 `json:"puts"`
-		Hits        int64 `json:"hits"`
-		Misses      int64 `json:"misses"`
-		Outstanding int64 `json:"outstanding"`
-	} `json:"arena"`
-}
-
-func statsJSON(run nocap.ProveStats) StatsJSON {
-	var out StatsJSON
-	out.Stages = make(map[string]StageJSON, 5)
-	for name, ss := range run.Stages.Named() {
-		out.Stages[name] = StageJSON{Calls: ss.Calls, Elems: ss.Elems, WallNs: int64(ss.Wall)}
-	}
-	out.Arena.Gets = run.Arena.Gets
-	out.Arena.Puts = run.Arena.Puts
-	out.Arena.Hits = run.Arena.Hits
-	out.Arena.Misses = run.Arena.Misses
-	out.Arena.Outstanding = run.Arena.Outstanding
-	return out
-}
+// ProveRequest is the POST /prove and POST /jobs body.
+type ProveRequest = prover.Request
 
 // ProveResponse is the POST /prove success body.
 type ProveResponse struct {
-	Circuit    string    `json:"circuit"`
-	N          int       `json:"n"`
-	Cached     bool      `json:"cached"`
-	ProofB64   string    `json:"proof_b64"`
-	ProofBytes int       `json:"proof_bytes"`
-	ElapsedMS  float64   `json:"elapsed_ms"`
-	QueueMS    float64   `json:"queue_ms"`
-	Stats      StatsJSON `json:"stats"`
+	Circuit    string       `json:"circuit"`
+	N          int          `json:"n"`
+	Cached     bool         `json:"cached"`
+	ProofB64   string       `json:"proof_b64"`
+	ProofBytes int          `json:"proof_bytes"`
+	ElapsedMS  float64      `json:"elapsed_ms"`
+	QueueMS    float64      `json:"queue_ms"`
+	Stats      prover.Stats `json:"stats"`
 }
 
 // VerifyRequest is the POST /verify body.
@@ -606,11 +587,11 @@ type VerifyRequest struct {
 // structurally decodable: Valid reports the cryptographic outcome, and
 // on rejection Code carries the taxonomy class.
 type VerifyResponse struct {
-	Valid     bool      `json:"valid"`
-	Code      string    `json:"code,omitempty"`
-	Error     string    `json:"error,omitempty"`
-	ElapsedMS float64   `json:"elapsed_ms"`
-	Stats     StatsJSON `json:"stats"`
+	Valid     bool         `json:"valid"`
+	Code      string       `json:"code,omitempty"`
+	Error     string       `json:"error,omitempty"`
+	ElapsedMS float64      `json:"elapsed_ms"`
+	Stats     prover.Stats `json:"stats"`
 }
 
 // ErrorResponse is every non-2xx body. Tenant names whose quota caused
@@ -695,88 +676,18 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	return nil
 }
 
-// requestSetup validates the shared (circuit, n, reps, timeout) fields,
-// builds nothing yet, and returns the per-request params and deadline.
-func (s *Server) requestSetup(circuit string, n, reps int, timeoutMS int64) (nocap.Params, time.Duration, error) {
-	if n > s.cfg.MaxN {
-		return nocap.Params{}, 0, zkerr.Resourcef("n=%d exceeds server max %d", n, s.cfg.MaxN)
-	}
-	if reps == 0 {
-		reps = 1
-	}
-	if reps < 1 || reps > 64 {
-		return nocap.Params{}, 0, zkerr.Usagef("reps must be in [1,64], got %d", reps)
-	}
-	if _, ok := nocapCircuitOK(circuit); !ok {
-		return nocap.Params{}, 0, zkerr.Usagef("unknown circuit %q (want one of %v)", circuit, nocap.CircuitNames())
-	}
-	params := s.cfg.Params
-	params.Reps = reps
-	timeout := s.cfg.RequestTimeout
-	if timeoutMS > 0 {
-		if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	return params, timeout, nil
+// drainRetryAfter is the Retry-After for a request shed on backlog:
+// the pool's measured drain time for the current queue, jittered.
+func (s *Server) drainRetryAfter() string {
+	return s.retryAfter(s.drainEst.retryAfter(s.sched.Len(), s.cfg.Workers), 2)
 }
 
-// nocapCircuitOK reports whether name is a known benchmark without
-// building it.
-func nocapCircuitOK(name string) (string, bool) {
-	for _, n := range nocap.CircuitNames() {
-		if n == name {
-			return n, true
-		}
-	}
-	return "", false
-}
-
-// buildFor constructs the benchmark and fits the PCS geometry to it,
-// exactly as cmd/nocap-prove does.
-func buildFor(params nocap.Params, circuit string, n int) (*nocap.Benchmark, nocap.Params, error) {
-	bm, err := nocap.CircuitByName(circuit, n)
-	if err != nil {
-		return nil, params, err
-	}
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
-	return bm, params, nil
-}
-
-// proveCacheKey addresses a proof by (circuit-id, params-digest,
-// witness-commitment): two requests share a key exactly when they prove
-// the same statement under the same parameters, so everything that
-// could change the proof's meaning — circuit, PCS geometry, code,
-// repetitions, masking, recomputation — folds into the digest, and the
-// full IO and witness vectors fold into the commitment.
-func proveCacheKey(circuit string, params nocap.Params, bm *nocap.Benchmark) proofcache.Key {
-	codeName := "nil"
-	if params.PCS.Code != nil {
-		codeName = fmt.Sprintf("%s/%d/%d", params.PCS.Code.Name(), params.PCS.Code.Blowup(), params.PCS.Code.Queries())
-	}
-	paramsDigest := hashfn.Sum([]byte(fmt.Sprintf(
-		"rows=%d code=%s prox=%d maxpts=%d zk=%t reps=%d recompute=%t hash=%s",
-		params.PCS.Rows, codeName, params.PCS.NumProximity, params.PCS.MaxPoints,
-		params.PCS.ZK, params.Reps, params.Recompute, params.PCS.Engine().Name())))
-	witness := hashfn.Hash2(hashfn.HashElems(bm.IO), hashfn.HashElems(bm.Witness))
-	k := hashfn.Hash2(hashfn.Hash2(hashfn.Sum([]byte(circuit)), paramsDigest), witness)
-	return proofcache.Key(k)
-}
-
-// verifyOnInsert is the proof cache's insertion check: decode under the
-// server's limits and fully re-verify against the statement. The cache
-// refuses (and counts) anything that fails — a corrupt entry must be a
-// visible soundness incident, never a served proof.
-func (s *Server) verifyOnInsert(params nocap.Params, bm *nocap.Benchmark) func(context.Context, []byte) error {
-	return func(ctx context.Context, data []byte) error {
-		proof, err := nocap.UnmarshalProofLimits(data, s.limits)
-		if err != nil {
-			return err
-		}
-		return nocap.VerifyCtx(ctx, params, bm.Inst, bm.IO, proof)
-	}
+// retryAfter renders a jittered Retry-After header value (see
+// backoff.RetryAfter) from the server's own source.
+func (s *Server) retryAfter(min time.Duration, spread int) string {
+	s.rngMu.Lock()
+	defer s.rngMu.Unlock()
+	return backoff.RetryAfter(s.rng, min, spread)
 }
 
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
@@ -786,7 +697,7 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.writeTaxonomyError(w, err)
 		return
 	}
-	params, timeout, err := s.requestSetup(req.Circuit, req.N, req.Reps, req.TimeoutMS)
+	timeout, err := s.prover.Check(req)
 	if err != nil {
 		s.writeTaxonomyError(w, err)
 		return
@@ -800,35 +711,22 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, ten, func() {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-
-		bm, params, err := buildFor(params, req.Circuit, req.N)
+		st, err := s.prover.Build(req)
 		if err != nil {
 			s.writeTaxonomyError(w, err)
 			return
 		}
-		if s.cache == nil {
-			s.proveAndRespond(ctx, w, req, params, bm, admitted)
-			return
+		queued := time.Since(admitted)
+		var out prover.Outcome
+		// An identical prove already in flight on another worker hands
+		// its flight back: the handler waits for it OUTSIDE the worker
+		// pool — a follower must not burn a worker slot idling.
+		if out, flight, err = s.prover.Prove(r.Context(), st); err != nil {
+			s.writeTaxonomyError(w, err)
+		} else if flight == nil {
+			s.writeProve(w, req, out, queued)
 		}
-		key := proveCacheKey(req.Circuit, params, bm)
-		acq := s.cache.Acquire(key)
-		switch {
-		case acq.Hit:
-			s.writeCachedProve(w, req, acq.Data, admitted)
-		case !acq.Leader:
-			// Identical prove already in flight on another worker; hand
-			// the flight back so the handler waits OUTSIDE the worker
-			// pool — a follower must not burn a worker slot idling.
-			flight = acq.Flight
-		default:
-			s.proveForCache(ctx, w, req, key, params, bm, admitted)
-		}
-	}) {
-		return
-	}
-	if flight == nil {
+	}) || flight == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -838,82 +736,29 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		s.writeTaxonomyError(w, err)
 		return
 	}
-	s.writeCachedProve(w, req, data, admitted)
+	s.writeProve(w, req, prover.Outcome{Proof: data, Cached: true}, time.Since(admitted))
 }
 
-// proveAndRespond is the uncached prove path.
-func (s *Server) proveAndRespond(ctx context.Context, w http.ResponseWriter, req ProveRequest, params nocap.Params, bm *nocap.Benchmark, admitted time.Time) {
-	col := nocap.NewCollector()
-	start := time.Now()
-	proof, err := nocap.ProveCtx(col.Attach(ctx), params, bm.Inst, bm.IO, bm.Witness)
-	elapsed := time.Since(start)
-	if err != nil {
-		s.writeTaxonomyError(w, err)
-		return
+// writeProve answers 200 for a proved or cache-served statement. For
+// cached bytes no prove ran for this request, so elapsed is 0 and the
+// stats block is empty (provesOK counts real proves only; hits show up
+// in the proofcache metrics).
+func (s *Server) writeProve(w http.ResponseWriter, req ProveRequest, out prover.Outcome, queued time.Duration) {
+	if out.Cached {
+		out.Stats.Stages = map[string]prover.StageStats{}
+	} else {
+		s.metrics.provesOK.Add(1)
+		s.metrics.proveNs.Add(out.Elapsed.Nanoseconds())
 	}
-	data, err := nocap.MarshalProof(proof)
-	if err != nil {
-		s.writeTaxonomyError(w, err)
-		return
-	}
-	s.writeProveOK(w, req, data, false, elapsed, start.Sub(admitted), statsJSON(col.Stats()))
-}
-
-// proveForCache is the cache-leader prove path: prove, then Commit —
-// which re-verifies before insertion and resolves the flight for any
-// followers. Errors abort the flight so followers fail fast instead of
-// waiting out their deadlines.
-func (s *Server) proveForCache(ctx context.Context, w http.ResponseWriter, req ProveRequest, key proofcache.Key, params nocap.Params, bm *nocap.Benchmark, admitted time.Time) {
-	col := nocap.NewCollector()
-	start := time.Now()
-	proof, err := nocap.ProveCtx(col.Attach(ctx), params, bm.Inst, bm.IO, bm.Witness)
-	elapsed := time.Since(start)
-	if err != nil {
-		s.cache.Abort(key, err)
-		s.writeTaxonomyError(w, err)
-		return
-	}
-	data, err := nocap.MarshalProof(proof)
-	if err != nil {
-		s.cache.Abort(key, err)
-		s.writeTaxonomyError(w, err)
-		return
-	}
-	data, err = s.cache.Commit(ctx, key, data, s.verifyOnInsert(params, bm))
-	if err != nil {
-		s.writeTaxonomyError(w, err)
-		return
-	}
-	s.writeProveOK(w, req, data, false, elapsed, start.Sub(admitted), statsJSON(col.Stats()))
-}
-
-func (s *Server) writeProveOK(w http.ResponseWriter, req ProveRequest, data []byte, cached bool, elapsed, queued time.Duration, stats StatsJSON) {
-	s.metrics.provesOK.Add(1)
-	s.metrics.proveNs.Add(elapsed.Nanoseconds())
 	writeJSON(w, http.StatusOK, ProveResponse{
 		Circuit:    req.Circuit,
 		N:          req.N,
-		Cached:     cached,
-		ProofB64:   base64.StdEncoding.EncodeToString(data),
-		ProofBytes: len(data),
-		ElapsedMS:  float64(elapsed) / float64(time.Millisecond),
+		Cached:     out.Cached,
+		ProofB64:   base64.StdEncoding.EncodeToString(out.Proof),
+		ProofBytes: len(out.Proof),
+		ElapsedMS:  float64(out.Elapsed) / float64(time.Millisecond),
 		QueueMS:    float64(queued) / float64(time.Millisecond),
-		Stats:      stats,
-	})
-}
-
-// writeCachedProve serves cached bytes: no prove ran for this request,
-// so elapsed is ~0 and the stats block is empty (provesOK counts real
-// proves only; hits show up in the proofcache metrics).
-func (s *Server) writeCachedProve(w http.ResponseWriter, req ProveRequest, data []byte, admitted time.Time) {
-	writeJSON(w, http.StatusOK, ProveResponse{
-		Circuit:    req.Circuit,
-		N:          req.N,
-		Cached:     true,
-		ProofB64:   base64.StdEncoding.EncodeToString(data),
-		ProofBytes: len(data),
-		QueueMS:    float64(time.Since(admitted)) / float64(time.Millisecond),
-		Stats:      StatsJSON{Stages: map[string]StageJSON{}},
+		Stats:      out.Stats,
 	})
 }
 
@@ -924,7 +769,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.writeTaxonomyError(w, err)
 		return
 	}
-	params, timeout, err := s.requestSetup(req.Circuit, req.N, req.Reps, req.TimeoutMS)
+	stmt := ProveRequest{Circuit: req.Circuit, N: req.N, Reps: req.Reps, TimeoutMS: req.TimeoutMS}
+	timeout, err := s.prover.Check(stmt)
 	if err != nil {
 		s.writeTaxonomyError(w, err)
 		return
@@ -952,19 +798,19 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			s.writeTaxonomyError(w, err)
 			return
 		}
-		bm, params, err := buildFor(params, req.Circuit, req.N)
+		st, err := s.prover.Build(stmt)
 		if err != nil {
 			s.writeTaxonomyError(w, err)
 			return
 		}
 		col := nocap.NewCollector()
 		start := time.Now()
-		verr := nocap.VerifyCtx(col.Attach(ctx), params, bm.Inst, bm.IO, proof)
+		verr := st.Verify(col.Attach(ctx), proof)
 		elapsed := time.Since(start)
 		resp := VerifyResponse{
 			Valid:     verr == nil,
 			ElapsedMS: float64(elapsed) / float64(time.Millisecond),
-			Stats:     statsJSON(col.Stats()),
+			Stats:     prover.StatsOf(col.Stats()),
 		}
 		switch {
 		case verr == nil:

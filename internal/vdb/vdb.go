@@ -114,9 +114,6 @@ func (db *DB) Commit() (*BatchProof, error) {
 	}
 	bm := circuits.LitmusCircuit(db.batchStart, db.pending)
 	params := db.params
-	if half := bm.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
 	proof, err := spartan.Prove(params, bm.Inst, bm.IO, bm.Witness)
 	if err != nil {
 		return nil, fmt.Errorf("vdb: prove batch: %w", err)
@@ -171,9 +168,6 @@ func VerifyBatch(params spartan.Params, genesis []uint64, prev *BatchProof, bp *
 		placeholder[i] = circuits.Transfer{From: 0, To: 1, Amount: 0}
 	}
 	shape := circuits.LitmusCircuit(start, placeholder)
-	if half := shape.Inst.NumVars() / 2; params.PCS.Rows > half {
-		params.PCS.Rows = half
-	}
 	if err := spartan.Verify(params, shape.Inst, bp.IO, bp.Proof); err != nil {
 		return fmt.Errorf("vdb: batch %d: %w", bp.Seq, err)
 	}

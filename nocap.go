@@ -134,6 +134,20 @@ func WithHashEngine(p Params, name string) (Params, error) {
 	return p, nil
 }
 
+// FitParams returns p with the Orion matrix height shrunk to fit inst:
+// a witness of NumVars/2 elements cannot fill more rows than it has
+// elements. The prover and verifier apply the same clamp internally, so
+// fitting never changes a proof; it matters wherever the geometry is
+// observed from outside — the proving service folds the fitted row count
+// into its proof-cache key — and this is the one place that rule is
+// written down for such callers.
+func FitParams(p Params, inst *Instance) Params {
+	if half := inst.NumVars() / 2; p.PCS.Rows > half {
+		p.PCS.Rows = half
+	}
+	return p
+}
+
 // Prove generates a proof that the witness satisfies the instance.
 func Prove(p Params, inst *Instance, io, witness []Element) (*Proof, error) {
 	return spartan.Prove(p, inst, io, witness)
