@@ -9,9 +9,11 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzReader \
 	./internal/cstream:FuzzDecode \
 	./internal/jobs:FuzzDecodeRecord \
-	./internal/hashfn:FuzzEngineParity
+	./internal/hashfn:FuzzEngineParity \
+	./internal/sumcheck:FuzzRoundKernelParity \
+	./internal/ntt:FuzzNTTParity
 
-.PHONY: all build test vet staticcheck race chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
+.PHONY: all build test vet staticcheck inline-check race chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
 
 all: build test
 
@@ -33,6 +35,18 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; \
 	fi
 
+# The field core must stay inside the compiler's inlining budget: every
+# hot loop of the prover is built from these four, and one innocent line
+# (a counter, a debug check) pushes Mul over the budget and turns every
+# multiply into a call (DESIGN.md §9, "Datapath").
+INLINE_FUNCS = Add Sub Mul Square
+inline-check:
+	@out=$$($(GO) build -gcflags=-m ./internal/field 2>&1); \
+	for fn in $(INLINE_FUNCS); do \
+		echo "$$out" | grep -q "can inline $$fn\$$" || \
+			{ echo "inline-check: field.$$fn is not inlinable:"; echo "$$out" | grep " $$fn:"; exit 1; }; \
+	done; echo "inline-check: field.{$(INLINE_FUNCS)} inline"
+
 race:
 	$(GO) test -race ./...
 
@@ -44,10 +58,15 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestCancel' .
 	$(GO) test -race ./internal/par ./internal/faultinject ./internal/leakcheck
 
-# One-iteration pass over the prover benchmarks: catches benchmarks that
-# no longer compile or crash without paying for a full measurement run.
+# One-iteration pass over the prover and datapath benchmarks: catches
+# benchmarks that no longer compile or crash without paying for a full
+# measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Prove -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(Mul|VecScaleAdd|InnerProduct)$$' -benchtime 1x ./internal/field
+	$(GO) test -run '^$$' -bench '^BenchmarkForward' -benchtime 1x ./internal/ntt
+	$(GO) test -run '^$$' -bench '^BenchmarkRSEncodeRows$$' -benchtime 1x ./internal/kernel
+	$(GO) test -run '^$$' -bench '^BenchmarkRound(Cubic|Product|Generic)$$' -benchtime 1x ./internal/sumcheck
 
 # The repository's one benchmark (BENCHMARK.json; benchmark/README.md has
 # the workloads, metrics, and how to compare two result sets): by default
@@ -136,4 +155,4 @@ cluster-chaos:
 	$(GO) test -race -run 'TestClusterServer' ./internal/server
 	$(GO) run -race ./cmd/nocap-loadgen -cluster -requests 32 -clients 8 -n 256
 
-ci: vet staticcheck build test race chaos bench-smoke fuzz-smoke stats-race serve-smoke jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos
+ci: vet staticcheck inline-check build test race chaos bench-smoke fuzz-smoke stats-race serve-smoke jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos

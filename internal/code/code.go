@@ -61,7 +61,7 @@ func (c *ReedSolomon) Encode(msg []field.Element) []field.Element {
 }
 
 // EncodeCtx is Encode with cooperative cancellation, checked inside the
-// underlying NTT between butterfly stages. The PCS prefers this variant
+// underlying NTT between passes. The PCS prefers this variant
 // when a code provides it (see pcs.encodeCtx) so long row encodes stop
 // promptly when a proving context is cancelled.
 func (c *ReedSolomon) EncodeCtx(ctx context.Context, msg []field.Element) ([]field.Element, error) {
@@ -85,6 +85,22 @@ func (c *ReedSolomon) EncodeIntoCtx(ctx context.Context, dst, msg []field.Elemen
 		panic("code: codeword buffer length mismatch")
 	}
 	return kernel.RSEncodeCtx(ctx, dst, msg)
+}
+
+// EncodeRowsIntoCtx encodes a whole row matrix in one kernel invocation:
+// dst[r] receives the codeword of src[r], with the rows fanned out across
+// the worker pool. Every src row must have the same power-of-two length
+// and every dst row Blowup() times that.
+func (c *ReedSolomon) EncodeRowsIntoCtx(ctx context.Context, dst, src [][]field.Element) error {
+	for r, msg := range src {
+		if n := len(msg); n == 0 || n&(n-1) != 0 || n != len(src[0]) {
+			panic("code: message rows must share one positive power-of-two length")
+		}
+		if len(dst[r]) != len(msg)*c.BlowupFactor {
+			panic("code: codeword buffer length mismatch")
+		}
+	}
+	return kernel.RSEncodeRowsCtx(ctx, dst, src)
 }
 
 // Blowup implements Code.

@@ -114,15 +114,8 @@ func MeasuredEngineCtx(ctx context.Context, logN, reps int, hashName string) (Me
 	for rep := 0; rep < reps; rep++ {
 		tr := transcript.New("measure")
 		tau := tr.Challenges("tau", bm.Inst.LogConstraints())
-		arrays := []*poly.MLE{
-			poly.NewMLE(poly.EqTable(tau)),
-			poly.NewMLE(append([]field.Element(nil), az...)),
-			poly.NewMLE(append([]field.Element(nil), bz...)),
-			poly.NewMLE(append([]field.Element(nil), cz...)),
-		}
-		if _, _, _, err := sumcheck.ProveCtx(ctx, tr, "outer", field.Zero, arrays, 3, func(v []field.Element) field.Element {
-			return field.Mul(v[0], field.Sub(field.Mul(v[1], v[2]), v[3]))
-		}); err != nil {
+		if _, _, _, err := sumcheck.ProveCubicCtx(ctx, tr, "outer", field.Zero, poly.EqTable(tau),
+			append([]field.Element(nil), az...), append([]field.Element(nil), bz...), append([]field.Element(nil), cz...)); err != nil {
 			return MeasuredResult{}, err
 		}
 	}

@@ -8,6 +8,10 @@
 // NTT (the multiplicative group has order p−1 = 2^32 · 3 · 5 · 17 · 257 ·
 // 65537, so radix-2 NTTs up to 2^32 points exist) and an optional 64-bit
 // multiply counter used by the paper's §III efficiency analysis.
+//
+// Add, Sub, Mul and Square are written to fit the compiler's inlining
+// budget (`make inline-check` guards it): every hot loop of the prover is
+// built from them, and a call per multiply costs more than the multiply.
 package field
 
 import (
@@ -45,14 +49,18 @@ func EnableMulCount(on bool) {
 	mulCount.Store(0)
 }
 
-// MulCount returns the number of 64-bit multiplies executed by Mul/Square
-// since the counter was last reset. Each Goldilocks multiply is one 64×64
-// full multiply (bits.Mul64), which is the unit the paper counts.
+// MulCount returns the number of 64-bit multiplies credited since the
+// counter was last reset. Each Goldilocks multiply is one 64×64 full
+// multiply (bits.Mul64), which is the unit the paper counts.
 func MulCount() uint64 { return mulCount.Load() }
 
-// AddMulCount adds n to the multiply counter; used by cost models that
-// account for multiplies performed outside this package (e.g. the Groth16
-// baseline's 381-bit limb products).
+// AddMulCount credits n multiplies to the counter when counting is on.
+// Mul itself never touches the counter — a per-multiply atomic load made
+// it too expensive to inline — so the code that loops over multiplies
+// credits its exact count here once per invocation: the vector helpers
+// below, the kernel layer, the NTT, and cost models that account for
+// multiplies performed outside this package (e.g. the Groth16 baseline's
+// 381-bit limb products).
 func AddMulCount(n uint64) {
 	if countMuls.Load() {
 		mulCount.Add(n)
@@ -99,12 +107,11 @@ func (e Element) String() string { return fmt.Sprintf("%d", uint64(e)) }
 // Add returns a+b mod p.
 func Add(a, b Element) Element {
 	s, carry := bits.Add64(uint64(a), uint64(b), 0)
-	// a,b < p ≤ 2^64−2^32+1, so a+b < 2^65. If it overflowed, the true sum
-	// is s + 2^64 ≡ s + epsilon (mod p); s < 2·p − 2^64 < epsilon·... the
-	// addition of epsilon cannot overflow because s ≤ 2p−2−2^64 < 2^33.
-	if carry == 1 {
-		s += epsilon
-	}
+	// a,b < p, so a+b < 2^65. If it overflowed, the true sum is
+	// s + 2^64 ≡ s + epsilon (mod p), and s ≤ 2p−2−2^64 < 2^64 − 2^33, so
+	// adding epsilon cannot overflow and lands below p. The mask
+	// (epsilon when carry is 1, else 0) keeps the adjustment branch-free.
+	s += epsilon & -carry
 	if s >= Modulus {
 		s -= Modulus
 	}
@@ -114,10 +121,9 @@ func Add(a, b Element) Element {
 // Sub returns a−b mod p.
 func Sub(a, b Element) Element {
 	d, borrow := bits.Sub64(uint64(a), uint64(b), 0)
-	if borrow == 1 {
-		d -= epsilon // d + 2^64 ≡ d + epsilon; equivalently d -= epsilon wraps to d+p.
-	}
-	return Element(d)
+	// On borrow d wrapped to a−b+2^64; subtracting epsilon = 2^64−p
+	// leaves a−b+p, which is in range.
+	return Element(d - epsilon&-borrow)
 }
 
 // Neg returns −a mod p.
@@ -131,26 +137,21 @@ func Neg(a Element) Element {
 // Double returns 2a mod p.
 func Double(a Element) Element { return Add(a, a) }
 
-// reduce128 reduces hi·2^64 + lo modulo p.
+// reduce128 reduces hi·2^64 + lo modulo p, for any 128-bit input.
 //
 // Using 2^64 ≡ 2^32 − 1 and 2^96 ≡ −1 (mod p): write hi = h1·2^32 + h0.
-// Then x ≡ lo − h1 + h0·(2^32 − 1) (mod p).
+// Then x ≡ lo − h1 + h0·(2^32 − 1) (mod p). The two wrap corrections are
+// masks rather than branches; only the final canonicalization compares.
 func reduce128(hi, lo uint64) Element {
-	h0 := hi & 0xFFFFFFFF
-	h1 := hi >> 32
-	t, borrow := bits.Sub64(lo, h1, 0)
-	if borrow == 1 {
-		// t wrapped: true value is t + 2^64 ≡ t + epsilon... we instead
-		// subtract epsilon from the wrapped t, which equals (lo − h1) mod p
-		// because wrapping added 2^64 and 2^64 ≡ epsilon, so remove the
-		// excess 2^64 − p = epsilon − ... Standard identity: t -= epsilon.
-		t -= epsilon
-	}
-	m := h0 * epsilon // h0 < 2^32 so the product fits in 64 bits.
-	r, carry := bits.Add64(t, m, 0)
-	if carry == 1 {
-		r += epsilon
-	}
+	// A borrow means t = lo − h1 + 2^64 with lo < h1 < 2^32, so
+	// t > 2^64 − 2^32 and removing the excess 2^64 ≡ epsilon cannot wrap.
+	t, borrow := bits.Sub64(lo, hi>>32, 0)
+	t -= epsilon & -borrow
+	// h0 < 2^32, so h0·epsilon fits in 64 bits. A carry means
+	// r = t + m − 2^64 < m ≤ (2^32−1)², so r + epsilon < p: no second wrap,
+	// and the result is already canonical on that path.
+	r, carry := bits.Add64(t, (hi&epsilon)*epsilon, 0)
+	r += epsilon & -carry
 	if r >= Modulus {
 		r -= Modulus
 	}
@@ -159,9 +160,6 @@ func reduce128(hi, lo uint64) Element {
 
 // Mul returns a·b mod p.
 func Mul(a, b Element) Element {
-	if countMuls.Load() {
-		mulCount.Add(1)
-	}
 	hi, lo := bits.Mul64(uint64(a), uint64(b))
 	return reduce128(hi, lo)
 }
@@ -169,8 +167,48 @@ func Mul(a, b Element) Element {
 // Square returns a² mod p.
 func Square(a Element) Element { return Mul(a, a) }
 
-// MulAdd returns a·b + c mod p.
-func MulAdd(a, b, c Element) Element { return Add(Mul(a, b), c) }
+// MulAdd returns a·b + c mod p with a single reduction: c is added into
+// the 128-bit product (a·b + c < p² + p < 2^128) before reducing.
+func MulAdd(a, b, c Element) Element {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	lo, carry := bits.Add64(lo, uint64(c), 0)
+	return reduce128(hi+carry, lo)
+}
+
+// MulPow2 returns a·2^k mod p for 0 < k < 64 without a multiply
+// instruction: the product is a 128-bit shift. The NTT uses it for the
+// radix-4 butterfly's fourth root of unity, which is 2^48 in this field.
+func MulPow2(a Element, k uint) Element {
+	return reduce128(uint64(a)>>(64-k), uint64(a)<<k)
+}
+
+// Acc is a delayed-reduction accumulator for sums of products: a 128-bit
+// running sum plus a count of the times it wrapped, reduced once at the
+// end instead of once per term. The zero value is an empty sum. Each
+// AddMul costs one multiply and three adds; the sum it represents is
+// over·2^128 + hi·2^64 + lo exactly, so any number of products below
+// 2^64 — every slice Go can hold — fits before Reduce.
+//
+// Acc has value semantics (x = x.AddMul(a, b)) so that the compiler keeps
+// the three words in registers across a loop.
+type Acc struct{ lo, hi, over uint64 }
+
+// AccOf returns the accumulator holding the single value e.
+func AccOf(e Element) Acc { return Acc{lo: uint64(e)} }
+
+// AddMul returns x + a·b, unreduced.
+func (x Acc) AddMul(a, b Element) Acc {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	lo, c := bits.Add64(x.lo, lo, 0)
+	hi, c = bits.Add64(x.hi, hi, c)
+	return Acc{lo, hi, x.over + c}
+}
+
+// Reduce returns the accumulated sum mod p. 2^128 = 2^96·2^32 ≡ −2^32,
+// so the wrap count contributes −over·2^32.
+func (x Acc) Reduce() Element {
+	return Sub(reduce128(x.hi, x.lo), reduce128(x.over>>32, x.over<<32))
+}
 
 // Exp returns a^e mod p by square-and-multiply.
 func Exp(a Element, e uint64) Element {
@@ -247,11 +285,12 @@ func InnerProduct(a, b []Element) Element {
 	if len(a) != len(b) {
 		panic("field: inner product length mismatch")
 	}
-	var acc Element
+	var acc Acc
 	for i := range a {
-		acc = Add(acc, Mul(a[i], b[i]))
+		acc = acc.AddMul(a[i], b[i])
 	}
-	return acc
+	AddMulCount(uint64(len(a)))
+	return acc.Reduce()
 }
 
 // VecAdd sets dst[i] = a[i] + b[i]. Slices must have equal length.
@@ -270,8 +309,9 @@ func VecScaleAdd(dst []Element, s Element, a []Element) {
 		panic("field: vector scale-add length mismatch")
 	}
 	for i := range a {
-		dst[i] = Add(dst[i], Mul(s, a[i]))
+		dst[i] = MulAdd(s, a[i], dst[i])
 	}
+	AddMulCount(uint64(len(a)))
 }
 
 // VecMul sets dst[i] = a[i] · b[i]. Slices must have equal length.
@@ -282,6 +322,7 @@ func VecMul(dst, a, b []Element) {
 	for i := range a {
 		dst[i] = Mul(a[i], b[i])
 	}
+	AddMulCount(uint64(len(a)))
 }
 
 // FromBytes interprets an 8-byte little-endian value, reduced mod p.

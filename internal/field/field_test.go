@@ -252,17 +252,28 @@ func TestVecOpsPanicOnMismatch(t *testing.T) {
 	}
 }
 
+// TestMulCount pins the counter's contract: Mul and Square never touch
+// it (they must stay inlinable), loops credit their exact multiply count
+// once per call through AddMulCount, and a disabled counter stays at 0.
 func TestMulCount(t *testing.T) {
 	EnableMulCount(true)
 	defer EnableMulCount(false)
 	Mul(New(3), New(4))
 	Square(New(5))
+	if got := MulCount(); got != 0 {
+		t.Fatalf("Mul/Square credited %d multiplies; the per-multiply counter is gone", got)
+	}
+	a, b := []Element{1, 2, 3}, []Element{4, 5, 6}
+	dst := make([]Element, 3)
+	InnerProduct(a, b)     // 3
+	VecMul(dst, a, b)      // 3
+	VecScaleAdd(dst, 7, a) // 3
 	AddMulCount(10)
-	if got := MulCount(); got != 12 {
-		t.Fatalf("MulCount = %d, want 12", got)
+	if got := MulCount(); got != 19 {
+		t.Fatalf("MulCount = %d, want 19", got)
 	}
 	EnableMulCount(false)
-	Mul(New(3), New(4))
+	InnerProduct(a, b)
 	AddMulCount(5)
 	if got := MulCount(); got != 0 {
 		t.Fatalf("counter not reset/disabled: %d", got)
@@ -294,7 +305,34 @@ func BenchmarkMul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x = Mul(x, y)
 	}
-	_ = x
+	sinkElem = x // without a live result the inlined multiply chain is dead code
+}
+
+func benchVec(n int) (a, b []Element) {
+	rng := rand.New(rand.NewSource(9))
+	a, b = make([]Element, n), make([]Element, n)
+	for i := range a {
+		a[i], b[i] = New(rng.Uint64()), New(rng.Uint64())
+	}
+	return a, b
+}
+
+func BenchmarkVecScaleAdd(b *testing.B) {
+	dst, a := benchVec(1 << 12)
+	b.SetBytes(8 << 12)
+	for i := 0; i < b.N; i++ {
+		VecScaleAdd(dst, a[i&0xfff], a)
+	}
+}
+
+var sinkElem Element
+
+func BenchmarkInnerProduct(b *testing.B) {
+	x, y := benchVec(1 << 12)
+	b.SetBytes(8 << 12)
+	for i := 0; i < b.N; i++ {
+		sinkElem = InnerProduct(x, y)
+	}
 }
 
 func BenchmarkAdd(b *testing.B) {

@@ -17,6 +17,9 @@ import (
 // entirely on Element.
 type Wide [4]uint64
 
+// WideMulCost is the number of 64-bit multiplies in one WideMul.
+const WideMulCost = 2*4*4 + 4
+
 // wideModulus is the BN254 scalar field prime.
 var wideModulus = mustBig("21888242871839275222246405745257275088548364400416034343698204186575808495617")
 
@@ -117,12 +120,9 @@ func WideAdd(a, b Wide) Wide {
 
 // WideMul returns a·b mod p (Montgomery CIOS). Each call performs
 // 2·4²+4 = 36 64-bit multiplies — the critical-operation count behind
-// the paper's field ablation; when multiply counting is enabled, it adds
-// 36 to the counter.
+// the paper's field ablation. WideMulCost is that constant for callers
+// that credit the §III counter (AddMulCount) per batch of multiplies.
 func WideMul(a, b Wide) Wide {
-	if countMuls.Load() {
-		mulCount.Add(36)
-	}
 	var t [5]uint64 // t[4] is the running overflow
 	for i := 0; i < 4; i++ {
 		// t += a[i] * b

@@ -69,12 +69,19 @@ func TestWideOne(t *testing.T) {
 	}
 }
 
+// TestWideMulCount pins the same contract for the 256-bit field: WideMul
+// does not touch the counter, and WideMulCost is the 2·4²+4 constant a
+// caller credits per multiply.
 func TestWideMulCount(t *testing.T) {
 	EnableMulCount(true)
 	defer EnableMulCount(false)
 	WideMul(wideOneM, wideOneM)
+	if got := MulCount(); got != 0 {
+		t.Fatalf("WideMul credited %d multiplies itself", got)
+	}
+	AddMulCount(WideMulCost)
 	if got := MulCount(); got != 36 {
-		t.Fatalf("wide mul counted %d, want 36 (2·4²+4)", got)
+		t.Fatalf("wide mul cost %d, want 36 (2·4²+4)", got)
 	}
 }
 

@@ -10,18 +10,17 @@ import "nocap/internal/field"
 type ID uint8
 
 const (
-	// IDSHA3 is the scalar SHA3-256 engine backed by crypto/sha3. It is
-	// the default and is bit-for-bit transcript-identical to the
-	// pre-engine versions of this library: proofs serialized before the
-	// engine layer existed verify unchanged under it.
+	// IDSHA3 is the default SHA3-256 engine. It is bit-for-bit
+	// transcript-identical to the pre-engine versions of this library:
+	// proofs serialized before the engine layer existed verify unchanged
+	// under it.
 	IDSHA3 ID = 1
-	// IDKeccakX4 is the multi-buffer Keccak-f[1600] engine built on
-	// internal/keccak: batch entry points permute four independent
-	// sponge states per pass (the software analogue of the paper's
-	// 128-lane hash FU, §IV-B). The hash primitive is the same SHA3-256
-	// function, but the engine is a distinct identity with its own
-	// transcript domain, exactly like a future arithmetic-hash engine
-	// (Poseidon2/MiMC, ROADMAP item 3) will be.
+	// IDKeccakX4 is a second identity of the same SHA3-256 function: its
+	// own wire id and transcript domain, exactly like a future
+	// arithmetic-hash engine (Poseidon2/MiMC) will have, and — since the
+	// batch datapath is chosen by capability, not by engine (batch.go) —
+	// the same speed as IDSHA3. It stays registered because proofs carry
+	// the id.
 	IDKeccakX4 ID = 2
 )
 
@@ -45,49 +44,47 @@ type Engine interface {
 	// Merkle-level chunk. len(prev) must be 2·len(dst).
 	CompressMany(dst, prev []Digest)
 	// SumMany fills dst[i] = Sum(msgs[i]). len(msgs) must equal
-	// len(dst). Multi-buffer engines hash equal-length groups in
+	// len(dst). The multi-buffer datapath hashes equal-length groups in
 	// interleaved passes; ragged groups fall back to scalar hashing.
 	SumMany(dst []Digest, msgs [][]byte)
 }
 
-// sha3Engine is the scalar SHA3-256 engine: every method delegates to
-// the package-level primitives, so its digests and performance profile
-// are exactly those of the pre-engine library.
-type sha3Engine struct{}
+// sha3fn is the hash function every registered engine computes: SHA3-256,
+// one message at a time through crypto/sha3, batches through whichever
+// datapath batch.go selects for this machine. The engines embed it and
+// differ only in identity.
+type sha3fn struct{}
+
+func (sha3fn) Sum(data []byte) Digest { return Sum(data) }
+
+func (sha3fn) Hash2(a, b Digest) Digest { return Hash2(a, b) }
+
+func (sha3fn) HashElems(elems []field.Element) Digest { return HashElems(elems) }
+
+func (sha3fn) CompressMany(dst, prev []Digest) { compressMany(dst, prev) }
+
+func (sha3fn) SumMany(dst []Digest, msgs [][]byte) { sumMany(dst, msgs) }
+
+// sha3Engine is the default identity: its digests are exactly those of
+// the pre-engine library.
+type sha3Engine struct{ sha3fn }
 
 func (sha3Engine) ID() ID       { return IDSHA3 }
 func (sha3Engine) Name() string { return "sha3" }
 
-func (sha3Engine) Sum(data []byte) Digest { return Sum(data) }
+// keccakX4Engine is the second registered identity of the same function,
+// with its own wire id and transcript domain.
+type keccakX4Engine struct{ sha3fn }
 
-func (sha3Engine) Hash2(a, b Digest) Digest { return Hash2(a, b) }
-
-func (sha3Engine) HashElems(elems []field.Element) Digest { return HashElems(elems) }
-
-func (sha3Engine) CompressMany(dst, prev []Digest) {
-	if len(prev) != 2*len(dst) {
-		panic("hashfn: CompressMany size mismatch")
-	}
-	for i := range dst {
-		dst[i] = Hash2(prev[2*i], prev[2*i+1])
-	}
-}
-
-func (sha3Engine) SumMany(dst []Digest, msgs [][]byte) {
-	if len(msgs) != len(dst) {
-		panic("hashfn: SumMany size mismatch")
-	}
-	for i := range dst {
-		dst[i] = Sum(msgs[i])
-	}
-}
+func (keccakX4Engine) ID() ID       { return IDKeccakX4 }
+func (keccakX4Engine) Name() string { return "keccak-x4" }
 
 // engines is the registry, indexed by registration order. Engines are
 // stateless empty structs so interface values stay comparable (params
 // structs holding an Engine remain ==-comparable).
 var engines = []Engine{sha3Engine{}, keccakX4Engine{}}
 
-// Default returns the scalar SHA3-256 engine.
+// Default returns the sha3 engine.
 func Default() Engine { return sha3Engine{} }
 
 // ByID resolves a registered engine by identity byte.

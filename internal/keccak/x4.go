@@ -75,6 +75,12 @@ func chi4(b0, b1, b2 quad) quad {
 	}
 }
 
+// Vectorized reports whether Permute runs on the AVX2 datapath. Callers
+// with a choice (hashfn's batch entry points) use the multi-buffer
+// sponge only then: the portable four-wide permutation is slower than
+// four scalar crypto/sha3 calls.
+func Vectorized() bool { return useAVX2 }
+
 // StateX4 is four independent 5×5 Keccak states in lane-interleaved
 // layout: StateX4[x+5y][k] is lane (x,y) of state k. The zero value is
 // four all-zero sponge states.

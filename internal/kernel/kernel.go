@@ -52,14 +52,19 @@ func Fold(evals []field.Element, r field.Element) []field.Element {
 
 // FoldCtx is Fold attributed to the per-run collector carried by ctx.
 // The fold itself is not cancellable (it is short and in-place); the
-// context is used for stats attribution only.
+// context is used for stats attribution only. Large folds fan out across
+// the worker pool: entry i depends on entries i and i+half alone.
 func FoldCtx(ctx context.Context, evals []field.Element, r field.Element) []field.Element {
 	sp := BeginCtx(ctx, StageSumcheck)
 	half := len(evals) / 2
 	lo, hi := evals[:half], evals[half:]
-	for i := range lo {
-		lo[i] = field.Add(lo[i], field.Mul(r, field.Sub(hi[i], lo[i])))
-	}
+	par.For(half, func(from, to int) {
+		l, h := lo[from:to], hi[from:to]
+		for i, v := range l {
+			l[i] = field.MulAdd(r, field.Sub(h[i], v), v)
+		}
+	})
+	field.AddMulCount(uint64(half))
 	sp.End(half)
 	return lo
 }
@@ -74,6 +79,15 @@ func EqExpand(table []field.Element, r []field.Element) {
 
 // EqExpandCtx is EqExpand attributed to the per-run collector carried by
 // ctx (stats attribution only; the expansion is not cancellable).
+//
+// The table is built from the last variable to the first: after k steps
+// table[:2^k] is the eq table of the last k variables, and the next
+// variable becomes the new high bit — entry i splits into t·(1−rk) at i
+// and t·rk at i+size. Each step reads and writes entry pairs (i, i+size)
+// independently, so the large final doublings fan out across the worker
+// pool. Every entry is the same product of L factors whichever order
+// they are multiplied in, so the table is identical to a first-to-last
+// expansion.
 func EqExpandCtx(ctx context.Context, table []field.Element, r []field.Element) {
 	if len(table) != 1<<len(r) {
 		panic("kernel: eq table size mismatch")
@@ -81,16 +95,20 @@ func EqExpandCtx(ctx context.Context, table []field.Element, r []field.Element) 
 	sp := BeginCtx(ctx, StagePoly)
 	table[0] = field.One
 	size := 1
-	for _, rk := range r {
-		// Split each current entry t into t·(1−rk) and t·rk.
-		for i := size - 1; i >= 0; i-- {
-			t := table[i]
-			hi := field.Mul(t, rk)
-			table[2*i] = field.Sub(t, hi)
-			table[2*i+1] = hi
+	var rk field.Element
+	step := func(from, to int) { // one closure for all steps: size and rk are read at call time
+		l, h := table[from:to], table[size+from:size+to]
+		for i, t := range l {
+			h[i] = field.Mul(t, rk)
+			l[i] = field.Sub(t, h[i])
 		}
+	}
+	for k := len(r) - 1; k >= 0; k-- {
+		rk = r[k]
+		par.For(size, step)
 		size <<= 1
 	}
+	field.AddMulCount(uint64(len(table) - 1))
 	sp.End(len(table))
 }
 
@@ -102,60 +120,101 @@ func VecCombine(dst []field.Element, coeffs []field.Element, rows [][]field.Elem
 }
 
 // VecCombineCtx is VecCombine attributed to the per-run collector
-// carried by ctx (stats attribution only).
+// carried by ctx (stats attribution only). Rows with a zero coefficient
+// are skipped. Columns fan out across the worker pool, and within a
+// column range the rows are taken four at a time through a delayed-
+// reduction accumulator, so dst is read, reduced and written once per
+// four rows instead of once per row.
 func VecCombineCtx(ctx context.Context, dst []field.Element, coeffs []field.Element, rows [][]field.Element) {
 	sp := BeginCtx(ctx, StagePoly)
-	n := 0
+	cs := make([]field.Element, 0, len(coeffs))
+	rs := make([][]field.Element, 0, len(coeffs))
 	for r, c := range coeffs {
-		if c.IsZero() {
-			continue
+		if !c.IsZero() {
+			cs, rs = append(cs, c), append(rs, rows[r][:len(dst)])
 		}
-		field.VecScaleAdd(dst, c, rows[r][:len(dst)])
-		n += len(dst)
 	}
-	sp.End(n)
+	par.ForSized(len(dst), len(cs), func(lo, hi int) {
+		d := dst[lo:hi]
+		k := 0
+		for ; k+4 <= len(cs); k += 4 {
+			c0, c1, c2, c3 := cs[k], cs[k+1], cs[k+2], cs[k+3]
+			r0, r1, r2, r3 := rs[k][lo:hi], rs[k+1][lo:hi], rs[k+2][lo:hi], rs[k+3][lo:hi]
+			for j, v := range d {
+				d[j] = field.AccOf(v).AddMul(c0, r0[j]).AddMul(c1, r1[j]).AddMul(c2, r2[j]).AddMul(c3, r3[j]).Reduce()
+			}
+		}
+		for ; k < len(cs); k++ {
+			field.VecScaleAdd(d, cs[k], rs[k][lo:hi])
+		}
+	})
+	// The tail rows credit their own multiplies in VecScaleAdd.
+	field.AddMulCount(uint64((len(cs) &^ 3) * len(dst)))
+	sp.End(len(cs) * len(dst))
 }
 
-// RSEncodeCtx writes the Reed-Solomon codeword of msg into dst: msg is
-// copied, the tail is zero-padded (dst may be dirty arena scratch), and
-// the whole buffer is NTT-transformed in place. len(dst) must be the
+// RSEncodeCtx writes the Reed-Solomon codeword of msg into dst: the
+// transform of msg zero-padded to len(dst), through the NTT's padded
+// entry point, which never touches the structural zeros (dst may be
+// dirty arena scratch; it must not overlap msg). len(dst) must be the
 // codeword length (a power of two ≥ len(msg)). On error dst must be
 // discarded.
 func RSEncodeCtx(ctx context.Context, dst, msg []field.Element) error {
-	if len(msg) > len(dst) {
-		panic("kernel: rs-encode message longer than codeword")
-	}
 	sp := BeginCtx(ctx, StageEncode)
-	copy(dst, msg)
-	clear(dst[len(msg):])
-	err := ntt.ForwardCtx(ctx, dst)
+	err := ntt.ForwardPaddedCtx(ctx, dst, msg)
 	sp.End(len(dst))
 	return err
 }
 
+// RSEncodeRowsCtx encodes a whole row matrix: dst[r] receives the
+// codeword of src[r], as RSEncodeCtx would write it. It is one span timed
+// from the calling goroutine — wall time, like every other stage — with
+// the rows fanned out across the worker pool inside it; the rows share
+// the NTT's cached permutation and twiddle tables. A worker fault or
+// panic comes back as an error (par.ForErrCtx semantics).
+func RSEncodeRowsCtx(ctx context.Context, dst, src [][]field.Element) error {
+	if len(dst) != len(src) {
+		panic("kernel: rs-encode row count mismatch")
+	}
+	if len(src) == 0 {
+		return nil
+	}
+	sp := BeginCtx(ctx, StageEncode)
+	err := par.ForErrCtxSized(ctx, len(src), len(dst[0]), func(lo, hi int) error {
+		for r := lo; r < hi; r++ {
+			if err := ntt.ForwardPaddedCtx(ctx, dst[r], src[r]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	sp.End(len(dst) * len(dst[0]))
+	return err
+}
+
 // MerkleLevelCtx compresses one Merkle level: dst[i] = H(prev[2i] ‖
-// prev[2i+1]). len(prev) must be 2·len(dst). Whole ctxCheckInterval
-// chunks are handed to the engine's batch compression — the entry point
-// a multi-buffer engine fills its lanes from — with cancellation polled
-// between chunks.
+// prev[2i+1]). len(prev) must be 2·len(dst). Levels at or above the
+// parallel threshold fan out across the worker pool; each range is handed
+// to the engine's batch compression — the entry point the multi-buffer
+// datapath fills its lanes from — in ctxCheckInterval pieces with
+// cancellation polled in between.
 func MerkleLevelCtx(ctx context.Context, eng hashfn.Engine, dst, prev []hashfn.Digest) error {
 	if len(prev) != 2*len(dst) {
 		panic("kernel: merkle level size mismatch")
 	}
 	sp := BeginCtx(ctx, StageMerkle)
-	for lo := 0; lo < len(dst); lo += ctxCheckInterval {
-		if err := ctx.Err(); err != nil {
-			sp.End(lo)
-			return err
+	err := par.ForErrCtx(ctx, len(dst), func(lo, hi int) error {
+		for ; lo < hi; lo += ctxCheckInterval {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			end := min(lo+ctxCheckInterval, hi)
+			eng.CompressMany(dst[lo:end], prev[2*lo:2*end])
 		}
-		hi := lo + ctxCheckInterval
-		if hi > len(dst) {
-			hi = len(dst)
-		}
-		eng.CompressMany(dst[lo:hi], prev[2*lo:2*hi])
-	}
+		return nil
+	})
 	sp.End(len(dst))
-	return nil
+	return err
 }
 
 // columnGroup is how many columns each worker packs before one SumMany
@@ -209,16 +268,24 @@ func SpMVCtx(ctx context.Context, dst []field.Element, rows [][]Entry, x []field
 	}
 	sp := BeginCtx(ctx, StageSpMV)
 	err := par.ForCtx(ctx, len(rows), func(lo, hi int) {
+		muls := 0
 		for i := lo; i < hi; i++ {
-			var acc field.Element
-			for _, e := range rows[i] {
-				acc = field.Add(acc, field.Mul(e.Val, x[e.Col]))
-			}
-			dst[i] = acc
+			dst[i] = rowDot(rows[i], x)
+			muls += len(rows[i])
 		}
+		field.AddMulCount(uint64(muls))
 	})
 	sp.End(len(rows))
 	return err
+}
+
+// rowDot returns Σ e.Val·x[e.Col] over one sparse row, reduced once.
+func rowDot(row []Entry, x []field.Element) field.Element {
+	var acc field.Acc
+	for _, e := range row {
+		acc = acc.AddMul(e.Val, x[e.Col])
+	}
+	return acc.Reduce()
 }
 
 // SpMVSerial is SpMV on the calling goroutine, for small systems and
@@ -236,6 +303,7 @@ func SpMVSerialCtx(ctx context.Context, dst []field.Element, rows [][]Entry, x [
 		panic("kernel: spmv output size mismatch")
 	}
 	sp := BeginCtx(ctx, StageSpMV)
+	muls := 0
 	for i, row := range rows {
 		if i%ctxCheckInterval == 0 && i > 0 {
 			if err := ctx.Err(); err != nil {
@@ -243,12 +311,10 @@ func SpMVSerialCtx(ctx context.Context, dst []field.Element, rows [][]Entry, x [
 				return err
 			}
 		}
-		var acc field.Element
-		for _, e := range row {
-			acc = field.Add(acc, field.Mul(e.Val, x[e.Col]))
-		}
-		dst[i] = acc
+		dst[i] = rowDot(row, x)
+		muls += len(row)
 	}
+	field.AddMulCount(uint64(muls))
 	sp.End(len(rows))
 	return nil
 }
@@ -262,6 +328,7 @@ func SpMVSerialCtx(ctx context.Context, dst []field.Element, rows [][]Entry, x [
 // ≥ len(rows); dst must span every referenced column.
 func SpMVTCtx(ctx context.Context, dst []field.Element, rows [][]Entry, y []field.Element, scale field.Element) error {
 	sp := BeginCtx(ctx, StageSpMV)
+	muls := len(rows)
 	for i, row := range rows {
 		if i%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
@@ -274,9 +341,11 @@ func SpMVTCtx(ctx context.Context, dst []field.Element, rows [][]Entry, y []fiel
 			continue
 		}
 		for _, e := range row {
-			dst[e.Col] = field.Add(dst[e.Col], field.Mul(w, e.Val))
+			dst[e.Col] = field.MulAdd(w, e.Val, dst[e.Col])
 		}
+		muls += len(row)
 	}
+	field.AddMulCount(uint64(muls))
 	sp.End(len(rows))
 	return nil
 }

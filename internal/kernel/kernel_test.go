@@ -86,26 +86,33 @@ func TestEqExpandSizeMismatchPanics(t *testing.T) {
 
 func TestVecCombineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	rows := [][]field.Element{
-		randElems(t, rng, 20),
-		randElems(t, rng, 16),
-		randElems(t, rng, 16),
-	}
-	coeffs := []field.Element{field.New(rng.Uint64()), field.Zero, field.New(rng.Uint64())}
-	base := randElems(t, rng, 16)
-
-	want := append([]field.Element(nil), base...)
-	for r, c := range coeffs {
-		for i := range want {
-			want[i] = field.Add(want[i], field.Mul(c, rows[r][i]))
+	// 3 rows × 16: the per-row tail loop alone, serial. 9 rows × 1024: two
+	// four-row accumulator groups plus a tail row, above the fan-out
+	// threshold. Both with a zero coefficient (skipped) and rows longer
+	// than dst.
+	for _, shape := range []struct{ rows, n int }{{3, 16}, {9, 1024}} {
+		rows := make([][]field.Element, shape.rows)
+		coeffs := make([]field.Element, shape.rows)
+		for r := range rows {
+			rows[r] = randElems(t, rng, shape.n+4*(r%2))
+			coeffs[r] = field.New(rng.Uint64())
 		}
-	}
+		coeffs[1] = field.Zero
+		base := randElems(t, rng, shape.n)
 
-	dst := append([]field.Element(nil), base...)
-	VecCombine(dst, coeffs, rows)
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], want[i])
+		want := append([]field.Element(nil), base...)
+		for r, c := range coeffs {
+			for i := range want {
+				want[i] = field.Add(want[i], field.Mul(c, rows[r][i]))
+			}
+		}
+
+		dst := append([]field.Element(nil), base...)
+		VecCombine(dst, coeffs, rows)
+		for i := range want {
+			if dst[i] != want[i] {
+				t.Fatalf("%d rows: dst[%d] = %v, want %v", shape.rows, i, dst[i], want[i])
+			}
 		}
 	}
 }
@@ -129,6 +136,76 @@ func TestRSEncodeCtxOverwritesDirtyScratch(t *testing.T) {
 			t.Fatalf("codeword[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
+}
+
+// TestRSEncodeRowsCtxMatchesPerRow pins the whole-matrix entry point to
+// the per-row one, on dirty destination rows, above and below the
+// fan-out threshold.
+func TestRSEncodeRowsCtxMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, shape := range []struct{ rows, msgLen int }{{3, 16}, {20, 256}} {
+		src := make([][]field.Element, shape.rows)
+		dst := make([][]field.Element, shape.rows)
+		want := make([][]field.Element, shape.rows)
+		for r := range src {
+			src[r] = randElems(t, rng, shape.msgLen)
+			dst[r] = randElems(t, rng, 4*shape.msgLen)
+			want[r] = make([]field.Element, 4*shape.msgLen)
+			if err := RSEncodeCtx(context.Background(), want[r], src[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := RSEncodeRowsCtx(context.Background(), dst, src); err != nil {
+			t.Fatal(err)
+		}
+		for r := range want {
+			for i := range want[r] {
+				if dst[r][i] != want[r][i] {
+					t.Fatalf("%d rows: codeword %d differs at %d", shape.rows, r, i)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsCreditMultiplies pins the §III counter's contract on the
+// kernel side: each invocation credits its exact multiply count once.
+func TestKernelsCreditMultiplies(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	count := func(fn func()) uint64 {
+		field.EnableMulCount(true)
+		defer field.EnableMulCount(false)
+		fn()
+		return field.MulCount()
+	}
+	check := func(name string, got, want uint64) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s credited %d multiplies, want %d", name, got, want)
+		}
+	}
+	check("Fold", count(func() { Fold(randElems(t, rng, 16), field.New(3)) }), 8)
+	check("EqExpand", count(func() { EqExpand(make([]field.Element, 16), randElems(t, rng, 4)) }), 15)
+	rows := [][]field.Element{randElems(t, rng, 8), randElems(t, rng, 8), randElems(t, rng, 8)}
+	check("VecCombine", count(func() {
+		VecCombine(make([]field.Element, 8), []field.Element{2, 0, 3}, rows)
+	}), 16)
+	sparse := randSparse(rng, 8, 8)
+	nnz := uint64(0)
+	for _, row := range sparse {
+		nnz += uint64(len(row))
+	}
+	check("SpMV", count(func() { SpMVSerial(make([]field.Element, 8), sparse, randElems(t, rng, 8)) }), nnz)
+	// A 64-point codeword of a 16-entry message: 2 of 6 stages are
+	// replication, the other 4 are two radix-4 passes of 3·64/4 multiplies.
+	check("RSEncode", count(func() {
+		if err := RSEncodeCtx(context.Background(), make([]field.Element, 64), randElems(t, rng, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}), 96)
+	a := [][]field.Element{randElems(t, rng, 8), randElems(t, rng, 8), randElems(t, rng, 8), randElems(t, rng, 8)}
+	// The round loops are pure: the sumcheck driver credits them.
+	check("CubicRound", count(func() { CubicRound(a[0], a[1], a[2], a[3], 4, 0, 4) }), 0)
 }
 
 func TestMerkleLevelCtxMatchesHash2(t *testing.T) {
@@ -260,6 +337,9 @@ func TestCtxKernelsHonorCancellation(t *testing.T) {
 	if err := RSEncodeCtx(ctx, make([]field.Element, 64), randElems(t, rng, 16)); err == nil {
 		t.Error("RSEncodeCtx ignored cancelled context")
 	}
+	if err := RSEncodeRowsCtx(ctx, [][]field.Element{make([]field.Element, 64)}, [][]field.Element{randElems(t, rng, 16)}); err == nil {
+		t.Error("RSEncodeRowsCtx ignored cancelled context")
+	}
 	if err := MerkleLevelCtx(ctx, hashfn.Default(), make([]hashfn.Digest, 4), make([]hashfn.Digest, 8)); err == nil {
 		t.Error("MerkleLevelCtx ignored cancelled context")
 	}
@@ -319,5 +399,28 @@ func TestNamedCoversAllStages(t *testing.T) {
 	}
 	if len(named) != 5 {
 		t.Errorf("Named() has %d entries, want 5", len(named))
+	}
+}
+
+// BenchmarkRSEncodeRows is the row-encode stage of a 2^16-constraint
+// commitment: 140 rows (128 data + 12 mask) of 2^11 entries, blowup 4.
+func BenchmarkRSEncodeRows(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	const rows, msgLen = 140, 1 << 11
+	src := make([][]field.Element, rows)
+	dst := make([][]field.Element, rows)
+	for r := range src {
+		src[r] = make([]field.Element, msgLen)
+		for i := range src[r] {
+			src[r][i] = field.New(rng.Uint64())
+		}
+		dst[r] = make([]field.Element, 4*msgLen)
+	}
+	b.SetBytes(8 * rows * 4 * msgLen)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := RSEncodeRowsCtx(context.Background(), dst, src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

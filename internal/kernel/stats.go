@@ -11,10 +11,11 @@
 // adds, far below the cost of any kernel invocation it wraps.
 //
 // Note on concurrency: kernels that fan out across a worker pool time
-// the whole fan-out from the coordinating goroutine, so their Wall is
-// wall-clock time. The one exception is the Reed-Solomon encode, whose
-// per-row spans run on the pool workers themselves; its Wall approaches
-// CPU time summed over workers and may exceed the run's elapsed time.
+// the whole fan-out from the coordinating goroutine, so every stage's
+// Wall is wall-clock time and the stages of one run sum to at most its
+// elapsed time. (A caller that invokes a kernel from inside its own
+// worker pool would be summing CPU time instead; none does — row encodes
+// go through RSEncodeRowsCtx, one span around the whole matrix.)
 package kernel
 
 import (

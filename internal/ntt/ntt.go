@@ -1,5 +1,6 @@
 // Package ntt implements number-theoretic transforms over the Goldilocks
-// field: the standard iterative radix-2 transform, and the four-step
+// field: the iterative radix-4 transform (with a zero-padded entry point
+// for Reed-Solomon encoding that skips the all-zero stages), and the four-step
 // (Bailey) algorithm that NoCap's 64-lane NTT functional unit executes for
 // vectors larger than its native 2^12-point capacity (paper §IV-B, §V-A).
 //
@@ -29,37 +30,87 @@ const FUSize = 1 << 12
 // FULanes is the element throughput per cycle of the NTT FU.
 const FULanes = 64
 
-// twiddleCache memoizes per-size twiddle tables, one atomic slot per
-// log2(n). The table for a size is immutable once published, so the hot
-// path is a single atomic load (no locks, no allocation). Concurrent
-// first use of a new size is safe: each racer computes its own table and
-// the first CompareAndSwap wins; losers adopt the published table, so
-// every caller sees the same backing array. Prepare remains available as
-// an optional warm-up to keep first-request latency off the serving path.
-var twiddleCache [field.TwoAdicity + 1]atomic.Pointer[[]field.Element]
+// Transform schedule. Forward is a decimation-in-time transform: the
+// input is permuted into bit-reversed order, after which blocks of length
+// L = 1 hold (trivially) transformed sub-vectors, and each pass merges
+// adjacent blocks until L = n. Passes are radix-4 — four blocks of length
+// L become one of length 4L, two butterfly stages in one sweep over the
+// vector — with a single radix-2 pass first when the number of stages is
+// odd. For w a primitive 4L-th root of unity, the radix-4 butterfly on
+// x0[j], x1[j], x2[j], x3[j] (the j-th entries of the four blocks) is
+//
+//	a = x0[j]   b = x1[j]·w^2j   c = x2[j]·w^j   d = x3[j]·w^3j
+//	x0[j] = (a+b) + (c+d)        x2[j] = (a+b) − (c+d)
+//	x1[j] = (a−b) + (c−d)·ω₄     x3[j] = (a−b) − (c−d)·ω₄
+//
+// three multiplies where two radix-2 stages spend four, and ω₄ = 2^48 in
+// Goldilocks, so the fourth is a shift (field.MulPow2).
+//
+// Twiddles are stored per pass, contiguously, in the order the pass reads
+// them: stage level s (L = 2^s) holds the triples (w^j, w^2j, w^3j) for
+// j < L. A level depends only on L, not on n, so all transform sizes
+// share the same tables; a radix-2 pass at block length L reads the
+// middle entries (w^2j is the 2L-th root's j-th power).
 
-// Prepare precomputes the twiddle table for size 1<<logN so later calls
+// stageCache memoizes the per-level twiddle tables, one atomic slot per
+// level. A table is immutable once published, so the hot path is a single
+// atomic load (no locks, no allocation). Concurrent first use of a level
+// is safe: each racer computes its own table and the first CompareAndSwap
+// wins; losers adopt the published table, so every caller sees the same
+// backing array. Prepare remains available as an optional warm-up to keep
+// first-request latency off the serving path.
+var stageCache [field.TwoAdicity]atomic.Pointer[[]field.Element]
+
+// revCache memoizes bit-reversal permutations per log2(size) for the
+// zero-padded entry point, which gathers through the table instead of
+// swapping in place. Same publication protocol as stageCache.
+var revCache [field.TwoAdicity + 1]atomic.Pointer[[]uint32]
+
+// Prepare precomputes the twiddle tables for size 1<<logN so later calls
 // at that size are allocation-free.
 func Prepare(logN int) {
-	twiddles(logN)
+	for s := 0; s <= logN-2; s++ {
+		stageTable(s)
+	}
 }
 
-// twiddles returns [w^0, w^1, ..., w^(n/2-1)] for n = 1<<logN.
-func twiddles(logN int) []field.Element {
-	if p := twiddleCache[logN].Load(); p != nil {
+// stageTable returns level s: [w^j, w^2j, w^3j] for j < 2^s, with w the
+// primitive 2^(s+2)-th root of unity.
+func stageTable(s int) []field.Element {
+	if p := stageCache[s].Load(); p != nil {
 		return *p
 	}
-	n := 1 << logN
-	w := field.RootOfUnity(logN)
-	t := make([]field.Element, n/2)
-	t[0] = field.One
-	for i := 1; i < n/2; i++ {
-		t[i] = field.Mul(t[i-1], w)
+	l := 1 << s
+	w := field.RootOfUnity(s + 2)
+	t := make([]field.Element, 3*l)
+	w1 := field.One
+	for j := 0; j < l; j++ {
+		w2 := field.Square(w1)
+		t[3*j], t[3*j+1], t[3*j+2] = w1, w2, field.Mul(w1, w2)
+		w1 = field.Mul(w1, w)
 	}
-	if !twiddleCache[logN].CompareAndSwap(nil, &t) {
+	if !stageCache[s].CompareAndSwap(nil, &t) {
 		// Another goroutine published first; use its table so all callers
 		// share one backing array.
-		return *twiddleCache[logN].Load()
+		return *stageCache[s].Load()
+	}
+	return t
+}
+
+// revTable returns the logN-bit bit-reversal permutation.
+func revTable(logN int) []uint32 {
+	if p := revCache[logN].Load(); p != nil {
+		return *p
+	}
+	t := make([]uint32, 1<<logN)
+	if logN > 0 {
+		shift := 32 - uint(logN)
+		for i := range t {
+			t[i] = bits.Reverse32(uint32(i)) >> shift
+		}
+	}
+	if !revCache[logN].CompareAndSwap(nil, &t) {
+		return *revCache[logN].Load()
 	}
 	return t
 }
@@ -102,41 +153,106 @@ func Forward(v []field.Element) {
 }
 
 // ForwardCtx is Forward with cooperative cancellation: the transform
-// checks the context between butterfly stages (each stage is O(n), so a
-// cancelled 2^20-point transform stops within a fraction of a
-// millisecond of work) and passes through the "ntt.forward" fault
-// injection point on entry. On cancellation v is left partially
-// transformed and must be discarded.
+// checks the context between passes (each pass is O(n), so a cancelled
+// 2^20-point transform stops within a fraction of a millisecond of work)
+// and passes through the "ntt.forward" fault injection point on entry. On
+// cancellation v is left partially transformed and must be discarded.
 func ForwardCtx(ctx context.Context, v []field.Element) error {
-	logN := checkLen(v)
-	if logN == 0 {
+	if checkLen(v) == 0 {
 		return nil
 	}
 	if err := faultinject.Check(fiForward); err != nil {
 		return err
 	}
-	tw := twiddles(logN)
-	n := len(v)
-	// Decimation-in-time: bit-reverse input, butterflies in natural order.
 	bitReverse(v)
-	for s := 1; s <= logN; s++ {
+	return passes(ctx, v, 0)
+}
+
+// ForwardPaddedCtx writes into dst the transform of msg zero-padded to
+// len(dst) — the Reed-Solomon encode — without transforming the zeros.
+// With m = len(msg) rounded up to a power of two and k = len(dst)/m, the
+// bit-reversed input has its nonzero entries at multiples of k, and the
+// first log2(k) butterfly stages of such a vector only replicate each
+// entry across its block of k (every butterfly adds or subtracts a zero).
+// So the permutation writes each message entry k times and the passes
+// start at block length k. dst must not overlap msg; its prior contents
+// are ignored. Cancellation and fault injection are as in ForwardCtx.
+func ForwardPaddedCtx(ctx context.Context, dst, msg []field.Element) error {
+	logN := checkLen(dst)
+	if len(msg) > len(dst) {
+		panic("ntt: padded message longer than the transform")
+	}
+	if err := faultinject.Check(fiForward); err != nil {
+		return err
+	}
+	logM := 0
+	for 1<<logM < len(msg) {
+		logM++
+	}
+	done := logN - logM
+	k := 1 << done
+	for i, r := range revTable(logM) {
+		var x field.Element
+		if int(r) < len(msg) {
+			x = msg[r]
+		}
+		block := dst[i*k : (i+1)*k]
+		for c := range block {
+			block[c] = x
+		}
+	}
+	return passes(ctx, dst, done)
+}
+
+// passes runs the butterfly passes on v, whose blocks of length 1<<done
+// already hold transformed sub-vectors, polling ctx between passes.
+func passes(ctx context.Context, v []field.Element, done int) error {
+	n := len(v)
+	logN := bits.TrailingZeros(uint(n))
+	muls := 0
+	if (logN-done)%2 == 1 {
+		radix2Pass(v, 1<<done, stageTable(done))
+		muls += n / 2
+		done++
+	}
+	for ; done < logN; done += 2 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		m := 1 << s
-		half := m >> 1
-		stride := n / m // twiddle stride into the n/2-entry table
-		for base := 0; base < n; base += m {
-			for j := 0; j < half; j++ {
-				w := tw[j*stride]
-				lo := v[base+j]
-				hi := field.Mul(v[base+j+half], w)
-				v[base+j] = field.Add(lo, hi)
-				v[base+j+half] = field.Sub(lo, hi)
-			}
+		radix4Pass(v, 1<<done, stageTable(done))
+		muls += 3 * n / 4
+	}
+	field.AddMulCount(uint64(muls))
+	return nil
+}
+
+// radix2Pass merges pairs of length-l blocks; tw is stage level log2(l).
+func radix2Pass(v []field.Element, l int, tw []field.Element) {
+	for base := 0; base < len(v); base += 2 * l {
+		x0, x1 := v[base:base+l], v[base+l:base+2*l]
+		for j := range x0 {
+			lo, hi := x0[j], field.Mul(x1[j], tw[3*j+1])
+			x0[j], x1[j] = field.Add(lo, hi), field.Sub(lo, hi)
 		}
 	}
-	return nil
+}
+
+// radix4Pass merges quadruples of length-l blocks; tw is stage level
+// log2(l). See the schedule comment for the butterfly.
+func radix4Pass(v []field.Element, l int, tw []field.Element) {
+	tw = tw[:3*l]
+	for base := 0; base < len(v); base += 4 * l {
+		x0, x1 := v[base:base+l], v[base+l:base+2*l]
+		x2, x3 := v[base+2*l:base+3*l], v[base+3*l:base+4*l]
+		for j := range x0 {
+			a, b := x0[j], field.Mul(x1[j], tw[3*j+1])
+			c, d := field.Mul(x2[j], tw[3*j]), field.Mul(x3[j], tw[3*j+2])
+			e0, e1 := field.Add(a, b), field.Sub(a, b)
+			f0, f1 := field.Add(c, d), field.MulPow2(field.Sub(c, d), 48)
+			x0[j], x1[j] = field.Add(e0, f0), field.Add(e1, f1)
+			x2[j], x3[j] = field.Sub(e0, f0), field.Sub(e1, f1)
+		}
+	}
 }
 
 // Inverse computes the in-place inverse cyclic NTT of v, the inverse of

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -187,21 +188,20 @@ func TestEvaluationSemantics(t *testing.T) {
 	}
 }
 
-func BenchmarkForward4096(b *testing.B) {
-	Prepare(12)
-	v := randVec(1<<12, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Forward(v)
-	}
-}
-
-func BenchmarkForward1M(b *testing.B) {
-	Prepare(20)
-	v := randVec(1<<20, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Forward(v)
+// BenchmarkForward covers a transform that fits L1 (2^10), the row size
+// of a 2^16-constraint commitment (2^13, in L2) and one that streams from
+// L3 (2^16).
+func BenchmarkForward(b *testing.B) {
+	for _, logN := range []int{10, 13, 16} {
+		b.Run(fmt.Sprintf("2^%d", logN), func(b *testing.B) {
+			Prepare(logN)
+			v := randVec(1<<logN, 7)
+			b.SetBytes(8 << logN)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Forward(v)
+			}
+		})
 	}
 }
 

@@ -9,30 +9,30 @@ import (
 )
 
 // TestTwiddleConcurrentFirstUse hammers the concurrent-first-use path of
-// the twiddle cache: many goroutines request the table for a freshly
-// cleared size at once. Under -race this is the regression test for the
-// old unsynchronized twiddleCache (which required Prepare before sharing
-// a size across goroutines); it also asserts first-CAS-wins semantics —
-// every racer must end up with the same backing array — and that the
-// published table is correct.
+// the twiddle cache: many goroutines request a freshly cleared stage
+// level at once. Under -race this is the regression test for the old
+// unsynchronized cache (which required Prepare before sharing a size
+// across goroutines); it also asserts first-CAS-wins semantics — every
+// racer must end up with the same backing array — and that the published
+// table is correct.
 func TestTwiddleConcurrentFirstUse(t *testing.T) {
-	const logN = 13 // a size the other tests in this package do not pin
+	const level = 11 // the last pass of a 2^13-point transform
 	workers := 4 * runtime.GOMAXPROCS(0)
 	if workers < 8 {
 		workers = 8
 	}
 
-	// Serial reference, computed before any concurrent access.
-	n := 1 << logN
-	want := make([]field.Element, n/2)
-	w := field.RootOfUnity(logN)
-	want[0] = field.One
-	for i := 1; i < len(want); i++ {
-		want[i] = field.Mul(want[i-1], w)
+	// Serial reference, computed before any concurrent access: the
+	// triples (w^j, w^2j, w^3j) of the 2^(level+2)-th root.
+	w := field.RootOfUnity(level + 2)
+	want := make([]field.Element, 3<<level)
+	for j := 0; j < 1<<level; j++ {
+		wj := field.Exp(w, uint64(j))
+		want[3*j], want[3*j+1], want[3*j+2] = wj, field.Square(wj), field.Mul(wj, field.Square(wj))
 	}
 
 	for round := 0; round < 25; round++ {
-		resetTwiddleForTest(logN)
+		stageCache[level].Store(nil)
 
 		start := make(chan struct{})
 		got := make([][]field.Element, workers)
@@ -42,7 +42,7 @@ func TestTwiddleConcurrentFirstUse(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				<-start
-				got[i] = twiddlesForTest(logN)
+				got[i] = stageTable(level)
 			}(i)
 		}
 		close(start)
@@ -73,7 +73,7 @@ func TestTwiddleConcurrentTransforms(t *testing.T) {
 	want := append([]field.Element(nil), in...)
 	Forward(want)
 
-	resetTwiddleForTest(logN)
+	resetStagesForTest(logN)
 	workers := 2 * runtime.GOMAXPROCS(0)
 	if workers < 8 {
 		workers = 8

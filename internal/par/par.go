@@ -38,8 +38,9 @@ import (
 // chunk body (chaos tests arm it by this name).
 var fiWorker = faultinject.Register("par.worker")
 
-// minParallel is the work size below which fan-out costs more than it
-// saves.
+// minParallel is the work size — in units of roughly one field multiply
+// — below which fan-out costs more than it saves. It is the one parallel
+// threshold of the prover: every kernel decides serial vs parallel by it.
 const minParallel = 1 << 12
 
 // maxWorkers caps the pool (diminishing returns past this, and tests
@@ -52,19 +53,18 @@ const maxWorkers = 32
 // no further chunks start.
 const chunksPerWorker = 4
 
-// Workers returns the number of workers used for a job of size n.
-func Workers(n int) int {
-	if n < minParallel {
+// Workers returns the number of workers used for a job of n unit-cost
+// items.
+func Workers(n int) int { return workersSized(n, 1) }
+
+// workersSized returns the number of workers for n items of itemSize
+// work units each: one below the minParallel threshold, otherwise one
+// per CPU up to maxWorkers and never more than there are items.
+func workersSized(n, itemSize int) int {
+	if n < 2 || n*itemSize < minParallel {
 		return 1
 	}
-	w := runtime.GOMAXPROCS(0)
-	if w > maxWorkers {
-		w = maxWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(runtime.GOMAXPROCS(0), maxWorkers, n))
 }
 
 // WorkerPanic is the value re-raised on the caller goroutine when a worker
@@ -131,8 +131,14 @@ func (c *Collector) Err() error {
 // waits for completion. fn must not assume any particular chunk
 // geometry. A panic in any worker is re-raised on the caller's goroutine
 // as a *WorkerPanic once all workers have stopped.
-func For(n int, fn func(lo, hi int)) {
-	workers := Workers(n)
+func For(n int, fn func(lo, hi int)) { ForSized(n, 1, fn) }
+
+// ForSized is For over n items that each cost about itemSize work units
+// (a matrix row of itemSize elements, say): the serial/parallel decision
+// weighs n·itemSize against the threshold, so a few heavy items fan out
+// where For, counting items, would run them serially.
+func ForSized(n, itemSize int, fn func(lo, hi int)) {
+	workers := workersSized(n, itemSize)
 	if workers == 1 {
 		if n > 0 {
 			fn(0, n)
@@ -195,10 +201,16 @@ func ForErr(n int, fn func(lo, hi int) error) error {
 // failed first. Each dispatched chunk also passes through the
 // "par.worker" fault-injection point.
 func ForErrCtx(ctx context.Context, n int, fn func(lo, hi int) error) error {
+	return ForErrCtxSized(ctx, n, 1, fn)
+}
+
+// ForErrCtxSized is ForErrCtx over n items of about itemSize work units
+// each; see ForSized.
+func ForErrCtxSized(ctx context.Context, n, itemSize int, fn func(lo, hi int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	workers := Workers(n)
+	workers := workersSized(n, itemSize)
 	if workers == 1 {
 		if n > 0 {
 			if err := runChunk(0, n, fn); err != nil {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"nocap/internal/arena"
 	"nocap/internal/code"
@@ -61,6 +62,14 @@ type intoEncoder interface {
 	EncodeIntoCtx(ctx context.Context, dst, msg []field.Element) error
 }
 
+// rowsEncoder is the whole-matrix face: every row encoded in one kernel
+// invocation that fans out internally (one wall-clock rs-encode span per
+// commitment). The production Reed-Solomon code implements it; codes
+// that do not are encoded row by row on the calling goroutine.
+type rowsEncoder interface {
+	EncodeRowsIntoCtx(ctx context.Context, dst, src [][]field.Element) error
+}
+
 // encodeCtx encodes one row under ctx when the code supports it.
 func encodeCtx(ctx context.Context, c code.Code, msg []field.Element) ([]field.Element, error) {
 	if ce, ok := c.(ctxEncoder); ok {
@@ -83,6 +92,21 @@ func encodeInto(ctx context.Context, c code.Code, dst, msg []field.Element) erro
 		return err
 	}
 	copy(dst, cw)
+	return nil
+}
+
+// encodeRows encodes every src row into the matching dst row: in one
+// fanned-out kernel call when the code offers it, else one row at a time
+// (a code's per-size caches need not be safe for concurrent first use).
+func encodeRows(ctx context.Context, c code.Code, dst, src [][]field.Element) error {
+	if re, ok := c.(rowsEncoder); ok {
+		return re.EncodeRowsIntoCtx(ctx, dst, src)
+	}
+	for r := range src {
+		if err := encodeInto(ctx, c, dst[r], src[r]); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -231,7 +255,7 @@ func CommitCtx(ctx context.Context, params Params, vec []field.Element) (*Prover
 	if err != nil {
 		return nil, err
 	}
-	return commitPlanned(ctx, params, g, vec, true)
+	return commitPlanned(ctx, params, g, vec)
 }
 
 // geometry is the size plan of one commitment: a pure function of the
@@ -293,8 +317,7 @@ type Shared struct {
 // NewSharedCtx validates the parameters, fixes the commitment geometry
 // for vectors of length n, and warms the size-dependent encoder caches
 // (NTT twiddle tables and any code-specific layout) by encoding one
-// zero-message row, so batch members skip the per-commit serial warm-up
-// row and fan out immediately.
+// zero-message row, so no batch member pays for building them.
 func NewSharedCtx(ctx context.Context, params Params, n int) (*Shared, error) {
 	g, err := planGeometry(params, n)
 	if err != nil {
@@ -317,22 +340,19 @@ func NewSharedCtx(ctx context.Context, params Params, n int) (*Shared, error) {
 func (sh *Shared) Params() Params { return sh.params }
 
 // CommitSharedCtx is CommitCtx against a precomputed Shared plan:
-// validation and geometry planning are skipped, and every row encode
-// fans out in parallel immediately (the plan already warmed the
-// per-size caches). The resulting commitment is byte-identical to
+// validation and geometry planning are skipped (the plan already warmed
+// the per-size caches). The resulting commitment is byte-identical to
 // CommitCtx with the same parameters and vector.
 func CommitSharedCtx(ctx context.Context, sh *Shared, vec []field.Element) (*ProverState, error) {
 	if len(vec) != sh.geom.n {
 		return nil, fmt.Errorf("pcs: vector length %d does not match shared plan length %d", len(vec), sh.geom.n)
 	}
-	return commitPlanned(ctx, sh.params, sh.geom, vec, false)
+	return commitPlanned(ctx, sh.params, sh.geom, vec)
 }
 
 // commitPlanned is the shared body of CommitCtx and CommitSharedCtx:
-// commit vec under an already-validated geometry. warm selects the
-// serial first-row encode that primes size-dependent caches on the solo
-// path (a shared plan has already primed them).
-func commitPlanned(ctx context.Context, params Params, g geometry, vec []field.Element, warm bool) (*ProverState, error) {
+// commit vec under an already-validated geometry.
+func commitPlanned(ctx context.Context, params Params, g geometry, vec []field.Element) (*ProverState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -379,33 +399,15 @@ func commitPlanned(ctx context.Context, params Params, g geometry, vec []field.E
 	for r := range encoded {
 		encoded[r] = encBuf[r*encLen : (r+1)*encLen]
 	}
-	// On the solo path, encode the first row serially to warm
-	// size-dependent caches (twiddle tables, expander graphs) — safe to
-	// skip since the cache publication is atomic, but the warm avoids N
-	// workers redundantly computing the same table on first use. A shared
-	// batch plan has already warmed these, so it fans out immediately.
-	// Row encodes are independent (the parallel CPU baseline of §III).
-	// ForErrCtx contains worker faults — an encode panic becomes an error
-	// from Commit (and thus Prove) instead of killing the serving process
-	// — and stops dispatching rows once ctx is cancelled.
+	// Row encodes are independent (the parallel CPU baseline of §III) and
+	// fan out inside the kernel, which contains worker faults — an encode
+	// panic becomes an error from Commit (and thus Prove) instead of
+	// killing the serving process — and stops dispatching rows once ctx is
+	// cancelled.
 	if err := faultinject.Check(fiCommitEncode); err != nil {
 		return nil, fmt.Errorf("pcs: row encode: %w", err)
 	}
-	first := 0
-	if warm {
-		if err := encodeInto(ctx, params.Code, encoded[0], all[0]); err != nil {
-			return nil, fmt.Errorf("pcs: row encode: %w", err)
-		}
-		first = 1
-	}
-	if err := par.ForErrCtx(ctx, total-first, func(lo, hi int) error {
-		for r := lo + first; r < hi+first; r++ {
-			if err := encodeInto(ctx, params.Code, encoded[r], all[r]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := encodeRows(ctx, params.Code, encoded, all); err != nil {
 		return nil, fmt.Errorf("pcs: row encode: %w", err)
 	}
 
@@ -504,6 +506,29 @@ func combineRows(ctx context.Context, rows [][]field.Element, coeffs []field.Ele
 	return out
 }
 
+// evaluate returns q_rowᵀ M q_col over the data region, with the rows'
+// inner products fanned out across the worker pool. Partial sums are
+// added in whatever order ranges finish; field addition is exact, so the
+// value does not depend on it.
+func (s *ProverState) evaluate(ctx context.Context, qRow, qCol []field.Element) field.Element {
+	sp := kernel.BeginCtx(ctx, kernel.StagePoly)
+	cols := s.comm.Cols
+	var mu sync.Mutex
+	var v field.Element
+	par.ForSized(s.comm.Rows, cols, func(lo, hi int) {
+		var part field.Acc
+		for r := lo; r < hi; r++ {
+			part = part.AddMul(qRow[r], field.InnerProduct(s.rows[r][:cols], qCol))
+		}
+		mu.Lock()
+		v = field.Add(v, part.Reduce())
+		mu.Unlock()
+	})
+	field.AddMulCount(uint64(s.comm.Rows))
+	sp.End(s.comm.Rows * cols)
+	return v
+}
+
 // Open proves the evaluations of the committed polynomial at points.
 // It returns the proof and the evaluation values. The transcript binds
 // the commitment, points, and values before challenges are squeezed.
@@ -554,16 +579,9 @@ func (s *ProverState) OpenCtx(ctx context.Context, tr *transcript.Transcript, po
 		poly.EqTableIntoCtx(ctx, qRows[i], rowPart)
 		qCols[i] = arena.GetUninitCtx(ctx, 1<<len(colPart))
 		poly.EqTableIntoCtx(ctx, qCols[i], colPart)
-		// value = q_rowᵀ M q_col over the data region.
-		sp := kernel.BeginCtx(ctx, kernel.StagePoly)
-		var v field.Element
-		for r := 0; r < comm.Rows; r++ {
-			v = field.Add(v, field.Mul(qRows[i][r], field.InnerProduct(s.rows[r][:comm.Cols], qCols[i])))
-		}
-		sp.End(comm.Rows * comm.Cols)
-		values[i] = v
+		values[i] = s.evaluate(ctx, qRows[i], qCols[i])
 		tr.AppendElems("pcs/point", pt)
-		tr.AppendElems("pcs/value", []field.Element{v})
+		tr.AppendElems("pcs/value", values[i:i+1])
 	}
 
 	proof := &OpeningProof{}
@@ -612,13 +630,18 @@ func (s *ProverState) OpenCtx(ctx context.Context, tr *transcript.Transcript, po
 	encLen := comm.MsgLen * s.params.Code.Blowup()
 	idxs := tr.ChallengeIndices("pcs/columns", s.params.Code.Queries(), encLen)
 	total := comm.Rows + s.params.numMasks()
-	for _, j := range idxs {
-		col := make([]field.Element, total)
-		for r := 0; r < total; r++ {
+	// The opened columns escape into the proof together, so they share
+	// one backing allocation.
+	cols := make([]field.Element, len(idxs)*total)
+	proof.Columns = make([][]field.Element, len(idxs))
+	proof.Paths = make([]merkle.Path, len(idxs))
+	for q, j := range idxs {
+		col := cols[q*total : (q+1)*total : (q+1)*total]
+		for r := range col {
 			col[r] = s.encoded[r][j]
 		}
-		proof.Columns = append(proof.Columns, col)
-		proof.Paths = append(proof.Paths, s.tree.Open(j))
+		proof.Columns[q] = col
+		proof.Paths[q] = s.tree.Open(j)
 	}
 	return proof, values, nil
 }

@@ -133,14 +133,11 @@ func (pp Params) effective(witnessLen int) pcs.Params {
 	return p
 }
 
-// outerCombine is eq·(a·b − c).
+// outerCombine is eq·(a·b − c), as a generic Combiner for the
+// recomputation prover; the stored-array prover uses the dedicated cubic
+// loop (sumcheck.ProveCubicCtx) for the same summand.
 func outerCombine(v []field.Element) field.Element {
 	return field.Mul(v[0], field.Sub(field.Mul(v[1], v[2]), v[3]))
-}
-
-// innerCombine is m·z.
-func innerCombine(v []field.Element) field.Element {
-	return field.Mul(v[0], v[1])
 }
 
 // bindStatement absorbs everything both parties know up front.
@@ -200,7 +197,7 @@ func checkpoint(ctx context.Context, point string) error {
 // with an expired deadline) abandons the proof at the next cooperative
 // checkpoint — between stages here, between sumcheck rounds, every few
 // thousand points inside round evaluations, between worker-pool chunks,
-// and between NTT butterfly stages — and returns an error satisfying
+// and between NTT passes — and returns an error satisfying
 // errors.Is(err, context.Canceled) or context.DeadlineExceeded. All
 // worker goroutines are drained before ProveCtx returns: a cancelled
 // caller gets its goroutines and memory back immediately.
@@ -270,6 +267,7 @@ func spmvAndCheck(ctx context.Context, inst *r1cs.Instance, z, az, bz, cz []fiel
 			return fmt.Errorf("spartan: spmv: %w", err)
 		}
 	}
+	field.AddMulCount(uint64(len(az)))
 	for i := range az {
 		if field.Mul(az[i], bz[i]) != cz[i] {
 			return fmt.Errorf("spartan: witness does not satisfy constraint %d", i)
@@ -495,10 +493,7 @@ func proveCore(ctx context.Context, params Params, inst *r1cs.Instance, io, witn
 				copy(azc, az)
 				copy(bzc, bz)
 				copy(czc, cz)
-				arrays := []*poly.MLE{
-					poly.NewMLE(eqTau), poly.NewMLE(azc), poly.NewMLE(bzc), poly.NewMLE(czc),
-				}
-				outer, rx, finals, err = sumcheck.ProveCtx(ctx, tr, lbl+"/outer", field.Zero, arrays, 3, outerCombine)
+				outer, rx, finals, err = sumcheck.ProveCubicCtx(ctx, tr, lbl+"/outer", field.Zero, eqTau, azc, bzc, czc)
 			}
 			if err != nil {
 				return RepProof{}, nil, fmt.Errorf("spartan: outer sumcheck: %w", err)
@@ -539,8 +534,7 @@ func proveCore(ctx context.Context, params Params, inst *r1cs.Instance, io, witn
 				}
 			}
 
-			inner, ry, _, err := sumcheck.ProveCtx(ctx, tr, lbl+"/inner",
-				claim, []*poly.MLE{poly.NewMLE(my), poly.NewMLE(zc)}, 2, innerCombine)
+			inner, ry, _, err := sumcheck.ProveProductCtx(ctx, tr, lbl+"/inner", claim, my, zc)
 			if err != nil {
 				return RepProof{}, nil, fmt.Errorf("spartan: inner sumcheck: %w", err)
 			}

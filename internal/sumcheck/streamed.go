@@ -2,7 +2,6 @@ package sumcheck
 
 import (
 	"context"
-	"fmt"
 
 	"nocap/internal/faultinject"
 	"nocap/internal/field"
@@ -57,7 +56,8 @@ func ProveStreamed(tr *transcript.Transcript, label string, claim field.Element,
 // the per-round evaluation loop (the recomputation rounds are the most
 // expensive part of the §V-A prover, so intra-round checkpoints matter),
 // and the "sumcheck.streamed.round" fault-injection point fires once
-// per round.
+// per round. It runs on the same round driver as ProveCtx; once the
+// arrays are materialized the rounds are the generic rounder's.
 func ProveStreamedCtx(ctx context.Context, tr *transcript.Transcript, label string, claim field.Element,
 	numArrays, numVars int, src Source, degree int, combine Combiner,
 	materializeBelow int) (*Proof, []field.Element, []field.Element, error) {
@@ -68,102 +68,109 @@ func ProveStreamedCtx(ctx context.Context, tr *transcript.Transcript, label stri
 	if numVars < 1 {
 		panic("sumcheck: zero-variable sum")
 	}
-	tr.AppendUint64("sumcheck/"+label+"/vars", uint64(numVars))
-	tr.AppendElems("sumcheck/"+label+"/claim", []field.Element{claim})
+	return drive(ctx, tr, label, claim, numVars, fiStreamedRound, &streamed{
+		numArrays: numArrays, size: 1 << uint(numVars), src: src,
+		degree: degree, combine: combine, materializeBelow: materializeBelow,
+	})
+}
 
-	proof := &Proof{RoundPolys: make([][]field.Element, numVars)}
-	challenges := make([]field.Element, 0, numVars)
+// streamed is the recomputation rounder: until the folded arrays fit
+// the scratchpad it stores nothing but the challenge prefix and re-reads
+// the sources every round; from then on it is the generic rounder over
+// the materialized arrays.
+type streamed struct {
+	numArrays, size  int // size is the current (folded) array length
+	src              Source
+	degree           int
+	combine          Combiner
+	materializeBelow int
 
-	// folded(k, idx, size) recomputes the current DP value: idx indexes
-	// the size-element folded array; the eq weights of the challenge
-	// prefix select the original entries.
-	fullSize := 1 << uint(numVars)
-	var prefixEq []field.Element // eq table over challenges so far
-	folded := func(k, idx, size int) field.Element {
-		if len(challenges) == 0 {
-			return src(k, idx)
-		}
-		var acc field.Element
-		for c, w := range prefixEq {
-			acc = field.Add(acc, field.Mul(w, src(k, c*size+idx)))
-		}
-		return acc
+	challenges []field.Element
+	prefixEq   []field.Element // eq table over challenges so far
+	stored     *generic        // non-nil once the arrays fit the scratchpad
+}
+
+// folded recomputes the current DP value: idx indexes the size-element
+// folded array; the eq weights of the challenge prefix select the
+// original entries.
+func (s *streamed) folded(k, idx int) field.Element {
+	if len(s.challenges) == 0 {
+		return s.src(k, idx)
 	}
-
-	// materialize builds the current folded arrays in scratchpad memory.
-	materialize := func(size int) []*poly.MLE {
-		out := make([]*poly.MLE, numArrays)
-		for k := 0; k < numArrays; k++ {
-			evals := make([]field.Element, size)
-			for b := 0; b < size; b++ {
-				evals[b] = folded(k, b, size)
-			}
-			out[k] = poly.NewMLE(evals)
-		}
-		return out
+	var acc field.Element
+	for c, w := range s.prefixEq {
+		acc = field.Add(acc, field.Mul(w, s.src(k, c*s.size+idx)))
 	}
+	return acc
+}
 
-	vals := make([]field.Element, numArrays)
-	deltas := make([]field.Element, numArrays)
-	var scratch []*poly.MLE // non-nil once the arrays fit the scratchpad
-	size := fullSize
-	for round := 0; round < numVars; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
+// materialize builds the current folded arrays in scratchpad memory.
+func (s *streamed) materialize() *generic {
+	mles := make([]*poly.MLE, s.numArrays)
+	for k := range mles {
+		evals := make([]field.Element, s.size)
+		for b := range evals {
+			evals[b] = s.folded(k, b)
 		}
-		if err := faultinject.Check(fiStreamedRound); err != nil {
-			return nil, nil, nil, err
-		}
-		if scratch == nil && size <= materializeBelow {
-			scratch = materialize(size)
-		}
-		half := size / 2
-		evals := make([]field.Element, degree+1)
-		for b := 0; b < half; b++ {
-			if b&(ctxCheckInterval-1) == 0 && b > 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, nil, err
-				}
-			}
-			for k := 0; k < numArrays; k++ {
-				var lo, hi field.Element
-				if scratch != nil {
-					lo, hi = scratch[k].At(b), scratch[k].At(b+half)
-				} else {
-					lo, hi = folded(k, b, size), folded(k, b+half, size)
-				}
-				vals[k] = lo
-				deltas[k] = field.Sub(hi, lo)
-			}
-			evals[0] = field.Add(evals[0], combine(vals))
-			for t := 1; t <= degree; t++ {
-				for k := range vals {
-					vals[k] = field.Add(vals[k], deltas[k])
-				}
-				evals[t] = field.Add(evals[t], combine(vals))
-			}
-		}
-		proof.RoundPolys[round] = evals
-		tr.AppendElems(fmt.Sprintf("sumcheck/%s/round%d", label, round), evals)
-		r := tr.Challenge(fmt.Sprintf("sumcheck/%s/r%d", label, round))
-		challenges = append(challenges, r)
-		if scratch != nil {
-			for _, m := range scratch {
-				m.FoldCtx(ctx, r)
-			}
-		} else {
-			prefixEq = poly.EqTableCtx(ctx, challenges)
-		}
-		size = half
+		mles[k] = poly.NewMLE(evals)
 	}
+	return &generic{mles: mles, degree: s.degree, combine: s.combine}
+}
 
-	finals := make([]field.Element, numArrays)
-	for k := range finals {
-		if scratch != nil {
-			finals[k] = scratch[k].At(0)
-		} else {
-			finals[k] = folded(k, 0, 1)
+// bind records a challenge: the stored arrays fold, the recomputation
+// phase extends its eq prefix instead.
+func (s *streamed) bind(ctx context.Context, r field.Element) {
+	s.size /= 2
+	if s.stored != nil {
+		s.stored.fold(ctx, r)
+		return
+	}
+	s.challenges = append(s.challenges, r)
+	s.prefixEq = poly.EqTableCtx(ctx, s.challenges)
+}
+
+func (s *streamed) round(ctx context.Context, prev *field.Element) ([]field.Element, error) {
+	if prev != nil {
+		s.bind(ctx, *prev)
+	}
+	if s.stored == nil && s.size <= s.materializeBelow {
+		s.stored = s.materialize()
+	}
+	if s.stored != nil {
+		return s.stored.round(ctx, nil) // bind already folded the arrays
+	}
+	half := s.size / 2
+	vals := make([]field.Element, s.numArrays)
+	deltas := make([]field.Element, s.numArrays)
+	evals := make([]field.Element, s.degree+1)
+	for b := 0; b < half; b++ {
+		if b&(ctxCheckInterval-1) == 0 && b > 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		for k := range vals {
+			lo, hi := s.folded(k, b), s.folded(k, b+half)
+			vals[k] = lo
+			deltas[k] = field.Sub(hi, lo)
+		}
+		evals[0] = field.Add(evals[0], s.combine(vals))
+		for t := 1; t <= s.degree; t++ {
+			field.VecAdd(vals, vals, deltas)
+			evals[t] = field.Add(evals[t], s.combine(vals))
 		}
 	}
-	return proof, challenges, finals, nil
+	return evals, nil
+}
+
+func (s *streamed) finals(ctx context.Context, last field.Element) []field.Element {
+	if s.stored != nil {
+		return s.stored.finals(ctx, last)
+	}
+	s.bind(ctx, last)
+	out := make([]field.Element, s.numArrays)
+	for k := range out {
+		out[k] = s.folded(k, 0)
+	}
+	return out
 }

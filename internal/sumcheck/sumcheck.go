@@ -14,7 +14,6 @@ package sumcheck
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"nocap/internal/arena"
@@ -28,7 +27,7 @@ import (
 )
 
 // Registered fault-injection points at the round boundary and inside
-// the round-evaluation workers (chaos tests arm them by these names).
+// the round sweep's worker chunks (chaos tests arm them by these names).
 var (
 	fiProveRound  = faultinject.Register("sumcheck.prove.round")
 	fiRoundWorker = faultinject.Register("sumcheck.round.worker")
@@ -91,15 +90,98 @@ func (s *Scratch) Zeroed(i, n int) []field.Element {
 	return b
 }
 
-// parallelThreshold is the per-round size above which the evaluation loop
-// fans out across CPUs.
-const parallelThreshold = 1 << 14
-
-// ctxCheckInterval is how many hypercube points a round-evaluation
-// worker processes between context checks. At ~10ns per point the
-// interval costs well under a millisecond, so the check itself stays
-// unmeasurable while a cancelled round stops within ~4k points.
+// ctxCheckInterval is how many hypercube points a round sweep processes
+// between context checks. At ~10ns per point the interval costs well
+// under a millisecond, so the check itself stays unmeasurable while a
+// cancelled round stops within ~4k points.
 const ctxCheckInterval = 1 << 12
+
+// rounder is one summand shape's loop nest behind the round driver: the
+// driver owns the transcript, the rounder owns the arrays. There is one
+// per shape — the two Spartan uses (shapes.go), the generic Combiner
+// loop below, and the recomputation prover (streamed.go).
+type rounder interface {
+	// round binds the previous round's challenge (nil in round 0) and
+	// returns the round polynomial's evaluations at t = 0…degree over
+	// the arrays as they then stand. The result escapes into the proof.
+	round(ctx context.Context, prev *field.Element) ([]field.Element, error)
+	// finals binds the last challenge and returns every array's single
+	// remaining value.
+	finals(ctx context.Context, last field.Element) []field.Element
+}
+
+// drive is the one sumcheck round loop (paper Listing 1's
+// result→HASH→rx): per round it asks the rounder for the round
+// polynomial, absorbs it, squeezes the challenge, and hands that
+// challenge to the next round to bind. The context is checked and the
+// fiRound fault-injection point fires once per round. On error the
+// rounder's arrays are left partially folded and must be discarded.
+func drive(ctx context.Context, tr *transcript.Transcript, label string, claim field.Element,
+	numVars int, fiRound string, k rounder) (*Proof, []field.Element, []field.Element, error) {
+
+	tr.AppendUint64("sumcheck/"+label+"/vars", uint64(numVars))
+	tr.AppendElems("sumcheck/"+label+"/claim", []field.Element{claim})
+
+	proof := &Proof{RoundPolys: make([][]field.Element, numVars)}
+	challenges := make([]field.Element, numVars)
+	var prev *field.Element
+	for round := 0; round < numVars; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, err
+		}
+		if err := faultinject.Check(fiRound); err != nil {
+			return nil, nil, nil, err
+		}
+		evals, err := k.round(ctx, prev)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		proof.RoundPolys[round] = evals
+		tr.AppendElems(fmt.Sprintf("sumcheck/%s/round%d", label, round), evals)
+		challenges[round] = tr.Challenge(fmt.Sprintf("sumcheck/%s/r%d", label, round))
+		prev = &challenges[round]
+	}
+	return proof, challenges, k.finals(ctx, *prev), nil
+}
+
+// sweep runs one round's pass over points hypercube points and returns
+// the round polynomial's degree+1 evaluations. block(lo, hi, sums) adds
+// the contribution of points [lo, hi) into sums; sweep cuts the range
+// into worker-pool chunks (par's threshold and chunking, like every
+// other kernel) and each chunk into ctxCheckInterval blocks with a
+// context poll in between, so a cancelled round stops within one block
+// per worker. Partial sums are added in whatever order chunks finish:
+// field addition is exact and commutative, so the result — and the proof
+// — does not depend on the schedule. Every chunk passes through the
+// "sumcheck.round.worker" fault-injection point; a worker panic comes
+// back as a *par.WorkerPanic error (zkerr.ErrInternal).
+func sweep(ctx context.Context, points, degree int, block func(lo, hi int, sums []field.Element)) ([]field.Element, error) {
+	sp := kernel.BeginCtx(ctx, kernel.StageSumcheck)
+	defer sp.End(points * (degree + 1))
+	evals := make([]field.Element, degree+1)
+	var mu sync.Mutex
+	err := par.ForErrCtx(ctx, points, func(lo, hi int) error {
+		if err := faultinject.Check(fiRoundWorker); err != nil {
+			return err
+		}
+		sums := arena.GetCtx(ctx, degree+1)
+		defer arena.Put(sums)
+		for b := lo; b < hi; b += ctxCheckInterval {
+			if err := ctx.Err(); err != nil {
+				return err // partial sums discarded with the round
+			}
+			block(b, min(b+ctxCheckInterval, hi), sums)
+		}
+		mu.Lock()
+		field.VecAdd(evals, evals, sums)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return evals, nil
+}
 
 // Prove runs the sumcheck prover for Σ_b combine(mles[0][b], …) = claim.
 // All MLEs must have the same number of variables L ≥ 1. The MLEs are
@@ -119,11 +201,13 @@ func Prove(tr *transcript.Transcript, label string, claim field.Element,
 	return proof, challenges, finals
 }
 
-// ProveCtx is the context-aware sumcheck prover: the context is checked
-// between rounds and every ctxCheckInterval points inside the parallel
-// round evaluation, and the "sumcheck.prove.round" fault-injection
-// point fires once per round. On cancellation the MLEs are left
-// partially folded and must be discarded.
+// ProveCtx is the context-aware sumcheck prover for an arbitrary
+// summand: the context is checked between rounds and every
+// ctxCheckInterval points inside the round sweep, and the
+// "sumcheck.prove.round" fault-injection point fires once per round. On
+// cancellation the MLEs are left partially folded and must be discarded.
+// The two summands Spartan proves have dedicated loops (ProveCubicCtx,
+// ProveProductCtx) that produce the same proof several times faster.
 func ProveCtx(ctx context.Context, tr *transcript.Transcript, label string, claim field.Element,
 	mles []*poly.MLE, degree int, combine Combiner) (*Proof, []field.Element, []field.Element, error) {
 
@@ -139,132 +223,58 @@ func ProveCtx(ctx context.Context, tr *transcript.Transcript, label string, clai
 			panic("sumcheck: oracle dimension mismatch")
 		}
 	}
-	tr.AppendUint64("sumcheck/"+label+"/vars", uint64(numVars))
-	tr.AppendElems("sumcheck/"+label+"/claim", []field.Element{claim})
-
-	proof := &Proof{RoundPolys: make([][]field.Element, numVars)}
-	challenges := make([]field.Element, numVars)
-
-	for round := 0; round < numVars; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		if err := faultinject.Check(fiProveRound); err != nil {
-			return nil, nil, nil, err
-		}
-		half := mles[0].Len() / 2
-		evals, err := roundEvals(ctx, mles, half, degree, combine)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		proof.RoundPolys[round] = evals
-		tr.AppendElems(fmt.Sprintf("sumcheck/%s/round%d", label, round), evals)
-		r := tr.Challenge(fmt.Sprintf("sumcheck/%s/r%d", label, round))
-		challenges[round] = r
-		for _, m := range mles {
-			m.FoldCtx(ctx, r)
-		}
-	}
-	finals := make([]field.Element, len(mles))
-	for k, m := range mles {
-		finals[k] = m.At(0)
-	}
-	return proof, challenges, finals, nil
+	return drive(ctx, tr, label, claim, numVars, fiProveRound, &generic{mles: mles, degree: degree, combine: combine})
 }
 
-// roundEvals computes [g(0), …, g(degree)] for the current round, where
-// g(t) = Σ_{b<half} combine over the arrays evaluated at (t, b): each
-// array contributes lo[b] + t·(hi[b]−lo[b]). Workers bail out at the
-// next interval boundary once ctx is cancelled; all workers are drained
-// before the function returns.
-func roundEvals(ctx context.Context, mles []*poly.MLE, half, degree int, combine Combiner) ([]field.Element, error) {
-	numWorkers := 1
-	if half >= parallelThreshold {
-		numWorkers = runtime.GOMAXPROCS(0)
-		if numWorkers > 8 {
-			numWorkers = 8
-		}
+// generic is the any-shape rounder: the summand is a Combiner closure
+// evaluated once per point per t over a scratch vector. The fold is a
+// separate (parallel) pass over each MLE, so the MLE objects end up
+// folded exactly as the Prove contract says.
+type generic struct {
+	mles    []*poly.MLE
+	degree  int
+	combine Combiner
+}
+
+func (g *generic) fold(ctx context.Context, r field.Element) {
+	for _, m := range g.mles {
+		m.FoldCtx(ctx, r)
 	}
-	// Per-worker partial sums are arena checkouts assigned up front, so
-	// one deferred sweep returns them on every exit path (error, cancel,
-	// repanic); evals itself escapes into the proof and stays plain.
-	partial := make([][]field.Element, numWorkers)
-	var wg sync.WaitGroup
-	sp := kernel.BeginCtx(ctx, kernel.StageSumcheck)
-	defer func() {
-		for _, sums := range partial {
-			arena.Put(sums)
-		}
-		sp.End(half * (degree + 1))
-	}()
-	defer wg.Wait() // runs before the Put sweep: never recycle a buffer a live worker holds
-	var rec par.Collector
-	var workerErr error
-	var errMu sync.Mutex
-	chunk := (half + numWorkers - 1) / numWorkers
-	for w := 0; w < numWorkers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > half {
-			hi = half
-		}
-		partial[w] = arena.GetCtx(ctx, degree+1)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			defer rec.Recover(lo, hi)
-			if err := faultinject.Check(fiRoundWorker); err != nil {
-				errMu.Lock()
-				if workerErr == nil {
-					workerErr = err
-				}
-				errMu.Unlock()
-				return
+}
+
+func (g *generic) round(ctx context.Context, prev *field.Element) ([]field.Element, error) {
+	if prev != nil {
+		g.fold(ctx, *prev)
+	}
+	half := g.mles[0].Len() / 2
+	n := len(g.mles)
+	return sweep(ctx, half, g.degree, func(lo, hi int, sums []field.Element) {
+		// vals ‖ deltas: each array contributes lo[b] + t·(hi[b]−lo[b]).
+		scratch := arena.GetUninitCtx(ctx, 2*n)
+		defer arena.Put(scratch)
+		vals, deltas := scratch[:n], scratch[n:]
+		for b := lo; b < hi; b++ {
+			for k, m := range g.mles {
+				ev := m.Evals()
+				vals[k] = ev[b]
+				deltas[k] = field.Sub(ev[b+half], ev[b])
 			}
-			sums := partial[w]
-			vals := arena.GetUninitCtx(ctx, len(mles))
-			deltas := arena.GetUninitCtx(ctx, len(mles))
-			defer arena.Put(vals)
-			defer arena.Put(deltas)
-			for b := lo; b < hi; b++ {
-				if b&(ctxCheckInterval-1) == 0 && ctx.Err() != nil {
-					return // partial sums discarded with the round
-				}
-				for k, m := range mles {
-					ev := m.Evals()
-					vals[k] = ev[b]
-					deltas[k] = field.Sub(ev[b+half], ev[b])
-				}
-				sums[0] = field.Add(sums[0], combine(vals))
-				for t := 1; t <= degree; t++ {
-					for k := range vals {
-						vals[k] = field.Add(vals[k], deltas[k])
-					}
-					sums[t] = field.Add(sums[t], combine(vals))
-				}
+			sums[0] = field.Add(sums[0], g.combine(vals))
+			for t := 1; t <= g.degree; t++ {
+				field.VecAdd(vals, vals, deltas)
+				sums[t] = field.Add(sums[t], g.combine(vals))
 			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// A worker panic (an internal invariant failure) re-raises here, on
-	// the prover's own goroutine, where Prove's recover converts it to a
-	// typed error instead of crashing the process.
-	rec.Repanic()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if workerErr != nil {
-		return nil, workerErr
-	}
-	evals := make([]field.Element, degree+1)
-	for _, sums := range partial {
-		for t := range evals {
-			evals[t] = field.Add(evals[t], sums[t])
 		}
+	})
+}
+
+func (g *generic) finals(ctx context.Context, last field.Element) []field.Element {
+	g.fold(ctx, last)
+	out := make([]field.Element, len(g.mles))
+	for k, m := range g.mles {
+		out[k] = m.At(0)
 	}
-	return evals, nil
+	return out
 }
 
 // ErrRoundSum indicates g_i(0)+g_i(1) ≠ running claim — a soundness

@@ -84,7 +84,7 @@ func TestSpartanStyleCombiner(t *testing.T) {
 }
 
 func TestParallelPathMatchesSerial(t *testing.T) {
-	// Size above parallelThreshold exercises the worker fan-out; the claim
+	// Size above par's threshold exercises the worker fan-out; the claim
 	// and proof must still verify.
 	mles := []*poly.MLE{randMLE(15, 10), randMLE(15, 11)}
 	runProtocol(t, mles, 2, product)

@@ -116,8 +116,9 @@ func DefaultParams() Params { return spartan.DefaultParams() }
 func TestParams() Params { return spartan.TestParams() }
 
 // HashEngineNames lists the registered hash engines, in id order: the
-// scalar "sha3" default (byte-compatible with every earlier release)
-// and the multi-buffer "keccak-x4" Merkle engine.
+// "sha3" default (byte-compatible with every earlier release) and
+// "keccak-x4", a second identity of the same function. Both hash batches
+// through the multi-buffer datapath where the machine has one.
 func HashEngineNames() []string { return hashfn.Names() }
 
 // WithHashEngine returns p with the named hash engine selected for the
