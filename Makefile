@@ -9,6 +9,7 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzReader \
 	./internal/cstream:FuzzDecode \
 	./internal/jobs:FuzzDecodeRecord \
+	./internal/cluster:FuzzClusterRPC \
 	./internal/hashfn:FuzzEngineParity \
 	./internal/sumcheck:FuzzRoundKernelParity \
 	./internal/ntt:FuzzNTTParity

@@ -12,7 +12,6 @@
 //	nocap-bench -measured 14    # run the real prover at 2^14 constraints
 //	nocap-bench -measured 18 -timeout 1m   # bound a long measured run
 //	nocap-bench -measured 14 -hash keccak-x4   # multi-buffer hash engine
-//	nocap-bench -hashmatrix     # Merkle kernel under every hash engine
 //
 // SIGINT/SIGTERM (and -timeout expiry) cancel an in-flight -measured run
 // at its next cooperative checkpoint; the process then exits with the
@@ -88,17 +87,6 @@ func measuredRun(ctx context.Context, logN, reps int, hash string) error {
 	return nil
 }
 
-// hashMatrixRun benchmarks the Merkle level kernel under every
-// registered hash engine and prints the per-engine matrix.
-func hashMatrixRun(ctx context.Context) error {
-	results, err := experiments.HashMatrixCtx(ctx, []int{10, 12, 14})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.RenderHashMatrix(results))
-	return nil
-}
-
 func main() {
 	// Only the -measured path does open-ended work; the model-based tables
 	// and figures finish in milliseconds. A signal or -timeout cancels the
@@ -116,7 +104,6 @@ func main() {
 	outDir := flag.String("out", "", "write the full evaluation bundle (text + CSVs) to this directory")
 	reps := flag.Int("reps", 1, "soundness repetitions for -measured")
 	hash := flag.String("hash", "", "hash engine for -measured (sha3|keccak-x4, default sha3)")
-	hashMatrix := flag.Bool("hashmatrix", false, "benchmark the Merkle kernel under every hash engine")
 	timeout := flag.Duration("timeout", 0, "abandon a -measured run after this duration (0 = no limit)")
 	flag.Parse()
 
@@ -130,7 +117,7 @@ func main() {
 		defer cancel()
 	}
 
-	specific := *table != 0 || *figure != 0 || *analysis || *analysisProofs || *usecases || *measured != 0 || *csv != "" || *outDir != "" || *hashMatrix
+	specific := *table != 0 || *figure != 0 || *analysis || *analysisProofs || *usecases || *measured != 0 || *csv != "" || *outDir != ""
 
 	tables := map[int]func() string{
 		1: func() string { return experiments.TableI().Render() },
@@ -175,11 +162,6 @@ func main() {
 		fmt.Print(experiments.PhotoEdit().Render())
 	case *measured != 0:
 		if err := measuredRun(ctx, *measured, *reps, *hash); err != nil {
-			fmt.Fprintf(os.Stderr, "nocap-bench: %v\n", err)
-			os.Exit(zkerr.ExitCode(err))
-		}
-	case *hashMatrix:
-		if err := hashMatrixRun(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "nocap-bench: %v\n", err)
 			os.Exit(zkerr.ExitCode(err))
 		}

@@ -1,7 +1,7 @@
 // Package cluster promotes the process-local jobs manager to a
 // coordinator/worker architecture (DESIGN.md §16). The coordinator owns
 // the existing journal/admission/tenant/batch stack — it plugs into
-// jobs.Config as the Exec/BatchExec — and dispatches ready work to N
+// jobs.Config as the executor — and dispatches ready units to N
 // prover nodes over unencrypted HTTP/2 with lease-based execution:
 //
 //   - Workers pull work (work-stealing): POST /cluster/poll long-polls
@@ -71,7 +71,6 @@ var (
 // to long-poll (the coordinator caps it at its MaxPollWait).
 type PollRequest struct {
 	Node   string   `json:"node"`
-	Slots  int      `json:"slots,omitempty"`
 	Warm   []string `json:"warm,omitempty"`
 	WaitMS int64    `json:"wait_ms,omitempty"`
 }
@@ -83,13 +82,12 @@ type AssignedJob struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// Assignment is one leased unit of work: a solo job or a whole batch
+// Assignment is one leased unit of work: one job or several
 // (dispatched whole, failed member-scoped). The worker must heartbeat
 // the lease within TTLMS or the coordinator reassigns the unit.
 type Assignment struct {
 	Lease string        `json:"lease"`
 	TTLMS int64         `json:"ttl_ms"`
-	Batch bool          `json:"batch,omitempty"`
 	Key   string        `json:"key,omitempty"`
 	Jobs  []AssignedJob `json:"jobs"`
 }

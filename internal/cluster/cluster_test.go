@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,18 +82,6 @@ func echoBatch(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutc
 		outs[i] = jobs.BatchOutcome{Result: jobs.Result{Proof: append([]byte("proof:"), mb.Spec.Payload...)}}
 	}
 	return outs
-}
-
-// echoLocal is the in-process Executor the local-fallback tests plug
-// into Config.Local.
-type echoLocal struct{}
-
-func (echoLocal) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
-	return echoExec(ctx, spec)
-}
-
-func (echoLocal) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	return echoBatch(ctx, members)
 }
 
 func newTestWorker(t *testing.T, h *harness, id string, exec jobs.Exec, batch jobs.BatchExec) *Worker {
@@ -289,6 +278,95 @@ func TestClusterDuplicateCompletionDiscarded(t *testing.T) {
 	}
 }
 
+// TestClusterCompleteChecksHolder: only the node holding a lease may
+// complete it. A completion from any other node is discarded and
+// counted without resolving the unit or touching the holder's health; a
+// completion naming no node is rejected outright and leaves no phantom
+// row in the health table; an unknown lease is a discarded duplicate.
+func TestClusterCompleteChecksHolder(t *testing.T) {
+	snap := leakcheck.Take()
+	h := newHarness(t, Config{LeaseTTL: 60 * time.Second})
+	defer func() {
+		h.close()
+		snap.Check(t)
+	}()
+	w := newTestWorker(t, h, "node-a", echoExec, nil)
+
+	type result struct {
+		res jobs.Result
+		err error
+	}
+	resCh := make(chan result, 1)
+	go func() {
+		res, err := h.coord.Exec(context.Background(), jobs.Spec{Payload: json.RawMessage(`1`), Tenant: "t0"})
+		resCh <- result{res, err}
+	}()
+	var pr PollResponse
+	for pr.Assignment == nil {
+		if err := w.rpc(context.Background(), "/cluster/poll", PollRequest{Node: "node-a", WaitMS: 500}, &pr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lease, job := pr.Assignment.Lease, pr.Assignment.Jobs[0].ID
+
+	for _, tc := range []struct {
+		name, node, lease string
+		wantRejected      bool
+		wantDiscarded     bool
+		wantDuplicates    int64
+	}{
+		{name: "other node", node: "node-b", lease: lease, wantDiscarded: true, wantDuplicates: 1},
+		{name: "empty node", node: "", lease: lease, wantRejected: true, wantDuplicates: 1},
+		{name: "unknown lease", node: "node-a", lease: "lease-999", wantDiscarded: true, wantDuplicates: 2},
+		{name: "holder", node: "node-a", lease: lease, wantDuplicates: 2},
+	} {
+		var cr CompleteResponse
+		err := w.rpc(context.Background(), "/cluster/complete", CompleteRequest{
+			Node: tc.node, Lease: tc.lease,
+			Outcomes: []JobOutcome{{ID: job, Proof: []byte("from " + tc.name)}},
+		}, &cr)
+		if rejected := err != nil; rejected != tc.wantRejected || (rejected && !strings.Contains(err.Error(), "status 400")) {
+			t.Fatalf("%s: rpc err = %v, want rejected=%v (400)", tc.name, err, tc.wantRejected)
+		}
+		if cr.Discarded != tc.wantDiscarded {
+			t.Errorf("%s: discarded = %v, want %v", tc.name, cr.Discarded, tc.wantDiscarded)
+		}
+		m := h.coord.Metrics()
+		if m.Duplicates != tc.wantDuplicates {
+			t.Errorf("%s: duplicates = %d, want %d", tc.name, m.Duplicates, tc.wantDuplicates)
+		}
+		for _, n := range m.Nodes {
+			if n.Node == "" {
+				t.Errorf("%s: phantom empty-named node in the health table: %+v", tc.name, m.Nodes)
+			}
+		}
+		if tc.name == "holder" {
+			break
+		}
+		// Nothing but the holder's own completion resolves the unit or
+		// moves the holder's row.
+		select {
+		case r := <-resCh:
+			t.Fatalf("%s: unit resolved (%q, %v) by a completion that was not the holder's", tc.name, r.res.Proof, r.err)
+		default:
+		}
+		if m.LiveLeases != 1 || m.Completions != 0 {
+			t.Errorf("%s: live leases %d completions %d, want the lease still held", tc.name, m.LiveLeases, m.Completions)
+		}
+		for _, n := range m.Nodes {
+			if n.Node == "node-a" && (n.Inflight != 1 || n.State != "healthy" || n.Fails != 0) {
+				t.Errorf("%s: holder row %+v, want untouched (healthy, 1 inflight)", tc.name, n)
+			}
+		}
+	}
+	if r := <-resCh; r.err != nil || string(r.res.Proof) != "from holder" {
+		t.Fatalf("Exec = (%q, %v), want the holder's proof", r.res.Proof, r.err)
+	}
+	if m := h.coord.Metrics(); m.Completions != 1 || m.LiveLeases != 0 {
+		t.Fatalf("completions %d live leases %d after the holder completed, want 1 and 0", m.Completions, m.LiveLeases)
+	}
+}
+
 // TestClusterLocalFallback: with zero live workers and LocalFallback,
 // Exec proves in-process instead of queueing forever.
 func TestClusterLocalFallback(t *testing.T) {
@@ -296,7 +374,7 @@ func TestClusterLocalFallback(t *testing.T) {
 	h := newHarness(t, Config{
 		LeaseTTL:      100 * time.Millisecond,
 		LocalFallback: true,
-		Local:         echoLocal{},
+		Local:         echoBatch,
 	})
 	res, err := h.coord.Exec(context.Background(), jobs.Spec{Payload: json.RawMessage(`7`), Tenant: "t0"})
 	if err != nil {
@@ -321,7 +399,7 @@ func TestClusterQueuedUnitReclaimedForLocal(t *testing.T) {
 		LeaseTTL:      100 * time.Millisecond,
 		DeadAfter:     200 * time.Millisecond,
 		LocalFallback: true,
-		Local:         echoLocal{},
+		Local:         echoBatch,
 	})
 	// One poll registers the node as live, then the "fleet" goes silent.
 	w := newTestWorker(t, h, "node-a", echoExec, nil)

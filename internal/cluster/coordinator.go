@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nocap/internal/backoff"
@@ -59,9 +61,9 @@ type Config struct {
 	// MaxPollWait caps worker long-polls so Shutdown never waits on a
 	// parked handler (default 2s).
 	MaxPollWait time.Duration
-	// Local runs attempts in-process when no live worker exists and
+	// Local runs a unit in-process when no live worker exists and
 	// LocalFallback is set; required when LocalFallback is true.
-	Local         Executor
+	Local         jobs.BatchExec
 	LocalFallback bool
 	// TenantWeight returns a tenant's fair-share weight (<=0 → 1), so
 	// cross-node dispatch honours the same DRR weights as local
@@ -73,13 +75,6 @@ type Config struct {
 	// Seed seeds lease/probe jitter for deterministic tests (0 →
 	// time-based).
 	Seed int64
-}
-
-// Executor proves attempts in-process: a solo spec, or a whole batch
-// with member-scoped outcomes (the jobs package's two executor shapes).
-type Executor interface {
-	Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error)
-	BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome
 }
 
 func (c Config) withDefaults() Config {
@@ -102,8 +97,7 @@ func (c Config) withDefaults() Config {
 }
 
 // member is one job inside a unit. ctx is the member's own attempt
-// context (nil for coordinator-generated solo members, whose lifetime
-// is the Exec call itself).
+// context.
 type member struct {
 	id      string
 	payload json.RawMessage
@@ -119,11 +113,11 @@ type unitResult struct {
 	local    bool
 }
 
-// unit is one dispatchable piece of work: a solo job or a whole batch.
+// unit is one dispatchable piece of work: k ≥ 1 jobs of one tenant,
+// leased whole to one node.
 type unit struct {
 	tenant    string
 	key       string
-	batch     bool
 	members   []member
 	cost      int
 	res       chan unitResult
@@ -198,9 +192,9 @@ type Metrics struct {
 
 // Coordinator owns dispatch: it queues ready units per tenant, leases
 // them to polling workers, reaps expired leases, and resolves results
-// back into the jobs manager. It is plugged into jobs.Config as
-// Exec/BatchExec, so the journal, retries, breaker, and admission stack
-// stay exactly where they were.
+// back into the jobs manager. Its BatchExec is the jobs manager's
+// executor, so the journal, retries, breaker, and admission stack stay
+// exactly where they were.
 type Coordinator struct {
 	cfg  Config
 	mu   sync.Mutex
@@ -342,38 +336,48 @@ func (c *Coordinator) Metrics() Metrics {
 	return m
 }
 
-// Exec is the jobs.Exec the cluster-mode server installs: it dispatches
-// the spec as a solo unit and blocks until a worker completes it, the
-// lease is lost (→ attempt refund upstream), or ctx is cancelled. With
-// zero live workers and LocalFallback it proves in-process instead.
+// Exec is the solo-typed adapter over BatchExec: spec as a unit of one
+// whose member lives as long as ctx.
 func (c *Coordinator) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) {
 	c.mu.Lock()
 	c.seq++
 	id := fmt.Sprintf("solo-%d", c.seq)
 	c.mu.Unlock()
-	out := c.dispatch(ctx, false, []jobs.BatchMember{{ID: id, Spec: spec}})[0]
+	out := c.BatchExec(ctx, []jobs.BatchMember{{ID: id, Spec: spec, Ctx: ctx}})[0]
 	return out.Result, out.Err
 }
 
-// BatchExec dispatches a coalesced batch whole to one node; failure is
-// member-scoped (each outcome classifies independently, and a lost
-// lease refunds every member's attempt).
+// BatchExec is the executor the server installs in the jobs manager. It
+// runs members as one unit: handed to the in-process executor when local
+// fallback is on and no live worker exists — now, or after a full lease
+// TTL in the queue — and otherwise queued for the next polling node and
+// awaited until that node completes it, its lease is lost (→ attempt
+// refund upstream), or nobody is left to take the result. Failure is
+// member-scoped: each outcome classifies independently.
 func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	return c.dispatch(ctx, true, members)
-}
-
-// dispatch runs members as one unit: queued for the next polling node,
-// or — local fallback on and no live worker, now or after a full lease
-// TTL in the queue — handed to the in-process executor.
-func (c *Coordinator) dispatch(ctx context.Context, batch bool, members []jobs.BatchMember) []jobs.BatchOutcome {
 	u := &unit{
 		tenant: members[0].Spec.Tenant,
-		batch:  batch,
 		cost:   len(members),
 		res:    make(chan unitResult, 1),
 	}
+	// The unit has a taker while any member's own context is live; once
+	// the last one is cancelled (DELETE /jobs/id on a unit of one) the
+	// wait ends at once instead of riding out a lease.
+	wait, giveUp := context.WithCancel(ctx)
+	defer giveUp()
+	var live atomic.Int32
+	live.Store(int32(len(members)))
 	for _, mb := range members {
-		u.members = append(u.members, member{id: mb.ID, payload: mb.Spec.Payload, ctx: mb.Ctx})
+		mctx := mb.Ctx
+		if mctx == nil {
+			mctx = ctx
+		}
+		u.members = append(u.members, member{id: mb.ID, payload: mb.Spec.Payload, ctx: mctx})
+		defer context.AfterFunc(mctx, func() {
+			if live.Add(-1) == 0 {
+				giveUp()
+			}
+		})()
 	}
 	if c.cfg.LocalityKey != nil {
 		if k, ok := c.cfg.LocalityKey(members[0].Spec.Payload); ok {
@@ -387,17 +391,13 @@ func (c *Coordinator) dispatch(ctx context.Context, batch bool, members []jobs.B
 	}
 	c.mu.Unlock()
 	if !r.local {
-		r = c.await(ctx, u)
+		r = c.await(wait, u)
 	}
 	if r.local {
 		c.mu.Lock()
 		c.localFallbacks++
 		c.mu.Unlock()
-		if batch {
-			return c.cfg.Local.BatchExec(ctx, members)
-		}
-		res, err := c.cfg.Local.Exec(ctx, members[0].Spec)
-		return []jobs.BatchOutcome{{Result: res, Err: err}}
+		return c.cfg.Local(ctx, members)
 	}
 	outs := make([]jobs.BatchOutcome, len(members))
 	byID := make(map[string]JobOutcome, len(r.outcomes))
@@ -569,7 +569,6 @@ func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 	a := &Assignment{
 		Lease: ls.id,
 		TTLMS: c.cfg.LeaseTTL.Milliseconds(),
-		Batch: u.batch,
 		Key:   u.key,
 	}
 	for _, mb := range u.members {
@@ -655,8 +654,7 @@ func (c *Coordinator) HandlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PollRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Node == "" {
-		http.Error(w, "cluster: bad poll request", http.StatusBadRequest)
+	if !readRequest(w, r, &req, &req.Node) {
 		return
 	}
 	wait := c.cfg.MaxPollWait
@@ -727,8 +725,7 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Node == "" {
-		http.Error(w, "cluster: bad heartbeat request", http.StatusBadRequest)
+	if !readRequest(w, r, &req, &req.Node) {
 		return
 	}
 	var resp HeartbeatResponse
@@ -744,13 +741,9 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 		ls.expires = now.Add(c.cfg.LeaseTTL)
 		for _, mb := range ls.unit.members {
-			if mb.ctx != nil && mb.ctx.Err() != nil {
+			if mb.ctx.Err() != nil {
 				resp.Cancelled = append(resp.Cancelled, mb.id)
 			}
-		}
-		if ls.unit.delivered && !ls.unit.batch {
-			// Solo caller gave up (job cancelled): tell the worker.
-			resp.Cancelled = append(resp.Cancelled, ls.unit.members[0].id)
 		}
 	}
 	c.mu.Unlock()
@@ -758,22 +751,23 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleComplete serves POST /cluster/complete: deliver outcomes for a
-// lease. An unknown lease means the reaper already reassigned the unit;
-// the completion is discarded (first terminal record wins) and counted.
+// lease. An unknown lease means the reaper already reassigned the unit,
+// and a lease presented by a node that does not hold it is not that
+// node's to complete; either way the completion is discarded (first
+// terminal record wins) and counted, and the holder is left alone.
 func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Check(FIRPCRecv); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Lease == "" {
-		http.Error(w, "cluster: bad complete request", http.StatusBadRequest)
+	if !readRequest(w, r, &req, &req.Node, &req.Lease) {
 		return
 	}
 	c.mu.Lock()
 	c.touchNodeLocked(req.Node)
 	ls := c.lss[req.Lease]
-	if ls == nil {
+	if ls == nil || ls.node != req.Node {
 		c.duplicates++
 		c.mu.Unlock()
 		writeJSON(w, CompleteResponse{Discarded: true})
@@ -800,6 +794,37 @@ func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) HandleNodes(w http.ResponseWriter, r *http.Request) {
 	m := c.Metrics()
 	writeJSON(w, m.Nodes)
+}
+
+// readRequest decodes a worker-plane request body into v, whose
+// required fields must come out non-empty. A body past the cap the
+// server put on it (http.MaxBytesReader) answers a typed 413, anything
+// else unusable 400 — both before the coordinator's state is touched.
+func readRequest(w http.ResponseWriter, r *http.Request, v any, required ...*string) bool {
+	err := json.NewDecoder(r.Body).Decode(v)
+	valid := func() bool {
+		for _, f := range required {
+			if *f == "" {
+				return false
+			}
+		}
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusRequestEntityTooLarge)
+		_ = json.NewEncoder(w).Encode(map[string]string{
+			"error": fmt.Sprintf("cluster: %s body exceeds %d bytes", r.URL.Path, tooLarge.Limit),
+			"code":  "resource-limit",
+		})
+		return false
+	case err != nil || !valid():
+		http.Error(w, "cluster: bad "+r.URL.Path+" request", http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -32,10 +32,11 @@ type WorkerConfig struct {
 	// RetryBase shapes the full-jitter backoff after a failed poll or
 	// complete RPC (default 50ms, doubling to 2s).
 	RetryBase time.Duration
-	// Exec proves one solo payload; required.
-	Exec jobs.Exec
-	// BatchExec proves a whole batch; nil falls back to member-by-member
-	// solo proving.
+	// Exec and BatchExec supply the node's executor, jobs.Unit(Exec,
+	// BatchExec): a unit of one proves through Exec, a larger one through
+	// BatchExec — or member by member through Exec when BatchExec is nil.
+	// Exec is required.
+	Exec      jobs.Exec
 	BatchExec jobs.BatchExec
 	// Seed seeds heartbeat/backoff jitter (0 → time-based).
 	Seed int64
@@ -49,6 +50,7 @@ type WorkerConfig struct {
 // tests: everything aborts instantly and no completion is ever sent.
 type Worker struct {
 	cfg    WorkerConfig
+	exec   jobs.BatchExec
 	client *http.Client
 
 	killCtx    context.Context
@@ -88,6 +90,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	tr := &http.Transport{Protocols: protos}
 	w := &Worker{
 		cfg:    cfg,
+		exec:   jobs.Unit(cfg.Exec, cfg.BatchExec),
 		client: &http.Client{Transport: tr},
 		rng:    rand.New(rand.NewSource(seed)),
 	}
@@ -254,7 +257,6 @@ func (w *Worker) rpc(ctx context.Context, path string, in, out any) error {
 func (w *Worker) poll() (*Assignment, error) {
 	req := PollRequest{
 		Node:   w.cfg.ID,
-		Slots:  w.cfg.Slots,
 		Warm:   w.warmKeys(),
 		WaitMS: w.cfg.PollWait.Milliseconds(),
 	}
@@ -346,11 +348,10 @@ func (w *Worker) runAssignment(a *Assignment) {
 	w.complete(a, outcomes)
 }
 
-// execute proves the assignment's members, honouring each member's
-// context: whole through BatchExec when the assignment is a batch and
-// the node has one, member by member through Exec otherwise. The
-// cluster.worker.exec fault point fires per member before any attempt;
-// a member it fails never reaches the executor.
+// execute proves the assignment's members through the node's executor,
+// honouring each member's context. The cluster.worker.exec fault point
+// fires per member before any attempt; a member it fails never reaches
+// the executor.
 func (w *Worker) execute(a *Assignment, mctx map[string]context.Context) []JobOutcome {
 	outcomes := make([]JobOutcome, len(a.Jobs))
 	fail := func(i int, err error) {
@@ -368,20 +369,13 @@ func (w *Worker) execute(a *Assignment, mctx map[string]context.Context) []JobOu
 		slot = append(slot, i)
 	}
 	var outs []jobs.BatchOutcome
-	if a.Batch && w.cfg.BatchExec != nil && len(a.Jobs) > 1 {
-		if len(members) > 0 {
-			outs = w.cfg.BatchExec(w.killCtx, members)
-		}
-	} else {
-		for _, mb := range members {
-			res, err := w.cfg.Exec(mb.Ctx, mb.Spec)
-			outs = append(outs, jobs.BatchOutcome{Result: res, Err: err})
-		}
+	if len(members) > 0 {
+		outs = w.exec(w.killCtx, members)
 	}
 	for k, i := range slot {
 		switch {
 		case k >= len(outs):
-			outcomes[i].Error, outcomes[i].Code = "cluster: batch executor returned no outcome", "internal"
+			outcomes[i].Error, outcomes[i].Code = "cluster: executor returned no outcome", "internal"
 		case outs[k].Err != nil:
 			fail(i, outs[k].Err)
 		default:

@@ -322,28 +322,24 @@ func TestBatchExecPanicAndMiscountContained(t *testing.T) {
 	}
 }
 
-// TestGateChargesBatchCost: a coalesced batch is charged its full size
-// at the gate so external DRR fairness accounting sees k jobs, not one
-// cheap slot.
-func TestGateChargesBatchCost(t *testing.T) {
+// TestBatchReachesExecutorWhole: a coalesced batch reaches the executor
+// as one call carrying all k members of one tenant, so whatever admits
+// the call (the server's pool charges DRR cost = members) sees k jobs,
+// not one cheap slot.
+func TestBatchReachesExecutorWhole(t *testing.T) {
 	var mu sync.Mutex
 	type charge struct {
 		tenant string
 		cost   int
 	}
 	var charges []charge
-	cfg := batchTestConfig(t,
-		func(ctx context.Context, spec Spec) (Result, error) {
-			return Result{Proof: []byte("solo")}, nil
-		},
-		proveAll)
-	cfg.Gate = func(ctx context.Context, tenantID string, cost int, run func()) error {
-		mu.Lock()
-		charges = append(charges, charge{tenantID, cost})
-		mu.Unlock()
-		run()
-		return nil
-	}
+	cfg := batchTestConfig(t, nil,
+		func(ctx context.Context, members []BatchMember) []BatchOutcome {
+			mu.Lock()
+			charges = append(charges, charge{members[0].Spec.Tenant, len(members)})
+			mu.Unlock()
+			return proveAll(ctx, members)
+		})
 	m := openManager(t, cfg)
 
 	ids := make([]string, 4)
@@ -362,7 +358,7 @@ func TestGateChargesBatchCost(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(charges) != 1 || charges[0] != (charge{"acme", 4}) {
-		t.Errorf("gate charges %v, want exactly one charge of cost 4 for acme", charges)
+		t.Errorf("executor calls %v, want exactly one of 4 members for acme", charges)
 	}
 }
 

@@ -1,16 +1,19 @@
 // Package jobs is the durable asynchronous job layer of the proving
 // service (DESIGN.md §11). A Manager accepts proving jobs, journals
 // every state transition to an append-only fsync'd JSONL file before
-// acknowledging it, executes attempts on a bounded worker pool (its own
-// or, via Gate, the HTTP server's), retries transient failures with
-// capped exponential backoff and full jitter, sheds load through a
+// acknowledging it, hands attempts to its executor from a bounded set of
+// dispatchers, retries transient failures with capped exponential
+// backoff and full jitter, sheds load through a
 // consecutive-internal-failure circuit breaker, and — after a crash —
 // replays the journal so every job that was ever accepted still reaches
 // exactly one terminal state.
 //
-// The package deliberately does not import the prover: the Exec
-// callback produces the proof bytes, so the job machinery is testable
-// with synthetic workloads and the server wires in the real pipeline.
+// An attempt is one thing: a unit of k ≥ 1 jobs handed to one executor
+// (BatchExec). A solo job is a unit of one.
+//
+// The package deliberately does not import the prover: the executor
+// produces the proof bytes, so the job machinery is testable with
+// synthetic workloads and the server wires in the real pipeline.
 package jobs
 
 import (
@@ -32,16 +35,16 @@ import (
 	"nocap/internal/zkerr"
 )
 
-// fiBatchExec fires once per member at the top of every batched proving
-// attempt (before the member is handed to BatchExec), so chaos tests
-// can deterministically fail the Nth member of a batch without touching
-// its batch-mates.
-var fiBatchExec = faultinject.Register("jobs.batch.exec")
-
-// fiAttemptExec fires at the top of every proving attempt, inside the
-// panic-containment boundary; chaos tests use it to exercise the retry
-// machinery without involving the prover.
-var fiAttemptExec = faultinject.Register("jobs.attempt.exec")
+// Both points fire once per member before the member reaches the
+// executor, under panic containment: fiAttemptExec for a unit of one
+// (chaos tests use it to exercise the retry machinery without involving
+// the prover), fiBatchExec for each member of a larger unit in order, so
+// a test can fail the Nth member of a batch without touching its
+// batch-mates.
+var (
+	fiAttemptExec = faultinject.Register("jobs.attempt.exec")
+	fiBatchExec   = faultinject.Register("jobs.batch.exec")
+)
 
 // Sentinel errors returned by the Manager API. The serving layer maps
 // them to HTTP statuses (breaker-open → 503 + Retry-After, queue-full →
@@ -68,7 +71,16 @@ var (
 	// it — journal-backed, like crash replay — and re-enqueues instead
 	// of consuming retry budget or feeding the breaker.
 	ErrLeaseLost = errors.New("jobs: worker lease lost")
+	// ErrPoolShed: the in-process worker pool refused the attempt (tenant
+	// queue full, pool stopping) before any prover saw it. Like a lost
+	// lease the attempt is refunded, but nothing is journaled and no
+	// counter moves: no node died, the job just waits its turn.
+	ErrPoolShed = errors.New("jobs: attempt shed by the worker pool")
 )
+
+// shedRequeueDelay is how long a job the pool shed, or the batch-mates
+// of a half-open probe, wait before becoming ready again.
+const shedRequeueDelay = 50 * time.Millisecond
 
 // State is a job's externally visible lifecycle state. A job moves
 // accepted → running → {done, failed, cancelled}; retries move it back
@@ -110,60 +122,71 @@ type Result struct {
 	Cached bool
 }
 
-// Exec runs one proving attempt. It must honour ctx cancellation; the
-// Manager wraps every call in zkerr.RecoverTo, so a panicking attempt
-// surfaces as a retryable internal error rather than a crash.
-type Exec func(ctx context.Context, spec Spec) (Result, error)
-
-// Gate, when non-nil, runs an attempt on an external worker pool: it
-// must execute run synchronously (blocking until run returns) or return
-// an error *without* having called run. The server's Gate enqueues into
-// its bounded HTTP worker pool so sync requests and async attempts
-// share the same concurrency budget; tenantID lets it join the right
-// per-tenant scheduler queue, so async attempts are subject to the same
-// fairness policy as synchronous requests. cost is the number of jobs
-// the gated run will prove — 1 for a solo attempt, the batch size for a
-// coalesced batch — so the external scheduler charges the tenant's
-// fairness account for the whole batch instead of letting batching
-// bypass DRR accounting.
-type Gate func(ctx context.Context, tenantID string, cost int, run func()) error
-
-// BatchMember is one job of a batch handed to BatchExec. Ctx is the
+// BatchMember is one job of a unit handed to the executor. Ctx is the
 // member's own attempt context: cancelling one member (DELETE /jobs/id)
-// cancels only that member's Ctx, so BatchExec must check it per member
-// and must not let one member's cancellation or failure disturb its
-// batch-mates.
+// cancels only that member's Ctx, so the executor must check it per
+// member and must not let one member's cancellation or failure disturb
+// its batch-mates.
 type BatchMember struct {
 	ID   string
 	Spec Spec
 	Ctx  context.Context
 }
 
-// BatchOutcome is one member's attempt outcome, classified exactly like
-// a solo attempt's (Result, error) pair.
+// BatchOutcome is one member's attempt outcome.
 type BatchOutcome struct {
 	Result Result
 	Err    error
 }
 
-// BatchExec proves a whole batch in one call, amortizing shared
-// structure across the members. It must return exactly one outcome per
-// member, index-aligned, and must honour each member's Ctx
-// independently. The Manager wraps every call in panic containment.
+// BatchExec is the executor: it runs one attempt at a unit of k ≥ 1
+// jobs. It must return exactly one outcome per member, index-aligned,
+// and must honour each member's Ctx independently. The Manager wraps
+// every call in panic containment, so a panicking attempt surfaces as a
+// retryable internal error rather than a crash.
 type BatchExec func(ctx context.Context, members []BatchMember) []BatchOutcome
 
+// Exec is the solo-typed way to supply an executor: one attempt at one
+// spec under that attempt's own context. Unit lifts it to a BatchExec.
+type Exec func(ctx context.Context, spec Spec) (Result, error)
+
+// Unit builds an executor from a solo recipe and a shared-plan recipe.
+// It is the one place the rule is written: a unit of one runs the solo
+// recipe, a larger unit the shared plan. With batch nil every member
+// runs solo under its own Ctx; with solo nil every unit goes to batch.
+func Unit(solo Exec, batch BatchExec) BatchExec {
+	if solo == nil {
+		return batch
+	}
+	return func(ctx context.Context, members []BatchMember) []BatchOutcome {
+		if batch != nil && len(members) > 1 {
+			return batch(ctx, members)
+		}
+		outs := make([]BatchOutcome, len(members))
+		for i, mb := range members {
+			mctx := mb.Ctx
+			if mctx == nil {
+				mctx = ctx
+			}
+			outs[i].Result, outs[i].Err = solo(mctx, mb.Spec)
+		}
+		return outs
+	}
+}
+
 // Config configures a Manager. Zero fields take the documented
-// defaults; Dir and Exec are required.
+// defaults; Dir and an executor (Exec, BatchExec, or both) are required.
 type Config struct {
 	// Dir is the data directory holding journal.jsonl and proofs/.
 	Dir string
-	// Exec produces proofs; required.
-	Exec Exec
-	// Gate optionally routes attempts onto an external worker pool,
-	// charged 1 per solo attempt and k per batch of k jobs.
-	Gate Gate
-	// Workers is the number of dispatcher goroutines (default 2). With
-	// a Gate each dispatcher blocks inside the external pool, so this
+	// Exec and BatchExec supply the executor, Unit(Exec, BatchExec): with
+	// only Exec every job runs through it; with only BatchExec every unit
+	// (k = 1 included) goes to it; with both, a unit of one runs Exec and
+	// a coalesced batch BatchExec.
+	Exec      Exec
+	BatchExec BatchExec
+	// Workers is the number of dispatcher goroutines (default 2). Each
+	// blocks inside the executor for the length of an attempt, so this
 	// caps the Manager's concurrent demand on it.
 	Workers int
 	// MaxPending bounds non-terminal jobs; Submit beyond it returns
@@ -215,29 +238,27 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// BatchKey, when set, enables the batch planner (DESIGN.md §15):
 	// ready jobs whose specs map to the same key for the same tenant
-	// within BatchWindow of each other coalesce into one batched attempt
-	// proved through BatchExec, amortizing shared structure. Return
-	// ok=false for specs that must not batch; they dispatch solo through
-	// Exec. Requires BatchExec.
+	// within BatchWindow of each other coalesce into one unit, amortizing
+	// shared structure. Return ok=false for specs that must not batch;
+	// they dispatch as units of one. Requires BatchExec.
 	BatchKey func(spec Spec) (key string, ok bool)
-	// BatchExec proves a coalesced batch; required when BatchKey is set.
-	// A group that closes with a single member bypasses it and runs
-	// through the solo Exec path unchanged.
-	BatchExec BatchExec
 	// BatchWindow is how long the planner holds a group open for
 	// batch-mates after its first job arrives (default 5ms); BatchMax
 	// caps the batch size, flushing a group early when reached
-	// (default 8).
+	// (default DefaultBatchMax).
 	BatchWindow time.Duration
 	BatchMax    int
 }
+
+// DefaultBatchMax is the batch size cap when Config.BatchMax is zero.
+const DefaultBatchMax = 8
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Dir == "" {
 		return c, zkerr.Usagef("jobs: Config.Dir is required")
 	}
-	if c.Exec == nil {
-		return c, zkerr.Usagef("jobs: Config.Exec is required")
+	if c.Exec == nil && c.BatchExec == nil {
+		return c, zkerr.Usagef("jobs: Config.Exec or Config.BatchExec is required")
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
@@ -282,7 +303,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.BatchWindow = 5 * time.Millisecond
 	}
 	if c.BatchMax <= 0 {
-		c.BatchMax = 8
+		c.BatchMax = DefaultBatchMax
 	}
 	return c, nil
 }
@@ -378,7 +399,10 @@ type jobRec struct {
 	terminalAt      time.Time          // when the job terminalized (retention GC clock)
 	cancel          context.CancelFunc // set while an attempt runs
 	timer           *time.Timer        // pending retry / requeue timer
-	done            chan struct{}      // closed on terminal transition
+	// shed: the pool shed this job's last attempt after its running
+	// record was journaled; the re-dispatch reuses that record.
+	shed bool
+	done chan struct{} // closed on terminal transition
 }
 
 func (j *jobRec) terminal() bool { return j.state.Terminal() }
@@ -404,16 +428,18 @@ func (j *jobRec) info(maxAttempts int) JobInfo {
 // Manager is the durable job manager. Open constructs one; all methods
 // are safe for concurrent use.
 type Manager struct {
-	cfg        Config
+	cfg Config
+	// unit is the executor every attempt runs through.
+	unit       BatchExec
 	journal    *journal
 	breaker    *breaker
 	baseCtx    context.Context
 	cancelBase context.CancelFunc
 	quit       chan struct{}
 	ready      chan *jobRec
-	// batches feeds coalesced batches from the batcher goroutine to the
+	// batches feeds coalesced units from the batcher goroutine to the
 	// workers; nil when batching is disabled (no BatchKey), in which
-	// case workers consume ready directly.
+	// case workers consume ready directly, one job per unit.
 	batches chan []*jobRec
 	wg      sync.WaitGroup
 
@@ -484,6 +510,7 @@ func Open(cfg Config) (*Manager, error) {
 	baseCtx, cancelBase := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:          cfg,
+		unit:         Unit(cfg.Exec, cfg.BatchExec),
 		journal:      jl,
 		breaker:      newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		baseCtx:      baseCtx,
@@ -1030,7 +1057,8 @@ func (m *Manager) enqueue(j *jobRec) {
 	}
 }
 
-// requeueAfter re-enqueues a job after d (breaker-denied dispatch).
+// requeueAfter re-enqueues a job after d (breaker-denied dispatch, or a
+// probe's batch-mates).
 func (m *Manager) requeueAfter(j *jobRec, d time.Duration) {
 	m.mu.Lock()
 	if m.closing || j.terminal() {
@@ -1043,24 +1071,18 @@ func (m *Manager) requeueAfter(j *jobRec, d time.Duration) {
 
 func (m *Manager) worker() {
 	defer m.wg.Done()
+	ready := m.ready
 	if m.batches != nil {
-		// Batching on: the batcher goroutine owns ready; workers consume
-		// coalesced batches.
-		for {
-			select {
-			case <-m.quit:
-				return
-			case b := <-m.batches:
-				m.dispatchBatch(b)
-			}
-		}
+		ready = nil // the batcher goroutine owns ready
 	}
 	for {
 		select {
 		case <-m.quit:
 			return
-		case j := <-m.ready:
-			m.dispatch(j)
+		case j := <-ready:
+			m.dispatch([]*jobRec{j})
+		case unit := <-m.batches:
+			m.dispatch(unit)
 		}
 	}
 }
@@ -1172,13 +1194,25 @@ func (m *Manager) batcher() {
 	}
 }
 
-func (m *Manager) dispatch(j *jobRec) {
+// dispatch takes one breaker grant for a ready unit and runs it. A
+// half-open probe must be a single attempt, so the first member probes
+// alone and its batch-mates requeue.
+func (m *Manager) dispatch(unit []*jobRec) {
 	ok, probe := m.breaker.AllowAttempt()
 	if !ok {
-		m.requeueAfter(j, m.breakerRetryDelay())
+		d := m.breakerRetryDelay()
+		for _, j := range unit {
+			m.requeueAfter(j, d)
+		}
 		return
 	}
-	m.dispatchGranted(j, probe)
+	if probe {
+		for _, j := range unit[1:] {
+			m.requeueAfter(j, shedRequeueDelay)
+		}
+		unit = unit[:1]
+	}
+	m.run(unit, probe)
 }
 
 // breakerRetryDelay is how long a breaker-denied dispatch waits before
@@ -1194,132 +1228,34 @@ func (m *Manager) breakerRetryDelay() time.Duration {
 	return d
 }
 
-// gated runs one breaker-granted attempt through the external pool gate
-// at the given fairness cost, or directly when no gate is configured.
-// A non-nil error means the pool shed the attempt without running it.
-func (m *Manager) gated(tenantID string, cost int, run func()) error {
-	if m.cfg.Gate == nil {
-		run()
-		return nil
-	}
-	return m.cfg.Gate(m.baseCtx, tenantID, cost, run)
-}
-
-// dispatchGranted routes one breaker-granted solo attempt through the
-// gate at cost 1.
-func (m *Manager) dispatchGranted(j *jobRec, probe bool) {
-	if err := m.gated(j.spec.Tenant, 1, func() { m.runAttempt(j, probe) }); err != nil {
-		// The external pool shed us without running the attempt: no
-		// budget consumed, the probe slot (if held) goes back, try
-		// again shortly.
-		if probe {
-			m.breaker.abandonProbe()
-		}
-		m.requeueAfter(j, 50*time.Millisecond)
-	}
-}
-
-// dispatchBatch dispatches one coalesced batch. Singletons take the
-// solo path (Exec, per-attempt breaker grant) unchanged. A real batch
-// takes one breaker grant for the whole attempt; a half-open probe must
-// be a single attempt, so the first member probes solo and the rest
-// requeue. The gate is charged the full batch size so DRR fairness sees
-// k jobs, not one.
-func (m *Manager) dispatchBatch(batch []*jobRec) {
-	if len(batch) == 1 {
-		m.dispatch(batch[0])
-		return
-	}
-	ok, probe := m.breaker.AllowAttempt()
-	if !ok {
-		d := m.breakerRetryDelay()
-		for _, j := range batch {
-			m.requeueAfter(j, d)
-		}
-		return
-	}
-	if probe {
-		m.dispatchGranted(batch[0], true)
-		for _, j := range batch[1:] {
-			m.requeueAfter(j, 50*time.Millisecond)
-		}
-		return
-	}
-	if err := m.gated(batch[0].spec.Tenant, len(batch), func() { m.runBatch(batch) }); err != nil {
-		for _, j := range batch {
-			m.requeueAfter(j, 50*time.Millisecond)
-		}
-	}
-}
-
-// runAttempt executes one attempt: journal running (fsync'd), run Exec
-// under panic containment, then classify the outcome. probe says the
-// breaker grant holds the half-open probe slot; every exit must either
-// reach a Success/Failure verdict or abandon the probe.
-func (m *Manager) runAttempt(j *jobRec, probe bool) {
-	m.mu.Lock()
-	if m.closing || j.terminal() || j.state == StateRunning {
-		m.mu.Unlock()
-		if probe {
-			m.breaker.abandonProbe()
-		}
-		return
-	}
-	j.attempt++
-	if err := m.appendLocked(record{Job: j.id, State: recRunning, Attempt: j.attempt}); err != nil {
-		m.mu.Unlock()
-		m.finishAttempt(j, Result{}, err, probe)
-		return
-	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	j.cancel = cancel
-	j.state = StateRunning
-	if j.cancelRequested {
-		cancel() // Cancel raced the dispatch; make the attempt a no-op.
-	}
-	m.mu.Unlock()
-	res, err := m.exec(ctx, j.spec)
-	cancel()
-	m.finishAttempt(j, res, err, probe)
-}
-
-// exec is the panic-containment boundary around the caller's Exec.
-func (m *Manager) exec(ctx context.Context, spec Spec) (res Result, err error) {
-	defer zkerr.RecoverTo(&err, "jobs: attempt")
-	if ferr := faultinject.Check(fiAttemptExec); ferr != nil {
-		return Result{}, ferr
-	}
-	return m.cfg.Exec(ctx, spec)
-}
-
-// runBatch executes one batched attempt: journal every live member
-// running (fsync'd) under one lock hold, give each member its own
-// cancellable context, run BatchExec once, then classify every member's
-// outcome exactly like a solo attempt. A member that is already
-// terminal or running is silently dropped (its state owner wins); a
-// member whose running record cannot be journaled finishes with that
-// error while its batch-mates proceed.
-func (m *Manager) runBatch(batch []*jobRec) {
-	type prepped struct {
+// run executes one attempt at a unit: journal every live member running
+// (fsync'd) under one lock hold, give each member its own cancellable
+// context, call the executor once, then classify every member's outcome.
+// A member that is already terminal or running is silently dropped (its
+// state owner wins); a member whose running record cannot be journaled
+// finishes with that error while its batch-mates proceed. probe says the
+// breaker grant holds the half-open probe slot (the unit is then one
+// job); every exit must either reach a Success/Failure verdict or
+// abandon the probe.
+func (m *Manager) run(unit []*jobRec, probe bool) {
+	type attempt struct {
 		j      *jobRec
 		ctx    context.Context
 		cancel context.CancelFunc
 	}
-	var live []prepped
-	var journalFailed []*jobRec
+	var live []attempt
+	var unjournaled []*jobRec
 	var journalErr error
 	m.mu.Lock()
-	if m.closing {
-		m.mu.Unlock()
-		return
-	}
-	for _, j := range batch {
-		if j.terminal() || j.state == StateRunning {
+	for _, j := range unit {
+		if m.closing || j.terminal() || j.state == StateRunning {
 			continue
 		}
 		j.attempt++
-		if err := m.appendLocked(record{Job: j.id, State: recRunning, Attempt: j.attempt}); err != nil {
-			journalFailed = append(journalFailed, j)
+		if j.shed {
+			j.shed = false
+		} else if err := m.appendLocked(record{Job: j.id, State: recRunning, Attempt: j.attempt}); err != nil {
+			unjournaled = append(unjournaled, j)
 			journalErr = err
 			continue
 		}
@@ -1329,59 +1265,71 @@ func (m *Manager) runBatch(batch []*jobRec) {
 		if j.cancelRequested {
 			cancel() // Cancel raced the dispatch; make this member a no-op.
 		}
-		live = append(live, prepped{j, ctx, cancel})
+		live = append(live, attempt{j, ctx, cancel})
 	}
 	m.mu.Unlock()
-	for _, j := range journalFailed {
-		m.finishAttempt(j, Result{}, journalErr, false)
-	}
-
-	// Per-member fault injection: a chaos-failed member finishes with
-	// the injected error without ever reaching BatchExec, and its
-	// batch-mates proceed without it.
-	run := make([]prepped, 0, len(live))
-	for _, p := range live {
-		if ferr := faultinject.Check(fiBatchExec); ferr != nil {
-			p.cancel()
-			m.finishAttempt(p.j, Result{}, ferr, false)
-			continue
-		}
-		run = append(run, p)
-	}
-	if len(run) == 0 {
+	if probe && len(live)+len(unjournaled) == 0 {
+		m.breaker.abandonProbe()
 		return
 	}
-
-	members := make([]BatchMember, len(run))
-	for i, p := range run {
-		members[i] = BatchMember{ID: p.j.id, Spec: p.j.spec, Ctx: p.ctx}
+	for _, j := range unjournaled {
+		m.finishAttempt(j, Result{}, journalErr, probe)
 	}
-	m.mu.Lock()
-	m.batchCount++
-	m.batchJobs += int64(len(run))
-	m.lastBatchSize = int64(len(run))
-	if len(run) > 1 {
-		m.batchSaves += int64(len(run) - 1)
-	}
-	m.mu.Unlock()
 
-	outs := m.execBatch(members)
-	for i, p := range run {
-		p.cancel()
-		m.finishAttempt(p.j, outs[i].Result, outs[i].Err, false)
+	// Per-member fault injection: a chaos-failed member finishes with the
+	// injected error without ever reaching the executor, and its
+	// batch-mates proceed without it.
+	fi := fiAttemptExec
+	if len(unit) > 1 {
+		fi = fiBatchExec
+	}
+	running := live[:0]
+	members := make([]BatchMember, 0, len(live))
+	for _, a := range live {
+		if ferr := injected(fi); ferr != nil {
+			a.cancel()
+			m.finishAttempt(a.j, Result{}, ferr, probe)
+			continue
+		}
+		running = append(running, a)
+		members = append(members, BatchMember{ID: a.j.id, Spec: a.j.spec, Ctx: a.ctx})
+	}
+	if len(running) == 0 {
+		return
+	}
+	if len(unit) > 1 {
+		m.mu.Lock()
+		m.batchCount++
+		m.batchJobs += int64(len(running))
+		m.lastBatchSize = int64(len(running))
+		m.batchSaves += int64(len(running) - 1)
+		m.mu.Unlock()
+	}
+
+	outs := m.exec(members)
+	for i, a := range running {
+		a.cancel()
+		m.finishAttempt(a.j, outs[i].Result, outs[i].Err, probe)
 	}
 }
 
-// execBatch is the panic-containment boundary around the caller's
-// BatchExec; it guarantees exactly one outcome per member, turning a
-// panic or a miscounted return into a per-member internal error.
-func (m *Manager) execBatch(members []BatchMember) []BatchOutcome {
+// injected checks a per-member fault point under the same containment
+// as the executor: a panic-kind plan is an attempt failure, not a crash.
+func injected(point string) (err error) {
+	defer zkerr.RecoverTo(&err, "jobs: attempt")
+	return faultinject.Check(point)
+}
+
+// exec is the panic-containment boundary around the executor; it
+// guarantees exactly one outcome per member, turning a panic or a
+// miscounted return into a per-member internal error.
+func (m *Manager) exec(members []BatchMember) []BatchOutcome {
 	outs, err := func() (outs []BatchOutcome, err error) {
-		defer zkerr.RecoverTo(&err, "jobs: batch attempt")
-		return m.cfg.BatchExec(m.baseCtx, members), nil
+		defer zkerr.RecoverTo(&err, "jobs: attempt")
+		return m.unit(m.baseCtx, members), nil
 	}()
 	if err == nil && len(outs) != len(members) {
-		err = zkerr.Internalf("jobs: BatchExec returned %d outcomes for %d members", len(outs), len(members))
+		err = zkerr.Internalf("jobs: executor returned %d outcomes for %d members", len(outs), len(members))
 	}
 	if err != nil {
 		outs = make([]BatchOutcome, len(members))
@@ -1436,30 +1384,40 @@ func (m *Manager) finishAttempt(j *jobRec, res Result, err error, probe bool) {
 		return
 	}
 
-	if err != nil && errors.Is(err, ErrLeaseLost) && !j.cancelRequested {
-		// A worker node died (or partitioned) holding this attempt's
-		// lease: the prover never reached a verdict, so the attempt is
-		// refunded — journaled as a retry at the decremented attempt
-		// number so a crash mid-reassignment replays to the same
-		// refunded state — and the job re-enqueues after a short
-		// jittered delay for another node to steal. The breaker sees
-		// nothing: node death is the cluster's failure, not proving's.
+	if lost, shed := errors.Is(err, ErrLeaseLost), errors.Is(err, ErrPoolShed); (lost || shed) && !j.cancelRequested {
+		// The attempt never reached a prover verdict, so it is refunded
+		// and the breaker sees nothing: neither a dead node nor a full
+		// pool is proving's failure.
 		j.attempt--
 		j.state = StateAccepted
-		j.lastErr, j.lastCode = err.Error(), "lease-lost"
-		m.retries++
-		m.leaseReassigns++
-		_ = m.appendLocked(record{
-			Job: j.id, State: recRetrying, Attempt: j.attempt,
-			Error: err.Error(), Code: "lease-lost",
-		})
+		delay := shedRequeueDelay
+		if shed {
+			// The pool refused the attempt: the job just waits its turn.
+			// Nothing is journaled — the running record already on disk
+			// replays to this same refunded state, and the re-dispatch
+			// reuses it — and no retry or lease counter moves.
+			j.shed = true
+		} else {
+			// A worker node died (or partitioned) holding the lease: the
+			// refund is journaled as a retry at the decremented attempt
+			// number so a crash mid-reassignment replays to the same
+			// state, and the job re-enqueues after a short jittered delay
+			// for another node to steal.
+			j.lastErr, j.lastCode = err.Error(), "lease-lost"
+			m.retries++
+			m.leaseReassigns++
+			_ = m.appendLocked(record{
+				Job: j.id, State: recRetrying, Attempt: j.attempt,
+				Error: err.Error(), Code: "lease-lost",
+			})
+			delay = m.backoffFor(1)
+		}
 		if probe {
 			m.breaker.abandonProbe()
 		}
-		if m.closing {
-			return
+		if !m.closing {
+			j.timer = time.AfterFunc(delay, func() { m.enqueue(j) })
 		}
-		j.timer = time.AfterFunc(m.backoffFor(1), func() { m.enqueue(j) })
 		return
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -504,17 +505,20 @@ func TestBreakerAbandonedProbeReleasesSlot(t *testing.T) {
 	}
 }
 
-// TestHalfOpenProbeShedByGateDoesNotWedge is the manager-level wedge
-// regression: with the breaker half-open, the gate sheds the granted
-// probe attempt (external pool full). The probe slot must come back so
+// TestHalfOpenProbeShedByPoolDoesNotWedge is the manager-level wedge
+// regression: with the breaker half-open, the executor's pool sheds the
+// granted probe attempt (ErrPoolShed). The probe slot must come back so
 // a later dispatch can run the probe — before the fix, probing stayed
 // true forever and every job stalled until restart while submissions
 // kept being accepted.
-func TestHalfOpenProbeShedByGateDoesNotWedge(t *testing.T) {
+func TestHalfOpenProbeShedByPoolDoesNotWedge(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	var shed atomic.Int64
 	cfg := testConfig(t, func(ctx context.Context, spec Spec) (Result, error) {
+		if shed.Add(-1) >= 0 {
+			return Result{}, fmt.Errorf("pool full: %w", ErrPoolShed)
+		}
 		if failing.Load() {
 			return Result{}, zkerr.Internalf("backend down")
 		}
@@ -524,21 +528,14 @@ func TestHalfOpenProbeShedByGateDoesNotWedge(t *testing.T) {
 	cfg.MaxAttempts = 50
 	cfg.BreakerThreshold = 1
 	cfg.BreakerCooldown = 40 * time.Millisecond
-	cfg.Gate = func(ctx context.Context, tenantID string, cost int, run func()) error {
-		if shed.Add(-1) >= 0 {
-			return errors.New("external pool full")
-		}
-		run()
-		return nil
-	}
 	m := openManager(t, cfg)
 	id, err := m.Submit(Spec{})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	// Wait for the first (internal) failure to trip the breaker. While
-	// it is open no gate calls happen, so the next gate call after we
-	// arm the shed is exactly the half-open probe.
+	// it is open no attempts run, so the next executor call after we arm
+	// the shed is exactly the half-open probe.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if st, _ := m.BreakerState(); st != BreakerClosed {
@@ -678,43 +675,62 @@ func TestShutdownRevertsRunningAndRecoveryResumes(t *testing.T) {
 	assertExactlyOneTerminal(t, dir)
 }
 
-func TestGateRoutesAttempts(t *testing.T) {
-	var gated atomic.Int64
-	pool := make(chan func(), 8)
-	poolDone := make(chan struct{})
-	go func() {
-		defer close(poolDone)
-		for run := range pool {
-			run()
-		}
-	}()
+// TestPoolShedCostsNothing: an attempt the executor's pool sheds
+// (ErrPoolShed) is refunded without consuming budget, touching the retry
+// or lease counters, or growing the journal — however often the same
+// attempt is shed, the job's records are accepted, running, done — and a
+// restart in the shed window replays to the same refunded state.
+func TestPoolShedCostsNothing(t *testing.T) {
+	var sheds atomic.Int64
+	sheds.Store(3)
 	cfg := testConfig(t, func(ctx context.Context, spec Spec) (Result, error) {
+		if sheds.Add(-1) >= 0 {
+			return Result{}, fmt.Errorf("tenant queue full: %w", ErrPoolShed)
+		}
 		return Result{Proof: []byte("ok")}, nil
 	})
-	cfg.Gate = func(ctx context.Context, tenantID string, cost int, run func()) error {
-		gated.Add(1)
-		done := make(chan struct{})
-		select {
-		case pool <- func() { run(); close(done) }:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		<-done // Gate contract: run synchronously
-		return nil
-	}
+	cfg.MaxAttempts = 1 // a shed that cost an attempt would fail the job
 	m := openManager(t, cfg)
-	id, _ := m.Submit(Spec{})
-	if info := waitTerminal(t, m, id); info.State != StateDone {
-		t.Fatalf("state %s, want done via gate", info.State)
+	id, err := m.Submit(Spec{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
 	}
-	if gated.Load() == 0 {
-		t.Fatal("gate never invoked")
+	info := waitTerminal(t, m, id)
+	if info.State != StateDone || info.Attempts != 1 {
+		t.Fatalf("state %s attempts %d (err %q), want done on attempt 1 after 3 sheds", info.State, info.Attempts, info.Error)
+	}
+	if mm := m.Metrics(); mm.Retries != 0 || mm.LeaseReassigns != 0 || mm.BreakerTrips != 0 {
+		t.Errorf("sheds moved counters: retries %d lease_reassigns %d breaker_trips %d, want all 0", mm.Retries, mm.LeaseReassigns, mm.BreakerTrips)
+	}
+	var states []string
+	for _, r := range journalRecords(t, cfg.Dir) {
+		if r.Job == id {
+			states = append(states, string(r.State))
+		}
+	}
+	if got := strings.Join(states, ","); got != "accepted,running,done" {
+		t.Errorf("journal records %s, want accepted,running,done", got)
+	}
+
+	// Shed, then restart before the re-dispatch lands: the running record
+	// on disk replays as an interrupted attempt, refunded.
+	sheds.Store(1 << 30)
+	id2, err := m.Submit(Spec{})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	for sheds.Load() == 1<<30 {
+		time.Sleep(time.Millisecond)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	m.Close(ctx)
-	close(pool)
-	<-poolDone
+	sheds.Store(0)
+	m2 := openManager(t, cfg)
+	if info := waitTerminal(t, m2, id2); info.State != StateDone || info.Attempts != 1 || !info.Recovered {
+		t.Fatalf("after restart: state %s attempts %d recovered %v, want done on attempt 1, recovered", info.State, info.Attempts, info.Recovered)
+	}
+	assertExactlyOneTerminal(t, cfg.Dir)
 }
 
 func TestWaitHonoursContext(t *testing.T) {

@@ -3,20 +3,25 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
 	"nocap/internal/cluster"
 	"nocap/internal/jobs"
 	"nocap/internal/prover"
+	"nocap/internal/tenant"
 	"nocap/internal/zkerr"
 )
 
-// Cluster mode (DESIGN.md §16). With Config.ClusterEnabled the server
-// becomes a coordinator: async jobs keep their journal, admission,
-// quotas, and batch planner exactly as before, but attempts execute on
-// remote worker nodes (cmd/nocap-worker) over unencrypted HTTP/2 with
-// lease-based reassignment. The worker-facing RPC surface is:
+// One route (DESIGN.md §16). Every server with a DataDir owns a
+// coordinator, and the job manager's executor is always that
+// coordinator: a unit goes to a worker node's lease when one is live and
+// to the in-process executor (proveLocal) otherwise. A standalone server
+// is the coordinator with zero nodes and local fallback on.
+// Config.ClusterEnabled decides only what is exposed — the worker-facing
+// RPC surface over unencrypted HTTP/2, the healthz cluster block and the
+// nocap_cluster_* series:
 //
 //	POST /cluster/poll       long-poll for a leased assignment
 //	POST /cluster/heartbeat  renew leases, learn losses/cancellations
@@ -26,19 +31,21 @@ import (
 // All four require X-Cluster-Key when Config.ClusterKey is set — the
 // worker plane authenticates separately from the tenant plane.
 
-// openCluster builds the coordinator and mounts the worker-facing
-// endpoints. Called from New before openJobs starts, so the job
-// manager's executors can capture s.coord.
-func (s *Server) openCluster() error {
-	if s.cfg.DataDir == "" {
-		return zkerr.Usagef("server: cluster mode requires DataDir (the coordinator owns the job journal)")
-	}
+// localFallback reports whether a unit may prove in-process when no
+// live worker exists: always on a standalone server (nothing else could
+// prove it), by ClusterLocalFallback on a cluster coordinator.
+func (c Config) localFallback() bool { return c.ClusterLocalFallback || !c.ClusterEnabled }
+
+// openCluster builds the coordinator and, in cluster mode, mounts the
+// worker-facing endpoints. Called from New before openJobs starts, so
+// the job manager can take s.coord as its executor.
+func (s *Server) openCluster() {
 	s.coord = cluster.New(cluster.Config{
 		LeaseTTL:      s.cfg.ClusterLeaseTTL,
 		DeadAfter:     s.cfg.ClusterDeadAfter,
 		ProbeBase:     s.cfg.ClusterProbeBase,
-		Local:         pooledExecutor{s},
-		LocalFallback: s.cfg.ClusterLocalFallback,
+		Local:         s.proveLocal,
+		LocalFallback: s.cfg.localFallback(),
 		Seed:          s.cfg.ClusterSeed,
 		TenantWeight: func(tenantID string) int {
 			if t, ok := s.reg.ByID(tenantID); ok {
@@ -50,50 +57,54 @@ func (s *Server) openCluster() error {
 			return prover.BatchKey(jobs.Spec{Payload: payload})
 		},
 	})
-	s.mux.HandleFunc("POST /cluster/poll", s.withClusterKey(s.coord.HandlePoll))
-	s.mux.HandleFunc("POST /cluster/heartbeat", s.withClusterKey(s.coord.HandleHeartbeat))
-	s.mux.HandleFunc("POST /cluster/complete", s.withClusterKey(s.coord.HandleComplete))
-	s.mux.HandleFunc("GET /cluster/nodes", s.withClusterKey(s.coord.HandleNodes))
-	return nil
-}
-
-// pooledExecutor is the coordinator's in-process fallback: the server's
-// own executors, run on the worker pool through jobGate like every
-// other in-process prove — so a fleet outage cannot turn the job
-// dispatchers (which deliberately bypass the gate in cluster mode,
-// because they normally park on RPC) into extra proving concurrency
-// outside the -workers budget and the tenant scheduler. The coordinator
-// calls it after the attempt's running record is journaled, so a shed
-// (tenant queue full, pool stopping) is reported as jobs.ErrLeaseLost:
-// the attempt never reached a prover, and the manager refunds it with
-// the same journal-backed retry record a dead node's lease gets.
-type pooledExecutor struct{ s *Server }
-
-// pooled runs one fallback attempt proving cost jobs on the pool. The
-// pool goroutine is outside the manager's containment boundary, so a
-// panicking attempt must still surface as a retryable internal error,
-// not a crash.
-func (p pooledExecutor) pooled(ctx context.Context, tenantID string, cost int, run func()) (err error) {
-	shed := p.s.jobGate(ctx, tenantID, cost, func() {
-		defer zkerr.RecoverTo(&err, "server: in-process fallback attempt")
-		run()
-	})
-	if shed != nil {
-		return fmt.Errorf("server: in-process fallback shed by the worker pool (%v): %w", shed, jobs.ErrLeaseLost)
+	if !s.cfg.ClusterEnabled {
+		return
 	}
-	return err
+	s.mux.HandleFunc("POST /cluster/poll", s.workerPlane(s.coord.HandlePoll))
+	s.mux.HandleFunc("POST /cluster/heartbeat", s.workerPlane(s.coord.HandleHeartbeat))
+	s.mux.HandleFunc("POST /cluster/complete", s.workerPlane(s.coord.HandleComplete))
+	s.mux.HandleFunc("GET /cluster/nodes", s.workerPlane(s.coord.HandleNodes))
 }
 
-func (p pooledExecutor) Exec(ctx context.Context, spec jobs.Spec) (res jobs.Result, err error) {
-	if perr := p.pooled(ctx, spec.Tenant, 1, func() { res, err = p.s.soloExec()(ctx, spec) }); perr != nil {
-		return jobs.Result{}, perr
-	}
-	return res, err
-}
-
-func (p pooledExecutor) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
+// proveLocal is the coordinator's in-process executor — a standalone
+// server's only one, a cluster's fallback — and the one place async work
+// is admitted to the worker pool. It joins the same scheduler and
+// bounded pool that serve synchronous requests, so "workers" is one
+// concurrency budget and the DRR fairness policy governs all work no
+// matter how it arrives; a unit of k jobs is charged k against its
+// tenant's deficit, so batching amortizes proving work without
+// amortizing fairness accounting. A journaled tenant no longer
+// configured (keyfile changed across a restart) still owes its attempt:
+// it runs on the default tenant's queue rather than stranding. The call
+// comes after the attempt's running record is journaled, so a pool that
+// refuses it (tenant queue full, pool stopping) answers
+// jobs.ErrPoolShed: no prover saw the attempt, and the manager refunds
+// it for free. The pool goroutine is outside the manager's containment
+// boundary, so a panicking attempt is turned into a retryable internal
+// error here.
+func (s *Server) proveLocal(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
 	var outs []jobs.BatchOutcome
-	if err := p.pooled(ctx, members[0].Spec.Tenant, len(members), func() { outs = p.s.prover.BatchExec(ctx, members) }); err != nil {
+	var err error
+	run := func() {
+		defer zkerr.RecoverTo(&err, "server: in-process attempt")
+		outs = s.exec(ctx, members)
+	}
+	shed := tenant.ErrStopped
+	select {
+	case <-s.quit:
+		// The pool is stopping; shed rather than enqueue an entry
+		// nothing may ever pick up.
+	default:
+		tenantID, cost := members[0].Spec.Tenant, len(members)
+		shed = s.runPooled(tenantID, cost, run)
+		if errors.Is(shed, tenant.ErrUnknownTenant) {
+			shed = s.runPooled(s.reg.Default().ID, cost, run)
+		}
+	}
+	if shed != nil {
+		err = fmt.Errorf("server: attempt shed by the worker pool (%v): %w", shed, jobs.ErrPoolShed)
+	}
+	if err != nil {
 		outs = make([]jobs.BatchOutcome, len(members))
 		for i := range outs {
 			outs[i].Err = err
@@ -102,26 +113,37 @@ func (p pooledExecutor) BatchExec(ctx context.Context, members []jobs.BatchMembe
 	return outs
 }
 
-// withClusterKey gates the worker plane: when a cluster key is
-// configured every worker RPC must present it as X-Cluster-Key. Tenant
-// API keys deliberately do not work here.
-func (s *Server) withClusterKey(h http.HandlerFunc) http.HandlerFunc {
+// workerPlane gates a worker-facing endpoint: when a cluster key is
+// configured every worker RPC must present it as X-Cluster-Key (tenant
+// API keys deliberately do not work here), and no request body may
+// exceed what the largest honest one — a completion carrying one proof
+// per member of a full batch, each within the memory envelope — needs.
+func (s *Server) workerPlane(h http.HandlerFunc) http.HandlerFunc {
+	members := 1
+	if s.cfg.JobBatchWindow > 0 {
+		members = s.cfg.JobBatchMax
+		if members <= 0 {
+			members = jobs.DefaultBatchMax
+		}
+	}
+	limit := int64(s.cfg.MemoryBudgetMB) << 20 * int64(members)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.ClusterKey != "" && r.Header.Get("X-Cluster-Key") != s.cfg.ClusterKey {
 			s.metrics.authRejected.Add(1)
 			writeError(w, http.StatusUnauthorized, "missing or unknown cluster key", "unknown-cluster-key")
 			return
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
 		h(w, r)
 	}
 }
 
-// Coordinator exposes the coordinator (test hook; nil outside cluster
-// mode).
+// Coordinator exposes the coordinator (test hook; nil without a
+// DataDir).
 func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
 
 // ClusterMetrics snapshots the coordinator counters; the zero snapshot
-// outside cluster mode (test hook).
+// without a DataDir (test hook).
 func (s *Server) ClusterMetrics() cluster.Metrics {
 	if s.coord == nil {
 		return cluster.Metrics{}
@@ -130,9 +152,9 @@ func (s *Server) ClusterMetrics() cluster.Metrics {
 }
 
 // renderClusterMetrics appends the coordinator counter set to the
-// Prometheus exposition.
+// Prometheus exposition in cluster mode.
 func (s *Server) renderClusterMetrics(counter, gauge func(name, help string, v int64)) {
-	if s.coord == nil {
+	if !s.cfg.ClusterEnabled {
 		return
 	}
 	m := s.coord.Metrics()

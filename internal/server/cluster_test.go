@@ -378,6 +378,39 @@ func TestClusterServerSubprocessSIGKILL(t *testing.T) {
 	}
 }
 
+// TestClusterServerBodyCap: the worker plane reads no request body past
+// the memory envelope times the largest unit — an oversized completion
+// answers a typed 413 and leaves the coordinator untouched.
+func TestClusterServerBodyCap(t *testing.T) {
+	cfg := clusterConfig(t)
+	cfg.MemoryBudgetMB = 1
+	s, base, _ := startServer(t, cfg)
+	client := &http.Client{Timeout: time.Minute}
+	waitReady(t, client, base)
+
+	for _, path := range []string{"/cluster/poll", "/cluster/heartbeat", "/cluster/complete"} {
+		body := `{"node":"node-a","lease":"lease-1","pad":"` + strings.Repeat("x", 1<<20) + `"}`
+		resp, err := client.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var er ErrorResponse
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal(data, &er) != nil || er.Code != "resource-limit" {
+			t.Errorf("POST %s with a body over the cap: %d %s, want 413 resource-limit", path, resp.StatusCode, data)
+		}
+	}
+	if m := s.ClusterMetrics(); len(m.Nodes) != 0 || m.Polls != 0 || m.Heartbeats != 0 || m.Duplicates != 0 {
+		t.Errorf("oversized requests reached the coordinator: %+v", m)
+	}
+	// A body inside the cap is served.
+	status, data := postJSON(t, client, base+"/cluster/poll", cluster.PollRequest{Node: "node-a", WaitMS: 1})
+	if status != http.StatusOK {
+		t.Fatalf("in-cap poll: %d %s", status, data)
+	}
+}
+
 // TestClusterServerRequiresDataDir pins the config contract: cluster
 // mode without a journal has nowhere to refund attempts to.
 func TestClusterServerRequiresDataDir(t *testing.T) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -68,46 +67,22 @@ func jobResponse(info jobs.JobInfo) JobResponse {
 	}
 }
 
-// openJobs opens the durable job manager over cfg.DataDir. It runs in a
-// background goroutine started by New so journal replay (which scales
-// with journal size) never delays the listener; /readyz reports 503
-// until it finishes.
+// openJobs opens the durable job manager over cfg.DataDir, with the
+// coordinator as its executor. It runs in a background goroutine started
+// by New so journal replay (which scales with journal size) never delays
+// the listener; /readyz reports 503 until it finishes.
 func (s *Server) openJobs() {
-	exec := s.soloExec()
 	var batchKey func(jobs.Spec) (string, bool)
-	var batchExec jobs.BatchExec
 	if s.cfg.JobBatchWindow > 0 {
 		batchKey = prover.BatchKey
-		batchExec = s.prover.BatchExec
-	}
-	gate := jobs.Gate(s.jobGate)
-	workers := s.cfg.JobWorkers
-	if s.coord != nil {
-		// Cluster mode: attempts execute on remote worker nodes, so the
-		// dispatchers must NOT occupy the local HTTP worker pool — they
-		// spend their time parked on RPC, not proving. Fairness moves
-		// with them: the coordinator stride-schedules dispatch across
-		// tenants with the same weights the local DRR scheduler uses.
-		// (An attempt the coordinator falls back to proving in-process
-		// joins the pool through pooledExecutor instead.)
-		exec = s.coord.Exec
-		if batchExec != nil {
-			batchExec = s.coord.BatchExec
-		}
-		gate = nil
-		if workers <= 0 {
-			workers = 8
-		}
 	}
 	mgr, err := jobs.Open(jobs.Config{
 		Dir:               s.cfg.DataDir,
-		Exec:              exec,
-		Gate:              gate,
+		BatchExec:         s.coord.BatchExec,
 		BatchKey:          batchKey,
-		BatchExec:         batchExec,
 		BatchWindow:       s.cfg.JobBatchWindow,
 		BatchMax:          s.cfg.JobBatchMax,
-		Workers:           workers,
+		Workers:           s.cfg.JobWorkers,
 		MaxPending:        s.cfg.JobMaxPending,
 		MaxAttempts:       s.cfg.JobMaxAttempts,
 		BackoffBase:       s.cfg.JobBackoffBase,
@@ -138,45 +113,6 @@ func (s *Server) jobsManager() (*jobs.Manager, error) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	return s.jobsMgr, s.jobsErr
-}
-
-// soloExec is the in-process executor for one async attempt: the
-// prover, unless a test substituted its own.
-func (s *Server) soloExec() jobs.Exec {
-	if s.cfg.JobsExec != nil {
-		return s.cfg.JobsExec
-	}
-	return s.prover.Exec
-}
-
-// jobGate routes an async proving attempt through the same scheduler
-// and bounded worker pool that serve synchronous requests, so "workers"
-// is one concurrency budget and the DRR fairness policy governs all
-// work no matter how it arrives. cost is the number of jobs the run
-// proves: a coalesced batch of k jobs is charged k against its tenant's
-// DRR deficit, so batching amortizes proving work without amortizing
-// fairness accounting. It either runs the attempt to completion or
-// returns an error without having run it (the manager re-queues and
-// tries again).
-func (s *Server) jobGate(ctx context.Context, tenantID string, cost int, run func()) error {
-	select {
-	case <-s.quit:
-		// The worker pool is stopping; shed rather than enqueue an entry
-		// nothing may ever pick up.
-		return jobs.ErrQueueFull
-	default:
-	}
-	err := s.runPooled(tenantID, cost, run)
-	if errors.Is(err, tenant.ErrUnknownTenant) {
-		// A journaled tenant no longer configured (keyfile changed across
-		// a restart): the job still owes its attempt, run it on the
-		// default tenant's queue rather than stranding it.
-		err = s.runPooled(s.reg.Default().ID, cost, run)
-	}
-	if err != nil {
-		return jobs.ErrQueueFull
-	}
-	return nil
 }
 
 // jobsUnavailable writes the 503 for an endpoint that needs the manager
@@ -220,12 +156,11 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeTaxonomyError(w, err)
 		return
 	}
-	// Cluster mode without local fallback: zero live workers means an
-	// accepted job could only sit and time out, so shed it now with a
-	// typed 503 whose Retry-After tracks the EWMA of worker poll
-	// arrivals. Checked before the rate gate so the shed does not charge
-	// the tenant's token bucket.
-	if s.coord != nil && !s.cfg.ClusterLocalFallback && !s.coord.HasLiveWorkers() {
+	// No local fallback and zero live workers means an accepted job
+	// could only sit and time out, so shed it now with a typed 503 whose
+	// Retry-After tracks the EWMA of worker poll arrivals. Checked before
+	// the rate gate so the shed does not charge the tenant's token bucket.
+	if !s.cfg.localFallback() && !s.coord.HasLiveWorkers() {
 		s.metrics.jobShedNoWorkers.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter(s.coord.RetryAfterHint(), 2))
 		writeError(w, http.StatusServiceUnavailable, "no live worker nodes", "no_workers")

@@ -103,7 +103,8 @@ type Config struct {
 	DataDir string
 	// JobWorkers / JobMaxPending / JobMaxAttempts / JobBackoffBase /
 	// JobBackoffMax / JobBreakerThreshold / JobBreakerCooldown tune the
-	// job manager; zero values take the jobs package defaults.
+	// job manager; zero values take the jobs package defaults (except
+	// JobWorkers in cluster mode, see Normalize).
 	JobWorkers          int
 	JobMaxPending       int
 	JobMaxAttempts      int
@@ -126,8 +127,8 @@ type Config struct {
 	JobDegradedThreshold int
 	JobProbeInterval     time.Duration
 	JobCompactCheck      time.Duration
-	// JobsExec overrides the in-process solo executor for async jobs
-	// (test hook; nil means internal/prover).
+	// JobsExec overrides the in-process solo recipe for async jobs (test
+	// hook; nil means internal/prover).
 	JobsExec jobs.Exec
 	// JobBatchWindow enables the batch planner (DESIGN.md §15): queued
 	// jobs for the same tenant with the same (circuit, n, reps) key that
@@ -137,10 +138,10 @@ type Config struct {
 	JobBatchWindow time.Duration
 	JobBatchMax    int
 
-	// ClusterEnabled turns the server into a cluster coordinator
-	// (DESIGN.md §16): async job attempts dispatch to worker nodes over
-	// the /cluster/* endpoints instead of proving in-process. Requires
-	// DataDir.
+	// ClusterEnabled exposes the server's coordinator to worker nodes
+	// (DESIGN.md §16): the /cluster/* endpoints over h2c, through which
+	// async job attempts are leased to nodes instead of proving
+	// in-process. Requires DataDir.
 	ClusterEnabled bool
 	// ClusterKey, when set, is required as X-Cluster-Key on every
 	// worker RPC.
@@ -183,6 +184,12 @@ func (c Config) Normalize() Config {
 	var zero nocap.Params
 	if c.Params == zero {
 		c.Params = nocap.DefaultParams()
+	}
+	if c.JobWorkers <= 0 && c.ClusterEnabled {
+		// Dispatchers feeding worker nodes spend their time parked on
+		// RPC, not holding a pool slot, so a coordinator runs more of
+		// them than the jobs default of 2.
+		c.JobWorkers = 8
 	}
 	return c
 }
@@ -246,14 +253,17 @@ func (d *drainEstimator) retryAfter(backlog, workers int) time.Duration {
 // Server is the proving service. Create with New, start with Serve or
 // ListenAndServe, stop with Shutdown.
 type Server struct {
-	cfg      Config
-	limits   nocap.DecodeLimits
-	mux      *http.ServeMux
-	http     *http.Server
-	reg      *tenant.Registry
-	sched    *tenant.Scheduler
-	cache    *proofcache.Cache
-	prover   *prover.Prover
+	cfg    Config
+	limits nocap.DecodeLimits
+	mux    *http.ServeMux
+	http   *http.Server
+	reg    *tenant.Registry
+	sched  *tenant.Scheduler
+	cache  *proofcache.Cache
+	prover *prover.Prover
+	// exec proves one async unit in-process: jobs.Unit over the prover's
+	// solo and shared-plan recipes.
+	exec     jobs.BatchExec
 	coord    *cluster.Coordinator
 	drainEst drainEstimator
 	// rng jitters every Retry-After the server sends; guarded by rngMu.
@@ -325,6 +335,11 @@ func New(cfg Config) (*Server, error) {
 		Cache:   s.cache,
 		Limits:  s.limits,
 	})
+	solo := jobs.Exec(s.prover.Exec)
+	if cfg.JobsExec != nil {
+		solo = cfg.JobsExec
+	}
+	s.exec = jobs.Unit(solo, s.prover.BatchExec)
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /prove", s.withTenant(s.handleProve))
 	s.mux.HandleFunc("POST /verify", s.withTenant(s.handleVerify))
@@ -334,11 +349,11 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if cfg.ClusterEnabled {
-		if err := s.openCluster(); err != nil {
-			s.cancelBase()
-			return nil, err
-		}
+	if cfg.DataDir != "" {
+		s.openCluster()
+	} else if cfg.ClusterEnabled {
+		s.cancelBase()
+		return nil, zkerr.Usagef("server: cluster mode requires DataDir (the coordinator owns the job journal)")
 	}
 	s.http = &http.Server{
 		Addr:    cfg.Addr,
@@ -436,7 +451,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sched.Stop()
 	s.workerWG.Wait()
 	// If the manager's Close hit the drain deadline above, its
-	// dispatchers can still be parked in jobGate on entries the (now
+	// dispatchers can still be parked in proveLocal on entries the (now
 	// exited) workers never picked up. Publish that the pool is gone and
 	// sweep the queues so every waiter is released instead of leaking.
 	close(s.workersDone)
@@ -447,7 +462,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // drainJobQueue completes every entry still sitting in the scheduler
 // after the workers have exited, without running it. Safe to call
-// concurrently (jobGate waiters sweep too): Drain hands each entry out
+// concurrently (runPooled waiters sweep too): Drain hands each entry out
 // exactly once.
 func (s *Server) drainJobQueue() {
 	for _, v := range s.sched.Drain() {
@@ -849,7 +864,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"queue_capacity": s.sched.Capacity(),
 		"inflight":       s.inflight.Load(),
 	}
-	if s.coord != nil {
+	if s.cfg.ClusterEnabled {
 		cm := s.coord.Metrics()
 		live := 0
 		for _, n := range cm.Nodes {
