@@ -1,0 +1,198 @@
+package jobs
+
+import "time"
+
+// enqueue places a job on the ready channel, deferring briefly if the
+// channel is momentarily full.
+func (m *Manager) enqueue(j *jobRec) {
+	m.mu.Lock()
+	if m.closing || j.terminal() {
+		m.mu.Unlock()
+		return
+	}
+	j.timer = nil
+	m.mu.Unlock()
+	select {
+	case m.ready <- j:
+	default:
+		t := time.AfterFunc(25*time.Millisecond, func() { m.enqueue(j) })
+		m.mu.Lock()
+		if m.closing || j.terminal() {
+			t.Stop()
+		} else {
+			j.timer = t
+		}
+		m.mu.Unlock()
+	}
+}
+
+// requeueAfter re-enqueues a job after d (breaker-denied dispatch, or a
+// probe's batch-mates).
+func (m *Manager) requeueAfter(j *jobRec, d time.Duration) {
+	m.mu.Lock()
+	if m.closing || j.terminal() {
+		m.mu.Unlock()
+		return
+	}
+	j.timer = time.AfterFunc(d, func() { m.enqueue(j) })
+	m.mu.Unlock()
+}
+
+func (m *Manager) worker() {
+	defer m.wg.Done()
+	ready := m.ready
+	if m.batches != nil {
+		ready = nil // the batcher goroutine owns ready
+	}
+	for {
+		select {
+		case <-m.quit:
+			return
+		case j := <-ready:
+			m.dispatch([]*jobRec{j})
+		case unit := <-m.batches:
+			m.dispatch(unit)
+		}
+	}
+}
+
+// batcher sits between the ready channel and the workers when batching
+// is enabled (DESIGN.md §15). It groups ready jobs by (tenant, batch
+// key); a group flushes to the workers when it reaches BatchMax or when
+// BatchWindow has elapsed since its first member arrived, whichever is
+// sooner. Unbatchable jobs (BatchKey ok=false) flush immediately as
+// singletons. Tenant is part of the group key, so a batch never mixes
+// tenants and fairness/quota accounting stays per-tenant.
+func (m *Manager) batcher() {
+	defer m.wg.Done()
+	type group struct {
+		jobs     []*jobRec
+		deadline time.Time
+	}
+	pending := make(map[string]*group)
+	var order []string // group keys in arrival order, for deterministic flushing
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	timerSet := false
+
+	emit := func(jobs []*jobRec) bool {
+		select {
+		case m.batches <- jobs:
+			return true
+		case <-m.quit:
+			// Dropped batches stay journaled as accepted/retrying; the
+			// next Open re-enqueues them (crash equivalence).
+			return false
+		}
+	}
+	flush := func(gk string) bool {
+		g := pending[gk]
+		delete(pending, gk)
+		for i, k := range order {
+			if k == gk {
+				order = append(order[:i], order[i+1:]...)
+				break
+			}
+		}
+		return emit(g.jobs)
+	}
+	rearm := func() {
+		if timerSet {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timerSet = false
+		}
+		var earliest time.Time
+		for _, k := range order {
+			if g := pending[k]; earliest.IsZero() || g.deadline.Before(earliest) {
+				earliest = g.deadline
+			}
+		}
+		if !earliest.IsZero() {
+			d := time.Until(earliest)
+			if d < 0 {
+				d = 0
+			}
+			timer.Reset(d)
+			timerSet = true
+		}
+	}
+
+	for {
+		select {
+		case <-m.quit:
+			return
+		case j := <-m.ready:
+			key, ok := m.cfg.BatchKey(j.spec)
+			if !ok {
+				if !emit([]*jobRec{j}) {
+					return
+				}
+				continue
+			}
+			gk := j.spec.Tenant + "\x00" + key
+			g := pending[gk]
+			if g == nil {
+				g = &group{deadline: time.Now().Add(m.cfg.BatchWindow)}
+				pending[gk] = g
+				order = append(order, gk)
+			}
+			g.jobs = append(g.jobs, j)
+			if len(g.jobs) >= m.cfg.BatchMax {
+				if !flush(gk) {
+					return
+				}
+			}
+			rearm()
+		case <-timer.C:
+			timerSet = false
+			now := time.Now()
+			for _, k := range append([]string(nil), order...) {
+				if g := pending[k]; g != nil && !g.deadline.After(now) {
+					if !flush(k) {
+						return
+					}
+				}
+			}
+			rearm()
+		}
+	}
+}
+
+// dispatch takes one breaker grant for a ready unit and runs it. A
+// half-open probe must be a single attempt, so the first member probes
+// alone and its batch-mates requeue.
+func (m *Manager) dispatch(unit []*jobRec) {
+	ok, probe := m.breaker.AllowAttempt()
+	if !ok {
+		d := m.breakerRetryDelay()
+		for _, j := range unit {
+			m.requeueAfter(j, d)
+		}
+		return
+	}
+	if probe {
+		for _, j := range unit[1:] {
+			m.requeueAfter(j, shedRequeueDelay)
+		}
+		unit = unit[:1]
+	}
+	m.run(unit, probe)
+}
+
+// breakerRetryDelay is how long a breaker-denied dispatch waits before
+// re-enqueueing: a quarter of the cooldown, clamped to [10ms, 500ms].
+func (m *Manager) breakerRetryDelay() time.Duration {
+	d := m.cfg.BreakerCooldown / 4
+	if d < 10*time.Millisecond {
+		d = 10 * time.Millisecond
+	}
+	if d > 500*time.Millisecond {
+		d = 500 * time.Millisecond
+	}
+	return d
+}

@@ -26,24 +26,10 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"nocap/internal/backoff"
-	"nocap/internal/faultinject"
 	"nocap/internal/zkerr"
-)
-
-// Both points fire once per member before the member reaches the
-// executor, under panic containment: fiAttemptExec for a unit of one
-// (chaos tests use it to exercise the retry machinery without involving
-// the prover), fiBatchExec for each member of a larger unit in order, so
-// a test can fail the Nth member of a batch without touching its
-// batch-mates.
-var (
-	fiAttemptExec = faultinject.Register("jobs.attempt.exec")
-	fiBatchExec   = faultinject.Register("jobs.batch.exec")
 )
 
 // Sentinel errors returned by the Manager API. The serving layer maps
@@ -553,233 +539,9 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// replay rebuilds the job table: snapshot first (the folded state of
-// every record up to its BaseSeq), then the journal tail applied in
-// order, later states overriding earlier ones. A non-accepted record
-// for an unknown job means the journal lost the accepted record — in a
-// checksummed journal that is a corrupt (or corrupt-skipped) record,
-// so it is itself skipped and counted rather than failing the whole
-// replay: one bad sector must not strand thousands of healthy jobs.
-func (m *Manager) replay(info replayInfo) error {
-	if info.snap != nil {
-		for _, sj := range info.snap.Jobs {
-			j := &jobRec{
-				id: sj.ID, state: sj.State, spec: sj.Spec, attempt: sj.Attempt,
-				lastErr: sj.Error, lastCode: sj.Code, cached: sj.Cached,
-				proofFile: sj.ProofFile, proofBytes: sj.ProofBytes, stats: sj.Stats,
-				done: make(chan struct{}),
-			}
-			if sj.TerminalAt != "" {
-				if t, err := time.Parse(time.RFC3339Nano, sj.TerminalAt); err == nil {
-					j.terminalAt = t
-				}
-			}
-			m.byID[j.id] = j
-			m.order = append(m.order, j)
-		}
-	}
-	for _, r := range info.records {
-		j := m.byID[r.Job]
-		if j == nil {
-			if r.State != recAccepted {
-				m.corruptRecs++
-				m.logf("nocap-jobs event=journal_orphan_record seq=%d job=%s state=%s", r.Seq, r.Job, r.State)
-				continue
-			}
-			j = &jobRec{id: r.Job, done: make(chan struct{})}
-			if r.Spec != nil {
-				j.spec = *r.Spec
-			}
-			m.byID[r.Job] = j
-			m.order = append(m.order, j)
-		}
-		switch r.State {
-		case recAccepted:
-			j.state = StateAccepted
-			j.attempt = r.Attempt
-		case recRunning:
-			j.state = StateRunning
-			j.attempt = r.Attempt
-		case recRetrying:
-			j.state = StateAccepted
-			j.attempt = r.Attempt
-			j.lastErr, j.lastCode = r.Error, r.Code
-			m.retries++
-		case recDone:
-			j.state = StateDone
-			j.attempt = r.Attempt
-			j.proofFile = r.ProofFile
-			j.proofBytes = r.ProofBytes
-			j.stats = r.Stats
-			j.cached = r.Cached
-			j.lastErr, j.lastCode = "", ""
-		case recFailed:
-			j.state = StateFailed
-			j.attempt = r.Attempt
-			j.lastErr, j.lastCode = r.Error, r.Code
-		case recCancelled:
-			j.state = StateCancelled
-			j.attempt = r.Attempt
-			j.lastErr, j.lastCode = r.Error, r.Code
-		default:
-			// decodeRecord admits only known states; recProbe records are
-			// dropped by parseJournal before they get here.
-			return zkerr.Malformedf("jobs: journal seq %d: unknown state %q", r.Seq, r.State)
-		}
-		if j.state.Terminal() {
-			if t, err := time.Parse(time.RFC3339Nano, r.T); err == nil {
-				j.terminalAt = t
-			}
-		}
-	}
-	now := time.Now()
-	for _, j := range m.order {
-		m.accepted++
-		if j.state == StateRunning {
-			// The attempt was in flight at the crash: refund it so the
-			// interruption does not consume retry budget, and mark the
-			// job recovered for observability.
-			if j.attempt > 0 {
-				j.attempt--
-			}
-			j.state = StateAccepted
-			j.recovered = true
-			m.recovered++
-		}
-		switch j.state {
-		case StateDone:
-			m.doneCount++
-		case StateFailed:
-			m.failedCount++
-		case StateCancelled:
-			m.cancelCount++
-		}
-		if j.terminal() {
-			if j.terminalAt.IsZero() {
-				// A terminal record whose timestamp does not parse: date
-				// it now so the retention clock still starts ticking.
-				j.terminalAt = now
-			}
-			close(j.done)
-		} else {
-			m.active++
-			m.activeTenant[j.spec.Tenant]++
-		}
-	}
-	return nil
-}
-
-// sweepOrphanProofs deletes proof files no loaded job references: a
-// crash between a compaction's snapshot rename and its proof-file GC
-// (or between a proof persist and its journal record, when the job
-// later resolved differently) strands them. Runs once at Open, before
-// workers start, so no attempt can be writing proofs concurrently.
-func (m *Manager) sweepOrphanProofs() int64 {
-	referenced := make(map[string]struct{}, len(m.byID))
-	for _, j := range m.byID {
-		if j.proofFile != "" {
-			referenced[filepath.Base(j.proofFile)] = struct{}{}
-		}
-	}
-	dir := filepath.Join(m.cfg.Dir, proofsDirName)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var n int64
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if _, ok := referenced[e.Name()]; ok {
-			continue
-		}
-		if os.Remove(filepath.Join(dir, e.Name())) == nil {
-			n++
-		}
-	}
-	if n > 0 {
-		m.logf("nocap-jobs event=orphan_proofs_swept count=%d", n)
-	}
-	return n
-}
-
 // logf emits one structured operator log line.
 func (m *Manager) logf(format string, args ...any) {
 	m.cfg.Logf(format, args...)
-}
-
-// appendLocked journals one record through the degraded-mode state
-// machine: every disk failure feeds the consecutive-failure streak,
-// every success resets it (and exits degraded mode if entered). Caller
-// holds m.mu.
-func (m *Manager) appendLocked(r record) error {
-	err := m.journal.append(r)
-	if err != nil {
-		m.journalErrs++
-		m.noteDiskFailureLocked("journal.append", err)
-		return err
-	}
-	m.noteDiskSuccessLocked()
-	return nil
-}
-
-// noteDiskFailureLocked records one failed disk write; at
-// DegradedThreshold consecutive failures the manager enters degraded
-// mode. Caller holds m.mu.
-func (m *Manager) noteDiskFailureLocked(op string, err error) {
-	m.diskFails++
-	if !m.degraded && m.diskFails >= int64(m.cfg.DegradedThreshold) {
-		m.degraded = true
-		m.degradedSince = time.Now()
-		m.degradedEntries++
-		m.logf("nocap-jobs event=degraded_enter trigger=%s consecutive_failures=%d err=%q", op, m.diskFails, err)
-	}
-}
-
-// noteDiskSuccessLocked records one successful disk write, resetting
-// the failure streak and exiting degraded mode. Caller holds m.mu.
-func (m *Manager) noteDiskSuccessLocked() {
-	m.diskFails = 0
-	if m.degraded {
-		m.degraded = false
-		m.logf("nocap-jobs event=degraded_exit duration=%s", time.Since(m.degradedSince).Round(time.Millisecond))
-	}
-}
-
-// Degraded reports whether the manager is refusing new jobs over disk
-// failures, and for how long it has been.
-func (m *Manager) Degraded() (bool, time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.degraded {
-		return false, 0
-	}
-	return true, time.Since(m.degradedSince)
-}
-
-// prober is the degraded-mode recovery loop: while degraded, append a
-// no-op probe record through the real journal path every ProbeInterval;
-// the first success flips the manager back to healthy (inside
-// appendLocked). Replay skips probe records, so they cost one journal
-// line until the next compaction.
-func (m *Manager) prober() {
-	defer m.wg.Done()
-	tick := time.NewTicker(m.cfg.ProbeInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-m.quit:
-			return
-		case <-tick.C:
-			m.mu.Lock()
-			if m.degraded && !m.closing {
-				m.probeWrites++
-				_ = m.appendLocked(record{Job: probeJobID, State: recProbe})
-			}
-			m.mu.Unlock()
-		}
-	}
 }
 
 // newID returns a fresh job identifier.
@@ -1031,495 +793,4 @@ func (m *Manager) Close(ctx context.Context) error {
 		return waitErr
 	}
 	return err
-}
-
-// enqueue places a job on the ready channel, deferring briefly if the
-// channel is momentarily full.
-func (m *Manager) enqueue(j *jobRec) {
-	m.mu.Lock()
-	if m.closing || j.terminal() {
-		m.mu.Unlock()
-		return
-	}
-	j.timer = nil
-	m.mu.Unlock()
-	select {
-	case m.ready <- j:
-	default:
-		t := time.AfterFunc(25*time.Millisecond, func() { m.enqueue(j) })
-		m.mu.Lock()
-		if m.closing || j.terminal() {
-			t.Stop()
-		} else {
-			j.timer = t
-		}
-		m.mu.Unlock()
-	}
-}
-
-// requeueAfter re-enqueues a job after d (breaker-denied dispatch, or a
-// probe's batch-mates).
-func (m *Manager) requeueAfter(j *jobRec, d time.Duration) {
-	m.mu.Lock()
-	if m.closing || j.terminal() {
-		m.mu.Unlock()
-		return
-	}
-	j.timer = time.AfterFunc(d, func() { m.enqueue(j) })
-	m.mu.Unlock()
-}
-
-func (m *Manager) worker() {
-	defer m.wg.Done()
-	ready := m.ready
-	if m.batches != nil {
-		ready = nil // the batcher goroutine owns ready
-	}
-	for {
-		select {
-		case <-m.quit:
-			return
-		case j := <-ready:
-			m.dispatch([]*jobRec{j})
-		case unit := <-m.batches:
-			m.dispatch(unit)
-		}
-	}
-}
-
-// batcher sits between the ready channel and the workers when batching
-// is enabled (DESIGN.md §15). It groups ready jobs by (tenant, batch
-// key); a group flushes to the workers when it reaches BatchMax or when
-// BatchWindow has elapsed since its first member arrived, whichever is
-// sooner. Unbatchable jobs (BatchKey ok=false) flush immediately as
-// singletons. Tenant is part of the group key, so a batch never mixes
-// tenants and fairness/quota accounting stays per-tenant.
-func (m *Manager) batcher() {
-	defer m.wg.Done()
-	type group struct {
-		jobs     []*jobRec
-		deadline time.Time
-	}
-	pending := make(map[string]*group)
-	var order []string // group keys in arrival order, for deterministic flushing
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	timerSet := false
-
-	emit := func(jobs []*jobRec) bool {
-		select {
-		case m.batches <- jobs:
-			return true
-		case <-m.quit:
-			// Dropped batches stay journaled as accepted/retrying; the
-			// next Open re-enqueues them (crash equivalence).
-			return false
-		}
-	}
-	flush := func(gk string) bool {
-		g := pending[gk]
-		delete(pending, gk)
-		for i, k := range order {
-			if k == gk {
-				order = append(order[:i], order[i+1:]...)
-				break
-			}
-		}
-		return emit(g.jobs)
-	}
-	rearm := func() {
-		if timerSet {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timerSet = false
-		}
-		var earliest time.Time
-		for _, k := range order {
-			if g := pending[k]; earliest.IsZero() || g.deadline.Before(earliest) {
-				earliest = g.deadline
-			}
-		}
-		if !earliest.IsZero() {
-			d := time.Until(earliest)
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
-			timerSet = true
-		}
-	}
-
-	for {
-		select {
-		case <-m.quit:
-			return
-		case j := <-m.ready:
-			key, ok := m.cfg.BatchKey(j.spec)
-			if !ok {
-				if !emit([]*jobRec{j}) {
-					return
-				}
-				continue
-			}
-			gk := j.spec.Tenant + "\x00" + key
-			g := pending[gk]
-			if g == nil {
-				g = &group{deadline: time.Now().Add(m.cfg.BatchWindow)}
-				pending[gk] = g
-				order = append(order, gk)
-			}
-			g.jobs = append(g.jobs, j)
-			if len(g.jobs) >= m.cfg.BatchMax {
-				if !flush(gk) {
-					return
-				}
-			}
-			rearm()
-		case <-timer.C:
-			timerSet = false
-			now := time.Now()
-			for _, k := range append([]string(nil), order...) {
-				if g := pending[k]; g != nil && !g.deadline.After(now) {
-					if !flush(k) {
-						return
-					}
-				}
-			}
-			rearm()
-		}
-	}
-}
-
-// dispatch takes one breaker grant for a ready unit and runs it. A
-// half-open probe must be a single attempt, so the first member probes
-// alone and its batch-mates requeue.
-func (m *Manager) dispatch(unit []*jobRec) {
-	ok, probe := m.breaker.AllowAttempt()
-	if !ok {
-		d := m.breakerRetryDelay()
-		for _, j := range unit {
-			m.requeueAfter(j, d)
-		}
-		return
-	}
-	if probe {
-		for _, j := range unit[1:] {
-			m.requeueAfter(j, shedRequeueDelay)
-		}
-		unit = unit[:1]
-	}
-	m.run(unit, probe)
-}
-
-// breakerRetryDelay is how long a breaker-denied dispatch waits before
-// re-enqueueing: a quarter of the cooldown, clamped to [10ms, 500ms].
-func (m *Manager) breakerRetryDelay() time.Duration {
-	d := m.cfg.BreakerCooldown / 4
-	if d < 10*time.Millisecond {
-		d = 10 * time.Millisecond
-	}
-	if d > 500*time.Millisecond {
-		d = 500 * time.Millisecond
-	}
-	return d
-}
-
-// run executes one attempt at a unit: journal every live member running
-// (fsync'd) under one lock hold, give each member its own cancellable
-// context, call the executor once, then classify every member's outcome.
-// A member that is already terminal or running is silently dropped (its
-// state owner wins); a member whose running record cannot be journaled
-// finishes with that error while its batch-mates proceed. probe says the
-// breaker grant holds the half-open probe slot (the unit is then one
-// job); every exit must either reach a Success/Failure verdict or
-// abandon the probe.
-func (m *Manager) run(unit []*jobRec, probe bool) {
-	type attempt struct {
-		j      *jobRec
-		ctx    context.Context
-		cancel context.CancelFunc
-	}
-	var live []attempt
-	var unjournaled []*jobRec
-	var journalErr error
-	m.mu.Lock()
-	for _, j := range unit {
-		if m.closing || j.terminal() || j.state == StateRunning {
-			continue
-		}
-		j.attempt++
-		if j.shed {
-			j.shed = false
-		} else if err := m.appendLocked(record{Job: j.id, State: recRunning, Attempt: j.attempt}); err != nil {
-			unjournaled = append(unjournaled, j)
-			journalErr = err
-			continue
-		}
-		ctx, cancel := context.WithCancel(m.baseCtx)
-		j.cancel = cancel
-		j.state = StateRunning
-		if j.cancelRequested {
-			cancel() // Cancel raced the dispatch; make this member a no-op.
-		}
-		live = append(live, attempt{j, ctx, cancel})
-	}
-	m.mu.Unlock()
-	if probe && len(live)+len(unjournaled) == 0 {
-		m.breaker.abandonProbe()
-		return
-	}
-	for _, j := range unjournaled {
-		m.finishAttempt(j, Result{}, journalErr, probe)
-	}
-
-	// Per-member fault injection: a chaos-failed member finishes with the
-	// injected error without ever reaching the executor, and its
-	// batch-mates proceed without it.
-	fi := fiAttemptExec
-	if len(unit) > 1 {
-		fi = fiBatchExec
-	}
-	running := live[:0]
-	members := make([]BatchMember, 0, len(live))
-	for _, a := range live {
-		if ferr := injected(fi); ferr != nil {
-			a.cancel()
-			m.finishAttempt(a.j, Result{}, ferr, probe)
-			continue
-		}
-		running = append(running, a)
-		members = append(members, BatchMember{ID: a.j.id, Spec: a.j.spec, Ctx: a.ctx})
-	}
-	if len(running) == 0 {
-		return
-	}
-	if len(unit) > 1 {
-		m.mu.Lock()
-		m.batchCount++
-		m.batchJobs += int64(len(running))
-		m.lastBatchSize = int64(len(running))
-		m.batchSaves += int64(len(running) - 1)
-		m.mu.Unlock()
-	}
-
-	outs := m.exec(members)
-	for i, a := range running {
-		a.cancel()
-		m.finishAttempt(a.j, outs[i].Result, outs[i].Err, probe)
-	}
-}
-
-// injected checks a per-member fault point under the same containment
-// as the executor: a panic-kind plan is an attempt failure, not a crash.
-func injected(point string) (err error) {
-	defer zkerr.RecoverTo(&err, "jobs: attempt")
-	return faultinject.Check(point)
-}
-
-// exec is the panic-containment boundary around the executor; it
-// guarantees exactly one outcome per member, turning a panic or a
-// miscounted return into a per-member internal error.
-func (m *Manager) exec(members []BatchMember) []BatchOutcome {
-	outs, err := func() (outs []BatchOutcome, err error) {
-		defer zkerr.RecoverTo(&err, "jobs: attempt")
-		return m.unit(m.baseCtx, members), nil
-	}()
-	if err == nil && len(outs) != len(members) {
-		err = zkerr.Internalf("jobs: executor returned %d outcomes for %d members", len(outs), len(members))
-	}
-	if err != nil {
-		outs = make([]BatchOutcome, len(members))
-		for i := range outs {
-			outs[i] = BatchOutcome{Err: err}
-		}
-	}
-	return outs
-}
-
-// finishAttempt classifies an attempt's outcome and journals the
-// resulting transition. The proof file is written (atomically) before
-// the done record, so a done record always points at a complete proof.
-// probe, when true, is released by whichever breaker verdict
-// (Success/Failure) this attempt reaches, or abandoned on the paths
-// that reach neither.
-func (m *Manager) finishAttempt(j *jobRec, res Result, err error, probe bool) {
-	var proofFile string
-	var persistErr error
-	if err == nil {
-		proofFile = filepath.Join(m.cfg.Dir, proofsDirName, j.id+".bin")
-		if werr := writeFileAtomic(proofFile, res.Proof, 0o644, fiProofPersist); werr != nil {
-			persistErr = werr
-			err = zkerr.Internalf("jobs: persist proof for %s: %v", j.id, werr)
-		}
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if persistErr != nil {
-		// A failed proof persist is a disk failure like any other; feed
-		// the degraded-mode streak.
-		m.noteDiskFailureLocked("proof.persist", persistErr)
-	}
-	if j.terminal() {
-		if probe {
-			m.breaker.abandonProbe()
-		}
-		return
-	}
-	j.cancel = nil
-
-	if m.closing && err != nil && errors.Is(err, context.Canceled) && !j.cancelRequested {
-		// Shutdown interrupted the attempt: refund it and leave the
-		// journal untouched so the next Open re-enqueues from the
-		// running record, exactly as after a crash.
-		j.attempt--
-		j.state = StateAccepted
-		if probe {
-			m.breaker.abandonProbe()
-		}
-		return
-	}
-
-	if lost, shed := errors.Is(err, ErrLeaseLost), errors.Is(err, ErrPoolShed); (lost || shed) && !j.cancelRequested {
-		// The attempt never reached a prover verdict, so it is refunded
-		// and the breaker sees nothing: neither a dead node nor a full
-		// pool is proving's failure.
-		j.attempt--
-		j.state = StateAccepted
-		delay := shedRequeueDelay
-		if shed {
-			// The pool refused the attempt: the job just waits its turn.
-			// Nothing is journaled — the running record already on disk
-			// replays to this same refunded state, and the re-dispatch
-			// reuses it — and no retry or lease counter moves.
-			j.shed = true
-		} else {
-			// A worker node died (or partitioned) holding the lease: the
-			// refund is journaled as a retry at the decremented attempt
-			// number so a crash mid-reassignment replays to the same
-			// state, and the job re-enqueues after a short jittered delay
-			// for another node to steal.
-			j.lastErr, j.lastCode = err.Error(), "lease-lost"
-			m.retries++
-			m.leaseReassigns++
-			_ = m.appendLocked(record{
-				Job: j.id, State: recRetrying, Attempt: j.attempt,
-				Error: err.Error(), Code: "lease-lost",
-			})
-			delay = m.backoffFor(1)
-		}
-		if probe {
-			m.breaker.abandonProbe()
-		}
-		if !m.closing {
-			j.timer = time.AfterFunc(delay, func() { m.enqueue(j) })
-		}
-		return
-	}
-
-	if err == nil {
-		m.breaker.Success()
-		j.proofFile = proofFile
-		j.proofBytes = len(res.Proof)
-		j.stats = res.Stats
-		j.cached = res.Cached
-		j.lastErr, j.lastCode = "", ""
-		m.appendTerminalLocked(j, record{
-			Job: j.id, State: recDone, Attempt: j.attempt,
-			ProofFile: proofFile, ProofBytes: j.proofBytes, Stats: res.Stats, Cached: res.Cached,
-		})
-		m.markTerminalLocked(j, StateDone)
-		return
-	}
-
-	code := zkerr.Code(err)
-	m.breaker.Failure(code == "internal")
-
-	if j.cancelRequested || errors.Is(err, context.Canceled) {
-		m.terminalizeLocked(j, StateCancelled, err.Error(), code)
-		return
-	}
-	if zkerr.Retryable(err) && j.attempt < m.cfg.MaxAttempts {
-		backoff := m.backoffFor(j.attempt)
-		j.state = StateAccepted
-		j.lastErr, j.lastCode = err.Error(), code
-		m.retries++
-		_ = m.appendLocked(record{
-			Job: j.id, State: recRetrying, Attempt: j.attempt,
-			Error: err.Error(), Code: code, BackoffMS: backoff.Milliseconds(),
-		})
-		if m.closing {
-			return
-		}
-		j.timer = time.AfterFunc(backoff, func() { m.enqueue(j) })
-		return
-	}
-	m.terminalizeLocked(j, StateFailed, err.Error(), code)
-}
-
-// terminalizeLocked journals and applies a terminal failure-side
-// transition. Caller holds m.mu.
-func (m *Manager) terminalizeLocked(j *jobRec, st State, msg, code string) {
-	j.lastErr, j.lastCode = msg, code
-	rs := recFailed
-	if st == StateCancelled {
-		rs = recCancelled
-	}
-	m.appendTerminalLocked(j, record{Job: j.id, State: rs, Attempt: j.attempt, Error: msg, Code: code})
-	m.markTerminalLocked(j, st)
-}
-
-// appendTerminalLocked journals a terminal record, retrying once so a
-// transient fsync hiccup cannot split the durable and in-memory views.
-// If both tries fail the job is marked journalLost: its terminal state
-// is observable now but not journaled, so a restart will replay it from
-// its previous record and re-run it — a done job re-proves (benign, the
-// proof file is rewritten atomically), but a failed/cancelled job can
-// resurrect with a different outcome. GET surfaces journal_lost so
-// clients and operators can see exactly which jobs carry that hazard,
-// and the journal-lost counter makes a dying data disk alertable.
-// Caller holds m.mu.
-func (m *Manager) appendTerminalLocked(j *jobRec, r record) {
-	err := m.appendLocked(r)
-	if err != nil {
-		err = m.appendLocked(r)
-	}
-	if err != nil {
-		j.journalLost = true
-		m.journalLost++
-	}
-}
-
-// markTerminalLocked applies the in-memory side of a terminal
-// transition exactly once. Caller holds m.mu and has already journaled.
-func (m *Manager) markTerminalLocked(j *jobRec, st State) {
-	j.state = st
-	j.terminalAt = time.Now()
-	if j.timer != nil {
-		j.timer.Stop()
-		j.timer = nil
-	}
-	m.active--
-	if m.activeTenant[j.spec.Tenant] > 0 {
-		m.activeTenant[j.spec.Tenant]--
-	}
-	switch st {
-	case StateDone:
-		m.doneCount++
-	case StateFailed:
-		m.failedCount++
-	case StateCancelled:
-		m.cancelCount++
-	}
-	close(j.done)
-}
-
-// backoffFor draws the full-jitter retry delay after the given number
-// of attempts from the manager's seeded source. Caller holds m.mu.
-func (m *Manager) backoffFor(attempt int) time.Duration {
-	return backoff.Exponential(m.rand, m.cfg.BackoffBase, m.cfg.BackoffMax, attempt)
 }
