@@ -502,7 +502,7 @@ func TestClusterLocalityPlacement(t *testing.T) {
 	snap := leakcheck.Take()
 	h := newHarness(t, Config{
 		LeaseTTL:    time.Second,
-		LocalityKey: func(p json.RawMessage) (string, bool) { return string(p), true },
+		LocalityKey: func(spec jobs.Spec) (string, bool) { return string(spec.Payload), true },
 	})
 	defer func() {
 		h.close()

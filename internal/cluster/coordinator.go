@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -69,9 +70,9 @@ type Config struct {
 	// cross-node dispatch honours the same DRR weights as local
 	// admission.
 	TenantWeight func(tenant string) int
-	// LocalityKey derives the warm-cache key for a payload (the
-	// server's jobBatchKey). Nil disables locality placement.
-	LocalityKey func(payload json.RawMessage) (string, bool)
+	// LocalityKey derives the warm-cache key for a job (the server's
+	// batch key; "" for none). Nil disables locality placement.
+	LocalityKey func(spec jobs.Spec) (string, bool)
 	// Seed seeds lease/probe jitter for deterministic tests (0 →
 	// time-based).
 	Seed int64
@@ -96,14 +97,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// member is one job inside a unit. ctx is the member's own attempt
-// context.
-type member struct {
-	id      string
-	payload json.RawMessage
-	ctx     context.Context
-}
-
 // unitResult resolves a unit: outcomes from a worker completion, a
 // unit-scoped error (lease lost, caller gone), or the local-fallback
 // escape — prove it in-process.
@@ -118,8 +111,7 @@ type unitResult struct {
 type unit struct {
 	tenant    string
 	key       string
-	members   []member
-	cost      int
+	members   []jobs.BatchMember
 	res       chan unitResult
 	leased    bool
 	delivered bool
@@ -355,34 +347,9 @@ func (c *Coordinator) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, er
 // refund upstream), or nobody is left to take the result. Failure is
 // member-scoped: each outcome classifies independently.
 func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	u := &unit{
-		tenant: members[0].Spec.Tenant,
-		cost:   len(members),
-		res:    make(chan unitResult, 1),
-	}
-	// The unit has a taker while any member's own context is live; once
-	// the last one is cancelled (DELETE /jobs/id on a unit of one) the
-	// wait ends at once instead of riding out a lease.
-	wait, giveUp := context.WithCancel(ctx)
-	defer giveUp()
-	var live atomic.Int32
-	live.Store(int32(len(members)))
-	for _, mb := range members {
-		mctx := mb.Ctx
-		if mctx == nil {
-			mctx = ctx
-		}
-		u.members = append(u.members, member{id: mb.ID, payload: mb.Spec.Payload, ctx: mctx})
-		defer context.AfterFunc(mctx, func() {
-			if live.Add(-1) == 0 {
-				giveUp()
-			}
-		})()
-	}
+	u := &unit{tenant: members[0].Spec.Tenant, members: members, res: make(chan unitResult, 1)}
 	if c.cfg.LocalityKey != nil {
-		if k, ok := c.cfg.LocalityKey(members[0].Spec.Payload); ok {
-			u.key = k
-		}
+		u.key, _ = c.cfg.LocalityKey(members[0].Spec)
 	}
 	c.mu.Lock()
 	r := unitResult{local: c.localOKLocked()}
@@ -391,7 +358,7 @@ func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember)
 	}
 	c.mu.Unlock()
 	if !r.local {
-		r = c.await(wait, u)
+		r = c.await(ctx, u)
 	}
 	if r.local {
 		c.mu.Lock()
@@ -446,11 +413,26 @@ func (c *Coordinator) enqueueLocked(u *unit) {
 	c.wakeLocked()
 }
 
-// await blocks until the unit resolves, ctx fires (the result carries
-// ctx's error), or — when local fallback is enabled — the unit has sat
-// queued through a full lease TTL with zero live workers (the fleet
-// died after submission; the result says to prove in-process).
+// await blocks until the unit resolves, nobody is left to take the
+// result (the result carries the context's error), or — when local
+// fallback is enabled — the unit has sat queued through a full lease TTL
+// with zero live workers (the fleet died after submission; the result
+// says to prove in-process). The unit has a taker while ctx and any
+// member's own context are live: once the last member is cancelled
+// (DELETE /jobs/id on a unit of one) the wait ends at once instead of
+// riding out a lease.
 func (c *Coordinator) await(ctx context.Context, u *unit) unitResult {
+	ctx, giveUp := context.WithCancel(ctx)
+	defer giveUp()
+	var live atomic.Int32
+	live.Store(int32(len(u.members)))
+	for _, mb := range u.members {
+		defer context.AfterFunc(mb.Ctx, func() {
+			if live.Add(-1) == 0 {
+				giveUp()
+			}
+		})()
+	}
 	tick := time.NewTicker(c.cfg.LeaseTTL)
 	defer tick.Stop()
 	for {
@@ -551,7 +533,7 @@ func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 	}
 	u := tq.units[pick]
 	tq.units = append(tq.units[:pick], tq.units[pick+1:]...)
-	tq.served += float64(u.cost)
+	tq.served += float64(len(u.members))
 
 	c.seq++
 	ls := &lease{
@@ -572,7 +554,7 @@ func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 		Key:   u.key,
 	}
 	for _, mb := range u.members {
-		a.Jobs = append(a.Jobs, AssignedJob{ID: mb.id, Payload: mb.payload})
+		a.Jobs = append(a.Jobs, AssignedJob{ID: mb.ID, Payload: mb.Spec.Payload})
 	}
 	return a
 }
@@ -649,10 +631,6 @@ func (c *Coordinator) reap() {
 
 // HandlePoll serves POST /cluster/poll: long-poll for an assignment.
 func (c *Coordinator) HandlePoll(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Check(FIRPCRecv); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	var req PollRequest
 	if !readRequest(w, r, &req, &req.Node) {
 		return
@@ -720,10 +698,6 @@ func (c *Coordinator) HandlePoll(w http.ResponseWriter, r *http.Request) {
 // HandleHeartbeat serves POST /cluster/heartbeat: renew leases, learn
 // which are lost, and pick up member cancellations.
 func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Check(FIRPCRecv); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	var req HeartbeatRequest
 	if !readRequest(w, r, &req, &req.Node) {
 		return
@@ -741,8 +715,8 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		}
 		ls.expires = now.Add(c.cfg.LeaseTTL)
 		for _, mb := range ls.unit.members {
-			if mb.ctx.Err() != nil {
-				resp.Cancelled = append(resp.Cancelled, mb.id)
+			if mb.Ctx.Err() != nil {
+				resp.Cancelled = append(resp.Cancelled, mb.ID)
 			}
 		}
 	}
@@ -756,10 +730,6 @@ func (c *Coordinator) HandleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // node's to complete; either way the completion is discarded (first
 // terminal record wins) and counted, and the holder is left alone.
 func (c *Coordinator) HandleComplete(w http.ResponseWriter, r *http.Request) {
-	if err := faultinject.Check(FIRPCRecv); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	var req CompleteRequest
 	if !readRequest(w, r, &req, &req.Node, &req.Lease) {
 		return
@@ -800,15 +770,15 @@ func (c *Coordinator) HandleNodes(w http.ResponseWriter, r *http.Request) {
 // required fields must come out non-empty. A body past the cap the
 // server put on it (http.MaxBytesReader) answers a typed 413, anything
 // else unusable 400 — both before the coordinator's state is touched.
+// The cluster.rpc.recv fault point drops the request first (500).
 func readRequest(w http.ResponseWriter, r *http.Request, v any, required ...*string) bool {
+	if err := faultinject.Check(FIRPCRecv); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return false
+	}
 	err := json.NewDecoder(r.Body).Decode(v)
-	valid := func() bool {
-		for _, f := range required {
-			if *f == "" {
-				return false
-			}
-		}
-		return true
+	if err == nil && slices.ContainsFunc(required, func(f *string) bool { return *f == "" }) {
+		err = errors.New("missing field")
 	}
 	var tooLarge *http.MaxBytesError
 	switch {
@@ -820,7 +790,7 @@ func readRequest(w http.ResponseWriter, r *http.Request, v any, required ...*str
 			"code":  "resource-limit",
 		})
 		return false
-	case err != nil || !valid():
+	case err != nil:
 		http.Error(w, "cluster: bad "+r.URL.Path+" request", http.StatusBadRequest)
 		return false
 	}

@@ -283,19 +283,15 @@ func (w *Worker) runAssignment(a *Assignment) {
 	actx, acancel := context.WithCancel(w.killCtx)
 	defer acancel()
 
-	// Per-member contexts so the coordinator can cancel one member of a
-	// batch (DELETE /jobs/id) without disturbing its batch-mates.
-	mctx := make(map[string]context.Context, len(a.Jobs))
+	// Per-member contexts (children of actx, released with it) so the
+	// coordinator can cancel one member of a batch (DELETE /jobs/id)
+	// without disturbing its batch-mates.
+	members := make([]jobs.BatchMember, len(a.Jobs))
 	mcancel := make(map[string]context.CancelFunc, len(a.Jobs))
-	for _, j := range a.Jobs {
-		ctx, cancel := context.WithCancel(actx)
-		mctx[j.ID], mcancel[j.ID] = ctx, cancel
+	for i, j := range a.Jobs {
+		members[i] = jobs.BatchMember{ID: j.ID, Spec: jobs.Spec{Payload: j.Payload}}
+		members[i].Ctx, mcancel[j.ID] = context.WithCancel(actx)
 	}
-	defer func() {
-		for _, cancel := range mcancel {
-			cancel()
-		}
-	}()
 
 	var lost atomic.Bool
 	hbDone := make(chan struct{})
@@ -337,7 +333,7 @@ func (w *Worker) runAssignment(a *Assignment) {
 		}
 	}()
 
-	outcomes := w.execute(a, mctx)
+	outcomes := w.execute(members)
 	acancel()
 	<-hbDone
 
@@ -352,32 +348,29 @@ func (w *Worker) runAssignment(a *Assignment) {
 // honouring each member's context. The cluster.worker.exec fault point
 // fires per member before any attempt; a member it fails never reaches
 // the executor.
-func (w *Worker) execute(a *Assignment, mctx map[string]context.Context) []JobOutcome {
-	outcomes := make([]JobOutcome, len(a.Jobs))
-	fail := func(i int, err error) {
-		outcomes[i].Error, outcomes[i].Code = err.Error(), outcomeCode(err)
-	}
-	var members []jobs.BatchMember
-	var slot []int // members[k] is a.Jobs[slot[k]]
-	for i, j := range a.Jobs {
-		outcomes[i].ID = j.ID
+func (w *Worker) execute(members []jobs.BatchMember) []JobOutcome {
+	outcomes := make([]JobOutcome, len(members))
+	var run []jobs.BatchMember
+	var slot []int // run[k] is members[slot[k]]
+	for i, mb := range members {
+		outcomes[i].ID = mb.ID
 		if err := faultinject.Check(FIWorkerExec); err != nil {
-			fail(i, err)
+			outcomes[i].Error, outcomes[i].Code = err.Error(), outcomeCode(err)
 			continue
 		}
-		members = append(members, jobs.BatchMember{ID: j.ID, Spec: jobs.Spec{Payload: j.Payload}, Ctx: mctx[j.ID]})
+		run = append(run, mb)
 		slot = append(slot, i)
 	}
 	var outs []jobs.BatchOutcome
-	if len(members) > 0 {
-		outs = w.exec(w.killCtx, members)
+	if len(run) > 0 {
+		outs = w.exec(w.killCtx, run)
 	}
 	for k, i := range slot {
 		switch {
 		case k >= len(outs):
 			outcomes[i].Error, outcomes[i].Code = "cluster: executor returned no outcome", "internal"
 		case outs[k].Err != nil:
-			fail(i, outs[k].Err)
+			outcomes[i].Error, outcomes[i].Code = outs[k].Err.Error(), outcomeCode(outs[k].Err)
 		default:
 			outcomes[i].Proof, outcomes[i].Stats = outs[k].Result.Proof, outs[k].Result.Stats
 		}

@@ -47,7 +47,7 @@ func (m *Manager) run(unit []*jobRec, probe bool) {
 		}
 		j.attempt++
 		if j.shed {
-			j.shed = false
+			j.shed = false // this attempt's running record is already on disk
 		} else if err := m.appendLocked(record{Job: j.id, State: recRunning, Attempt: j.attempt}); err != nil {
 			unjournaled = append(unjournaled, j)
 			journalErr = err
@@ -93,10 +93,10 @@ func (m *Manager) run(unit []*jobRec, probe bool) {
 	}
 	if len(unit) > 1 {
 		m.mu.Lock()
-		m.batchCount++
-		m.batchJobs += int64(len(running))
-		m.lastBatchSize = int64(len(running))
-		m.batchSaves += int64(len(running) - 1)
+		m.stats.Batches++
+		m.stats.BatchJobs += int64(len(running))
+		m.stats.LastBatchSize = int64(len(running))
+		m.stats.BatchAmortizedSaves += int64(len(running) - 1)
 		m.mu.Unlock()
 	}
 
@@ -166,52 +166,30 @@ func (m *Manager) finishAttempt(j *jobRec, res Result, err error, probe bool) {
 	}
 	j.cancel = nil
 
-	if m.closing && err != nil && errors.Is(err, context.Canceled) && !j.cancelRequested {
-		// Shutdown interrupted the attempt: refund it and leave the
-		// journal untouched so the next Open re-enqueues from the
-		// running record, exactly as after a crash.
+	interrupted := m.closing && errors.Is(err, context.Canceled)
+	lost := errors.Is(err, ErrLeaseLost)
+	if (interrupted || lost || errors.Is(err, ErrPoolShed)) && !j.cancelRequested {
+		// No prover reached a verdict on this attempt — shutdown
+		// interrupted it, the pool shed it, or the node holding its lease
+		// died — so it is refunded and the breaker sees nothing.
 		j.attempt--
-		j.state = StateAccepted
 		if probe {
 			m.breaker.abandonProbe()
 		}
-		return
-	}
-
-	if lost, shed := errors.Is(err, ErrLeaseLost), errors.Is(err, ErrPoolShed); (lost || shed) && !j.cancelRequested {
-		// The attempt never reached a prover verdict, so it is refunded
-		// and the breaker sees nothing: neither a dead node nor a full
-		// pool is proving's failure.
-		j.attempt--
+		if lost {
+			// Journaled as a retry at the decremented attempt number, so
+			// a crash mid-reassignment replays to the same state; another
+			// node steals the job after a short jittered delay.
+			m.stats.LeaseReassigns++
+			m.retryLocked(j, err, "lease-lost", m.backoffFor(1))
+			return
+		}
+		// Nothing is journaled and no counter moves: the running record
+		// already on disk replays to this same refunded state, exactly as
+		// after a crash, and a re-dispatch reuses it.
 		j.state = StateAccepted
-		delay := shedRequeueDelay
-		if shed {
-			// The pool refused the attempt: the job just waits its turn.
-			// Nothing is journaled — the running record already on disk
-			// replays to this same refunded state, and the re-dispatch
-			// reuses it — and no retry or lease counter moves.
-			j.shed = true
-		} else {
-			// A worker node died (or partitioned) holding the lease: the
-			// refund is journaled as a retry at the decremented attempt
-			// number so a crash mid-reassignment replays to the same
-			// state, and the job re-enqueues after a short jittered delay
-			// for another node to steal.
-			j.lastErr, j.lastCode = err.Error(), "lease-lost"
-			m.retries++
-			m.leaseReassigns++
-			_ = m.appendLocked(record{
-				Job: j.id, State: recRetrying, Attempt: j.attempt,
-				Error: err.Error(), Code: "lease-lost",
-			})
-			delay = m.backoffFor(1)
-		}
-		if probe {
-			m.breaker.abandonProbe()
-		}
-		if !m.closing {
-			j.timer = time.AfterFunc(delay, func() { m.enqueue(j) })
-		}
+		j.shed = true
+		m.requeueLocked(j, shedRequeueDelay)
 		return
 	}
 
@@ -238,21 +216,23 @@ func (m *Manager) finishAttempt(j *jobRec, res Result, err error, probe bool) {
 		return
 	}
 	if zkerr.Retryable(err) && j.attempt < m.cfg.MaxAttempts {
-		backoff := m.backoffFor(j.attempt)
-		j.state = StateAccepted
-		j.lastErr, j.lastCode = err.Error(), code
-		m.retries++
-		_ = m.appendLocked(record{
-			Job: j.id, State: recRetrying, Attempt: j.attempt,
-			Error: err.Error(), Code: code, BackoffMS: backoff.Milliseconds(),
-		})
-		if m.closing {
-			return
-		}
-		j.timer = time.AfterFunc(backoff, func() { m.enqueue(j) })
+		m.retryLocked(j, err, code, m.backoffFor(j.attempt))
 		return
 	}
 	m.terminalizeLocked(j, StateFailed, err.Error(), code)
+}
+
+// retryLocked journals a failed attempt as a retrying record and puts
+// the job back in the queue after delay. Caller holds m.mu.
+func (m *Manager) retryLocked(j *jobRec, err error, code string, delay time.Duration) {
+	j.state = StateAccepted
+	j.lastErr, j.lastCode = err.Error(), code
+	m.stats.Retries++
+	_ = m.appendLocked(record{
+		Job: j.id, State: recRetrying, Attempt: j.attempt,
+		Error: err.Error(), Code: code, BackoffMS: delay.Milliseconds(),
+	})
+	m.requeueLocked(j, delay)
 }
 
 // terminalizeLocked journals and applies a terminal failure-side
@@ -284,7 +264,7 @@ func (m *Manager) appendTerminalLocked(j *jobRec, r record) {
 	}
 	if err != nil {
 		j.journalLost = true
-		m.journalLost++
+		m.stats.JournalLostJobs++
 	}
 }
 
@@ -297,17 +277,17 @@ func (m *Manager) markTerminalLocked(j *jobRec, st State) {
 		j.timer.Stop()
 		j.timer = nil
 	}
-	m.active--
+	m.stats.Active--
 	if m.activeTenant[j.spec.Tenant] > 0 {
 		m.activeTenant[j.spec.Tenant]--
 	}
 	switch st {
 	case StateDone:
-		m.doneCount++
+		m.stats.Done++
 	case StateFailed:
-		m.failedCount++
+		m.stats.Failed++
 	case StateCancelled:
-		m.cancelCount++
+		m.stats.Cancelled++
 	}
 	close(j.done)
 }

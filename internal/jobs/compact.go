@@ -155,7 +155,7 @@ func loadSnapshot(dir string) (*snapshot, error) {
 func (m *Manager) compactDue() (string, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closing || m.degraded {
+	if m.closing || m.stats.Degraded {
 		// A failing disk cannot compact; probes own the recovery path.
 		return "", false
 	}
@@ -215,7 +215,7 @@ func (m *Manager) compact(trigger string) error {
 				if j.proofFile != "" {
 					gcProofs = append(gcProofs, j.proofFile)
 				}
-				m.retired++
+				m.stats.RetiredJobs++
 				continue
 			}
 			kept = append(kept, j)
@@ -293,8 +293,8 @@ func (m *Manager) compact(trigger string) error {
 				j.journalLost = false
 			}
 		}
-		m.compactions++
-		m.snapshotBytes = int64(len(data))
+		m.stats.Compactions++
+		m.stats.SnapshotBytes = int64(len(data))
 		m.noteDiskSuccessLocked()
 	}
 	m.mu.Unlock()

@@ -15,27 +15,24 @@ func (m *Manager) enqueue(j *jobRec) {
 	select {
 	case m.ready <- j:
 	default:
-		t := time.AfterFunc(25*time.Millisecond, func() { m.enqueue(j) })
-		m.mu.Lock()
-		if m.closing || j.terminal() {
-			t.Stop()
-		} else {
-			j.timer = t
-		}
-		m.mu.Unlock()
+		m.requeueAfter(j, 25*time.Millisecond)
 	}
 }
 
-// requeueAfter re-enqueues a job after d (breaker-denied dispatch, or a
-// probe's batch-mates).
+// requeueAfter re-enqueues a job after d (breaker-denied dispatch, a
+// probe's batch-mates, a full ready channel).
 func (m *Manager) requeueAfter(j *jobRec, d time.Duration) {
 	m.mu.Lock()
-	if m.closing || j.terminal() {
-		m.mu.Unlock()
-		return
-	}
-	j.timer = time.AfterFunc(d, func() { m.enqueue(j) })
+	m.requeueLocked(j, d)
 	m.mu.Unlock()
+}
+
+// requeueLocked is requeueAfter for callers holding m.mu (retry
+// backoff, refunded attempts).
+func (m *Manager) requeueLocked(j *jobRec, d time.Duration) {
+	if !m.closing && !j.terminal() {
+		j.timer = time.AfterFunc(d, func() { m.enqueue(j) })
+	}
 }
 
 func (m *Manager) worker() {
@@ -70,7 +67,9 @@ func (m *Manager) batcher() {
 		deadline time.Time
 	}
 	pending := make(map[string]*group)
-	var order []string // group keys in arrival order, for deterministic flushing
+	// order holds the pending group keys in arrival order, which is also
+	// deadline order: every group gets the same window from its arrival.
+	var order []string
 	timer := time.NewTimer(time.Hour)
 	timer.Stop()
 	timerSet := false
@@ -106,18 +105,8 @@ func (m *Manager) batcher() {
 			}
 			timerSet = false
 		}
-		var earliest time.Time
-		for _, k := range order {
-			if g := pending[k]; earliest.IsZero() || g.deadline.Before(earliest) {
-				earliest = g.deadline
-			}
-		}
-		if !earliest.IsZero() {
-			d := time.Until(earliest)
-			if d < 0 {
-				d = 0
-			}
-			timer.Reset(d)
+		if len(order) > 0 {
+			timer.Reset(max(0, time.Until(pending[order[0]].deadline)))
 			timerSet = true
 		}
 	}
@@ -150,12 +139,9 @@ func (m *Manager) batcher() {
 			rearm()
 		case <-timer.C:
 			timerSet = false
-			now := time.Now()
-			for _, k := range append([]string(nil), order...) {
-				if g := pending[k]; g != nil && !g.deadline.After(now) {
-					if !flush(k) {
-						return
-					}
+			for now := time.Now(); len(order) > 0 && !pending[order[0]].deadline.After(now); {
+				if !flush(order[0]) {
+					return
 				}
 			}
 			rearm()

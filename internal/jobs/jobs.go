@@ -109,10 +109,10 @@ type Result struct {
 }
 
 // BatchMember is one job of a unit handed to the executor. Ctx is the
-// member's own attempt context: cancelling one member (DELETE /jobs/id)
-// cancels only that member's Ctx, so the executor must check it per
-// member and must not let one member's cancellation or failure disturb
-// its batch-mates.
+// member's own attempt context, always set: cancelling one member
+// (DELETE /jobs/id) cancels only that member's Ctx, so the executor must
+// check it per member and must not let one member's cancellation or
+// failure disturb its batch-mates.
 type BatchMember struct {
 	ID   string
 	Spec Spec
@@ -150,11 +150,7 @@ func Unit(solo Exec, batch BatchExec) BatchExec {
 		}
 		outs := make([]BatchOutcome, len(members))
 		for i, mb := range members {
-			mctx := mb.Ctx
-			if mctx == nil {
-				mctx = ctx
-			}
-			outs[i].Result, outs[i].Err = solo(mctx, mb.Spec)
+			outs[i].Result, outs[i].Err = solo(mb.Ctx, mb.Spec)
 		}
 		return outs
 	}
@@ -226,7 +222,7 @@ type Config struct {
 	// ready jobs whose specs map to the same key for the same tenant
 	// within BatchWindow of each other coalesce into one unit, amortizing
 	// shared structure. Return ok=false for specs that must not batch;
-	// they dispatch as units of one. Requires BatchExec.
+	// they dispatch as units of one.
 	BatchKey func(spec Spec) (key string, ok bool)
 	// BatchWindow is how long the planner holds a group open for
 	// batch-mates after its first job arrives (default 5ms); BatchMax
@@ -281,9 +277,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
-	}
-	if c.BatchKey != nil && c.BatchExec == nil {
-		return c, zkerr.Usagef("jobs: Config.BatchKey requires Config.BatchExec")
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 5 * time.Millisecond
@@ -440,41 +433,14 @@ type Manager struct {
 	// by replay so TenantLimit quotas survive crashes.
 	activeTenant map[string]int64
 
-	active      int64
-	accepted    int64
-	doneCount   int64
-	failedCount int64
-	cancelCount int64
-	retries     int64
-	recovered   int64
-	torn        int64
-	journalErrs int64
-	journalLost int64
-
-	// Durable-state lifecycle counters (DESIGN.md §13), under mu.
-	corruptRecs   int64
-	orphansSwept  int64
-	compactions   int64
-	snapshotBytes int64
-	retired       int64
-	probeWrites   int64
-
-	// Degraded-mode state machine, under mu: diskFails is the
+	// stats holds the counters and gauges Metrics reports, under mu —
+	// among them the live-job count MaxPending bounds and the
+	// degraded-mode state machine (DESIGN.md §13): DiskFailStreak is the
 	// consecutive disk-write failure streak; at DegradedThreshold the
-	// manager enters degraded mode, and the first successful disk write
-	// (probe or otherwise) exits it.
-	diskFails       int64
-	degraded        bool
-	degradedSince   time.Time
-	degradedEntries int64
-
-	// Batch planner counters (under mu).
-	batchCount    int64
-	batchJobs     int64
-	lastBatchSize int64
-	batchSaves    int64
-
-	leaseReassigns int64
+	// manager enters degraded mode (Degraded, since degradedSince), and
+	// the first successful disk write (probe or otherwise) exits it.
+	stats         Metrics
+	degradedSince time.Time
 
 	// compactMu serializes compaction cycles (it is never taken while
 	// holding mu).
@@ -507,15 +473,15 @@ func Open(cfg Config) (*Manager, error) {
 		byID:         make(map[string]*jobRec),
 		activeTenant: make(map[string]int64),
 	}
-	m.torn = info.torn
-	m.corruptRecs = info.corrupt
-	m.orphansSwept = info.orphanTemps
+	m.stats.TornRecords = info.torn
+	m.stats.CorruptRecords = info.corrupt
+	m.stats.OrphansSwept = info.orphanTemps
 	if err := m.replay(info); err != nil {
 		jl.close()
 		cancelBase()
 		return nil, err
 	}
-	m.orphansSwept += m.sweepOrphanProofs()
+	m.stats.OrphansSwept += m.sweepOrphanProofs()
 	if cfg.BatchKey != nil {
 		m.batches = make(chan []*jobRec, 2*cfg.MaxPending+16)
 		m.wg.Add(1)
@@ -563,7 +529,7 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		m.mu.Unlock()
 		return "", ErrClosed
 	}
-	if m.degraded {
+	if m.stats.Degraded {
 		m.mu.Unlock()
 		return "", ErrDegraded
 	}
@@ -571,7 +537,7 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 		m.mu.Unlock()
 		return "", ErrBreakerOpen
 	}
-	if m.active >= int64(m.cfg.MaxPending) {
+	if m.stats.Active >= int64(m.cfg.MaxPending) {
 		m.mu.Unlock()
 		return "", ErrQueueFull
 	}
@@ -588,9 +554,9 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	}
 	m.byID[j.id] = j
 	m.order = append(m.order, j)
-	m.active++
+	m.stats.Active++
 	m.activeTenant[spec.Tenant]++
-	m.accepted++
+	m.stats.Accepted++
 	m.mu.Unlock()
 	m.enqueue(j)
 	return j.id, nil
@@ -720,36 +686,10 @@ func (m *Manager) BreakerState() (BreakerState, time.Duration) {
 func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Metrics{
-		Accepted:            m.accepted,
-		Done:                m.doneCount,
-		Failed:              m.failedCount,
-		Cancelled:           m.cancelCount,
-		Retries:             m.retries,
-		Active:              m.active,
-		RecoveredJobs:       m.recovered,
-		TornRecords:         m.torn,
-		JournalRecords:      m.journal.records,
-		JournalBytes:        m.journal.bytes,
-		JournalAppendErrors: m.journalErrs,
-		JournalLostJobs:     m.journalLost,
-		BreakerState:        m.breaker.State(),
-		BreakerTrips:        m.breaker.Trips(),
-		CorruptRecords:      m.corruptRecs,
-		Compactions:         m.compactions,
-		SnapshotBytes:       m.snapshotBytes,
-		RetiredJobs:         m.retired,
-		OrphansSwept:        m.orphansSwept,
-		Degraded:            m.degraded,
-		DegradedEntries:     m.degradedEntries,
-		DiskFailStreak:      m.diskFails,
-		ProbeWrites:         m.probeWrites,
-		Batches:             m.batchCount,
-		BatchJobs:           m.batchJobs,
-		LastBatchSize:       m.lastBatchSize,
-		BatchAmortizedSaves: m.batchSaves,
-		LeaseReassigns:      m.leaseReassigns,
-	}
+	out := m.stats
+	out.JournalRecords, out.JournalBytes = m.journal.records, m.journal.bytes
+	out.BreakerState, out.BreakerTrips = m.breaker.State(), m.breaker.Trips()
+	return out
 }
 
 // Close shuts the Manager down: no new submissions, pending retry

@@ -37,7 +37,7 @@ func (m *Manager) replay(info replayInfo) error {
 		j := m.byID[r.Job]
 		if j == nil {
 			if r.State != recAccepted {
-				m.corruptRecs++
+				m.stats.CorruptRecords++
 				m.logf("nocap-jobs event=journal_orphan_record seq=%d job=%s state=%s", r.Seq, r.Job, r.State)
 				continue
 			}
@@ -59,7 +59,7 @@ func (m *Manager) replay(info replayInfo) error {
 			j.state = StateAccepted
 			j.attempt = r.Attempt
 			j.lastErr, j.lastCode = r.Error, r.Code
-			m.retries++
+			m.stats.Retries++
 		case recDone:
 			j.state = StateDone
 			j.attempt = r.Attempt
@@ -89,7 +89,7 @@ func (m *Manager) replay(info replayInfo) error {
 	}
 	now := time.Now()
 	for _, j := range m.order {
-		m.accepted++
+		m.stats.Accepted++
 		if j.state == StateRunning {
 			// The attempt was in flight at the crash: refund it so the
 			// interruption does not consume retry budget, and mark the
@@ -99,15 +99,15 @@ func (m *Manager) replay(info replayInfo) error {
 			}
 			j.state = StateAccepted
 			j.recovered = true
-			m.recovered++
+			m.stats.RecoveredJobs++
 		}
 		switch j.state {
 		case StateDone:
-			m.doneCount++
+			m.stats.Done++
 		case StateFailed:
-			m.failedCount++
+			m.stats.Failed++
 		case StateCancelled:
-			m.cancelCount++
+			m.stats.Cancelled++
 		}
 		if j.terminal() {
 			if j.terminalAt.IsZero() {
@@ -117,7 +117,7 @@ func (m *Manager) replay(info replayInfo) error {
 			}
 			close(j.done)
 		} else {
-			m.active++
+			m.stats.Active++
 			m.activeTenant[j.spec.Tenant]++
 		}
 	}
@@ -166,7 +166,7 @@ func (m *Manager) sweepOrphanProofs() int64 {
 func (m *Manager) appendLocked(r record) error {
 	err := m.journal.append(r)
 	if err != nil {
-		m.journalErrs++
+		m.stats.JournalAppendErrors++
 		m.noteDiskFailureLocked("journal.append", err)
 		return err
 	}
@@ -178,21 +178,21 @@ func (m *Manager) appendLocked(r record) error {
 // DegradedThreshold consecutive failures the manager enters degraded
 // mode. Caller holds m.mu.
 func (m *Manager) noteDiskFailureLocked(op string, err error) {
-	m.diskFails++
-	if !m.degraded && m.diskFails >= int64(m.cfg.DegradedThreshold) {
-		m.degraded = true
+	m.stats.DiskFailStreak++
+	if !m.stats.Degraded && m.stats.DiskFailStreak >= int64(m.cfg.DegradedThreshold) {
+		m.stats.Degraded = true
 		m.degradedSince = time.Now()
-		m.degradedEntries++
-		m.logf("nocap-jobs event=degraded_enter trigger=%s consecutive_failures=%d err=%q", op, m.diskFails, err)
+		m.stats.DegradedEntries++
+		m.logf("nocap-jobs event=degraded_enter trigger=%s consecutive_failures=%d err=%q", op, m.stats.DiskFailStreak, err)
 	}
 }
 
 // noteDiskSuccessLocked records one successful disk write, resetting
 // the failure streak and exiting degraded mode. Caller holds m.mu.
 func (m *Manager) noteDiskSuccessLocked() {
-	m.diskFails = 0
-	if m.degraded {
-		m.degraded = false
+	m.stats.DiskFailStreak = 0
+	if m.stats.Degraded {
+		m.stats.Degraded = false
 		m.logf("nocap-jobs event=degraded_exit duration=%s", time.Since(m.degradedSince).Round(time.Millisecond))
 	}
 }
@@ -202,7 +202,7 @@ func (m *Manager) noteDiskSuccessLocked() {
 func (m *Manager) Degraded() (bool, time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.degraded {
+	if !m.stats.Degraded {
 		return false, 0
 	}
 	return true, time.Since(m.degradedSince)
@@ -223,8 +223,8 @@ func (m *Manager) prober() {
 			return
 		case <-tick.C:
 			m.mu.Lock()
-			if m.degraded && !m.closing {
-				m.probeWrites++
+			if m.stats.Degraded && !m.closing {
+				m.stats.ProbeWrites++
 				_ = m.appendLocked(record{Job: probeJobID, State: recProbe})
 			}
 			m.mu.Unlock()

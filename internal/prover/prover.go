@@ -368,7 +368,7 @@ func (p *Prover) BatchExec(ctx context.Context, members []jobs.BatchMember) []jo
 			outs[i].Err = err
 			continue
 		}
-		outs[i].Result, outs[i].Err = p.member(ctx, mb, *st, plan, shares[i])
+		outs[i].Result, outs[i].Err = p.member(mb, *st, plan, shares[i])
 	}
 	return outs
 }
@@ -391,11 +391,8 @@ func (p *Prover) plan(ctx context.Context, members []jobs.BatchMember) (*Stateme
 
 // member proves one batch member against the shared plan, honouring the
 // member's own cancellation and its own request's deadline.
-func (p *Prover) member(ctx context.Context, mb jobs.BatchMember, st Statement, plan *nocap.BatchPlan, share nocap.ProveStats) (jobs.Result, error) {
-	if mb.Ctx != nil {
-		ctx = mb.Ctx
-	}
-	if err := ctx.Err(); err != nil {
+func (p *Prover) member(mb jobs.BatchMember, st Statement, plan *nocap.BatchPlan, share nocap.ProveStats) (jobs.Result, error) {
+	if err := mb.Ctx.Err(); err != nil {
 		return jobs.Result{}, err
 	}
 	req, err := decode(mb.Spec.Payload)
@@ -405,5 +402,5 @@ func (p *Prover) member(ctx context.Context, mb jobs.BatchMember, st Statement, 
 	if st.timeout, err = p.Check(req); err != nil {
 		return jobs.Result{}, err
 	}
-	return p.jobAttempt(ctx, &st, plan.ProveMemberCtx, share)
+	return p.jobAttempt(mb.Ctx, &st, plan.ProveMemberCtx, share)
 }

@@ -165,7 +165,7 @@ func TestEntryPointsAgree(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	outs := p.BatchExec(context.Background(), []jobs.BatchMember{
-		{ID: "a", Spec: spec}, {ID: "b", Spec: spec, Ctx: context.Background()}, {ID: "c", Spec: spec, Ctx: cancelled},
+		{ID: "a", Spec: spec, Ctx: context.Background()}, {ID: "b", Spec: spec, Ctx: context.Background()}, {ID: "c", Spec: spec, Ctx: cancelled},
 	})
 	solo, err := p.Exec(context.Background(), spec)
 	outs = append(outs, jobs.BatchOutcome{Result: solo, Err: err})

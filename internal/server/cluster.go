@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -31,6 +29,16 @@ import (
 // All four require X-Cluster-Key when Config.ClusterKey is set — the
 // worker plane authenticates separately from the tenant plane.
 
+// jobTenant resolves a journaled tenant ID. One no longer configured
+// (keyfile changed across a restart) still owes its attempts: its jobs
+// run as the default tenant's rather than stranding.
+func (s *Server) jobTenant(id string) *tenant.Tenant {
+	if t, ok := s.reg.ByID(id); ok {
+		return t
+	}
+	return s.reg.Default()
+}
+
 // localFallback reports whether a unit may prove in-process when no
 // live worker exists: always on a standalone server (nothing else could
 // prove it), by ClusterLocalFallback on a cluster coordinator.
@@ -47,15 +55,8 @@ func (s *Server) openCluster() {
 		Local:         s.proveLocal,
 		LocalFallback: s.cfg.localFallback(),
 		Seed:          s.cfg.ClusterSeed,
-		TenantWeight: func(tenantID string) int {
-			if t, ok := s.reg.ByID(tenantID); ok {
-				return t.Weight
-			}
-			return s.reg.Default().Weight
-		},
-		LocalityKey: func(payload json.RawMessage) (string, bool) {
-			return prover.BatchKey(jobs.Spec{Payload: payload})
-		},
+		TenantWeight:  func(tenantID string) int { return s.jobTenant(tenantID).Weight },
+		LocalityKey:   prover.BatchKey,
 	})
 	if !s.cfg.ClusterEnabled {
 		return
@@ -73,15 +74,12 @@ func (s *Server) openCluster() {
 // concurrency budget and the DRR fairness policy governs all work no
 // matter how it arrives; a unit of k jobs is charged k against its
 // tenant's deficit, so batching amortizes proving work without
-// amortizing fairness accounting. A journaled tenant no longer
-// configured (keyfile changed across a restart) still owes its attempt:
-// it runs on the default tenant's queue rather than stranding. The call
-// comes after the attempt's running record is journaled, so a pool that
-// refuses it (tenant queue full, pool stopping) answers
-// jobs.ErrPoolShed: no prover saw the attempt, and the manager refunds
-// it for free. The pool goroutine is outside the manager's containment
-// boundary, so a panicking attempt is turned into a retryable internal
-// error here.
+// amortizing fairness accounting. The attempt's running record is
+// already journaled, so a pool that refuses it (tenant queue full, pool
+// stopping) answers jobs.ErrPoolShed: no prover saw the attempt, and the
+// manager refunds it for free. The pool goroutine is outside the
+// manager's containment boundary, so a panicking attempt is turned into
+// a retryable internal error here.
 func (s *Server) proveLocal(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
 	var outs []jobs.BatchOutcome
 	var err error
@@ -89,19 +87,7 @@ func (s *Server) proveLocal(ctx context.Context, members []jobs.BatchMember) []j
 		defer zkerr.RecoverTo(&err, "server: in-process attempt")
 		outs = s.exec(ctx, members)
 	}
-	shed := tenant.ErrStopped
-	select {
-	case <-s.quit:
-		// The pool is stopping; shed rather than enqueue an entry
-		// nothing may ever pick up.
-	default:
-		tenantID, cost := members[0].Spec.Tenant, len(members)
-		shed = s.runPooled(tenantID, cost, run)
-		if errors.Is(shed, tenant.ErrUnknownTenant) {
-			shed = s.runPooled(s.reg.Default().ID, cost, run)
-		}
-	}
-	if shed != nil {
+	if shed := s.runPooled(s.jobTenant(members[0].Spec.Tenant).ID, len(members), run); shed != nil {
 		err = fmt.Errorf("server: attempt shed by the worker pool (%v): %w", shed, jobs.ErrPoolShed)
 	}
 	if err != nil {
@@ -136,19 +122,6 @@ func (s *Server) workerPlane(h http.HandlerFunc) http.HandlerFunc {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 		h(w, r)
 	}
-}
-
-// Coordinator exposes the coordinator (test hook; nil without a
-// DataDir).
-func (s *Server) Coordinator() *cluster.Coordinator { return s.coord }
-
-// ClusterMetrics snapshots the coordinator counters; the zero snapshot
-// without a DataDir (test hook).
-func (s *Server) ClusterMetrics() cluster.Metrics {
-	if s.coord == nil {
-		return cluster.Metrics{}
-	}
-	return s.coord.Metrics()
 }
 
 // renderClusterMetrics appends the coordinator counter set to the

@@ -401,7 +401,7 @@ func TestClusterServerBodyCap(t *testing.T) {
 			t.Errorf("POST %s with a body over the cap: %d %s, want 413 resource-limit", path, resp.StatusCode, data)
 		}
 	}
-	if m := s.ClusterMetrics(); len(m.Nodes) != 0 || m.Polls != 0 || m.Heartbeats != 0 || m.Duplicates != 0 {
+	if m := s.coord.Metrics(); len(m.Nodes) != 0 || m.Polls != 0 || m.Heartbeats != 0 || m.Duplicates != 0 {
 		t.Errorf("oversized requests reached the coordinator: %+v", m)
 	}
 	// A body inside the cap is served.

@@ -95,12 +95,7 @@ func (s *Server) openJobs() {
 		DegradedThreshold: s.cfg.JobDegradedThreshold,
 		ProbeInterval:     s.cfg.JobProbeInterval,
 		CompactCheck:      s.cfg.JobCompactCheck,
-		TenantLimit: func(tenantID string) int {
-			if t, ok := s.reg.ByID(tenantID); ok {
-				return t.MaxJobs
-			}
-			return s.reg.Default().MaxJobs
-		},
+		TenantLimit:       func(tenantID string) int { return s.jobTenant(tenantID).MaxJobs },
 	})
 	s.jobsMu.Lock()
 	s.jobsMgr, s.jobsErr = mgr, err

@@ -376,7 +376,7 @@ func TestClusterLocalFallbackStaysInPool(t *testing.T) {
 			t.Errorf("tenant scheduler dequeued %d fallback attempts, want %d", q.Dequeued, n)
 		}
 	}
-	if got := s.ClusterMetrics().LocalFallbacks; got < n {
+	if got := s.coord.Metrics().LocalFallbacks; got < n {
 		t.Errorf("local fallbacks = %d, want >= %d", got, n)
 	}
 	if got := s.JobsMetrics().LeaseReassigns; got != 0 {

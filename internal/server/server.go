@@ -253,17 +253,15 @@ func (d *drainEstimator) retryAfter(backlog, workers int) time.Duration {
 // Server is the proving service. Create with New, start with Serve or
 // ListenAndServe, stop with Shutdown.
 type Server struct {
-	cfg    Config
-	limits nocap.DecodeLimits
-	mux    *http.ServeMux
-	http   *http.Server
-	reg    *tenant.Registry
-	sched  *tenant.Scheduler
-	cache  *proofcache.Cache
-	prover *prover.Prover
-	// exec proves one async unit in-process: jobs.Unit over the prover's
-	// solo and shared-plan recipes.
-	exec     jobs.BatchExec
+	cfg      Config
+	limits   nocap.DecodeLimits
+	mux      *http.ServeMux
+	http     *http.Server
+	reg      *tenant.Registry
+	sched    *tenant.Scheduler
+	cache    *proofcache.Cache
+	prover   *prover.Prover
+	exec     jobs.BatchExec // proves an async unit in-process: jobs.Unit over the prover's two recipes
 	coord    *cluster.Coordinator
 	drainEst drainEstimator
 	// rng jitters every Retry-After the server sends; guarded by rngMu.
@@ -277,7 +275,6 @@ type Server struct {
 	cancelBase context.CancelFunc
 
 	workerWG sync.WaitGroup
-	quit     chan struct{}
 	// workersDone closes after the last worker exits; anything still
 	// queued in the scheduler at that point will never run and must be
 	// swept.
@@ -322,7 +319,6 @@ func New(cfg Config) (*Server, error) {
 		reg:         reg,
 		sched:       tenant.NewScheduler(queues),
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
-		quit:        make(chan struct{}),
 		workersDone: make(chan struct{}),
 	}
 	if cfg.CacheMB > 0 {
@@ -447,7 +443,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.cancelBase()
 		err = s.http.Shutdown(context.Background())
 	}
-	close(s.quit)
 	s.sched.Stop()
 	s.workerWG.Wait()
 	// If the manager's Close hit the drain deadline above, its
