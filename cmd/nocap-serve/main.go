@@ -57,14 +57,15 @@
 // against the tenant's fairness account. /metrics grows nocap_batch_*
 // counters and the nocap_batch_size gauge.
 //
-// -cluster turns the server into a cluster coordinator (DESIGN.md
-// §16): async job attempts dispatch to nocap-worker nodes over
-// /cluster/* (unencrypted HTTP/2) with lease-based reassignment —
-// a worker that dies mid-proof forfeits its lease after -lease-ttl and
-// the attempt is refunded and re-dispatched. With zero live workers the
-// coordinator proves in-process (-local-fallback, default) — on the
-// same -workers pool and tenant scheduler as every other prove — or
-// sheds new jobs with a typed 503 {"code":"no_workers"} and an EWMA
+// Every server with -data-dir dispatches async attempts through one
+// coordinator (DESIGN.md §16); -cluster exposes it to nocap-worker
+// nodes over /cluster/* (unencrypted HTTP/2) with lease-based
+// reassignment — a worker that dies mid-proof forfeits its lease after
+// -lease-ttl and the attempt is refunded and re-dispatched. With zero
+// live workers the coordinator proves in-process, exactly as a server
+// without -cluster always does (-local-fallback, default) — on the same
+// -workers pool and tenant scheduler as every other prove — or sheds
+// new jobs with a typed 503 {"code":"no_workers"} and an EWMA
 // Retry-After.
 // -cluster-key authenticates the worker plane.
 //
@@ -103,7 +104,7 @@ func run() error {
 	hash := flag.String("hash", "sha3", "hash engine for proving/verification: "+strings.Join(nocap.HashEngineNames(), "|"))
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 	dataDir := flag.String("data-dir", "", "durable job journal directory; enables the async /jobs API")
-	jobWorkers := flag.Int("job-workers", 0, "async job dispatchers (0 = jobs default)")
+	jobWorkers := flag.Int("job-workers", 0, "async job dispatchers (0 = 2, or 8 with -cluster)")
 	jobPending := flag.Int("job-pending", 0, "max non-terminal async jobs before 429 (0 = jobs default)")
 	jobAttempts := flag.Int("job-attempts", 0, "per-job attempt budget (0 = jobs default)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive internal failures that trip the job breaker (0 = jobs default)")
@@ -118,7 +119,7 @@ func run() error {
 	cacheMB := flag.Int("cache-mb", 64, "content-addressed proof cache budget, MB (0 disables)")
 	batchWindow := flag.Duration("batch-window", 0, "coalesce same-key async jobs arriving within this window into one batched attempt (0 disables; requires -data-dir)")
 	batchMax := flag.Int("batch-max", 8, "max jobs per coalesced batch")
-	clusterMode := flag.Bool("cluster", false, "coordinator mode: dispatch async jobs to nocap-worker nodes over /cluster/* (requires -data-dir)")
+	clusterMode := flag.Bool("cluster", false, "expose the coordinator: lease async jobs to nocap-worker nodes over /cluster/* (requires -data-dir)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "cluster assignment lease TTL; a lease not heartbeat-renewed within it is reassigned")
 	localFallback := flag.Bool("local-fallback", true, "with zero live workers, prove in-process; false sheds new jobs with a typed 503 {\"code\":\"no_workers\"}")
 	clusterKey := flag.String("cluster-key", "", "shared secret workers must present as X-Cluster-Key (empty = open worker plane)")
