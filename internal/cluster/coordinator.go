@@ -347,17 +347,17 @@ func (c *Coordinator) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, er
 // refund upstream), or nobody is left to take the result. Failure is
 // member-scoped: each outcome classifies independently.
 func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember) []jobs.BatchOutcome {
-	u := &unit{tenant: members[0].Spec.Tenant, members: members, res: make(chan unitResult, 1)}
-	if c.cfg.LocalityKey != nil {
-		u.key, _ = c.cfg.LocalityKey(members[0].Spec)
-	}
 	c.mu.Lock()
 	r := unitResult{local: c.localOKLocked()}
-	if !r.local {
-		c.enqueueLocked(u)
-	}
 	c.mu.Unlock()
 	if !r.local {
+		u := &unit{tenant: members[0].Spec.Tenant, members: members, res: make(chan unitResult, 1)}
+		if c.cfg.LocalityKey != nil {
+			u.key, _ = c.cfg.LocalityKey(members[0].Spec)
+		}
+		c.mu.Lock()
+		c.enqueueLocked(u)
+		c.mu.Unlock()
 		r = c.await(ctx, u)
 	}
 	if r.local {

@@ -378,10 +378,8 @@ type jobRec struct {
 	terminalAt      time.Time          // when the job terminalized (retention GC clock)
 	cancel          context.CancelFunc // set while an attempt runs
 	timer           *time.Timer        // pending retry / requeue timer
-	// shed: the pool shed this job's last attempt after its running
-	// record was journaled; the re-dispatch reuses that record.
-	shed bool
-	done chan struct{} // closed on terminal transition
+	shed            bool               // last attempt was shed after its running record was journaled; the re-dispatch reuses that record
+	done            chan struct{}      // closed on terminal transition
 }
 
 func (j *jobRec) terminal() bool { return j.state.Terminal() }
@@ -407,9 +405,8 @@ func (j *jobRec) info(maxAttempts int) JobInfo {
 // Manager is the durable job manager. Open constructs one; all methods
 // are safe for concurrent use.
 type Manager struct {
-	cfg Config
-	// unit is the executor every attempt runs through.
-	unit       BatchExec
+	cfg        Config
+	unit       BatchExec // the executor every attempt runs through
 	journal    *journal
 	breaker    *breaker
 	baseCtx    context.Context

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func journalSteps(t *testing.T, dir string) map[string][]string {
 		if err := json.Unmarshal(line, &r); err != nil {
 			t.Fatalf("journal line %q: %v", line, err)
 		}
-		steps[r.Job] = append(steps[r.Job], r.State+"/"+string(rune('0'+r.Attempt)))
+		steps[r.Job] = append(steps[r.Job], r.State+"/"+strconv.Itoa(r.Attempt))
 	}
 	return steps
 }
@@ -176,20 +177,19 @@ func TestStandaloneExposesNoCluster(t *testing.T) {
 			t.Errorf("POST %s: %d %s, want 404", path, status, body)
 		}
 	}
-	get := func(path string) string {
+	get := func(path string) (int, string) {
 		resp, err := client.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		data, _ := io.ReadAll(resp.Body)
-		if path == "/cluster/nodes" && resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s: %d, want 404", path, resp.StatusCode)
-		}
-		return string(data)
+		return resp.StatusCode, string(data)
 	}
-	get("/cluster/nodes")
-	if body := get("/healthz"); strings.Contains(body, "cluster") {
+	if status, _ := get("/cluster/nodes"); status != http.StatusNotFound {
+		t.Errorf("GET /cluster/nodes: %d, want 404", status)
+	}
+	if _, body := get("/healthz"); strings.Contains(body, "cluster") {
 		t.Errorf("standalone healthz mentions the cluster: %s", body)
 	}
 	h2c := new(http.Protocols)
@@ -202,7 +202,7 @@ func TestStandaloneExposesNoCluster(t *testing.T) {
 	if jr := pollJob(t, client, base, submitJob(t, client, base, ProveRequest{Circuit: "synthetic", N: 64})); jr.State != "done" {
 		t.Fatalf("standalone job: state %s (err %q), want done", jr.State, jr.Error)
 	}
-	if body := get("/metrics"); strings.Contains(body, "nocap_cluster_") {
+	if _, body := get("/metrics"); strings.Contains(body, "nocap_cluster_") {
 		t.Error("standalone /metrics carries nocap_cluster_* series")
 	}
 }
