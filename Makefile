@@ -14,7 +14,7 @@ FUZZ_TARGETS = \
 	./internal/sumcheck:FuzzRoundKernelParity \
 	./internal/ntt:FuzzNTTParity
 
-.PHONY: all build test vet staticcheck inline-check race chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
+.PHONY: all build test vet staticcheck inline-check race purego chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
 
 all: build test
 
@@ -51,6 +51,18 @@ inline-check:
 race:
 	$(GO) test -race ./...
 
+# The pure-Go datapath. The purego build has no assembly, so every
+# kernel runs its Go loop — the path of non-amd64 targets and of CPUs
+# without AVX-512F or AVX2 (DESIGN.md §9) — through the datapath
+# packages' own tests and the proof-byte golden, which must hold on
+# every path.
+PUREGO_PKGS = ./internal/cpu ./internal/field ./internal/ntt ./internal/kernel ./internal/sumcheck \
+	./internal/hashfn ./internal/keccak/... ./internal/spartan
+purego:
+	$(GO) build -tags purego ./...
+	$(GO) test -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego -run '^TestProofBytesGolden$$' .
+
 # Fault-injection chaos matrix under the race detector: every injection
 # point × {error, panic} with leak checking and clean-retry assertions,
 # plus the cancellation-timing sweeps and the pool/injector/leakcheck
@@ -65,7 +77,8 @@ chaos:
 bench-smoke:
 	$(GO) test -run '^$$' -bench Prove -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^Benchmark(Mul|VecScaleAdd|InnerProduct)$$' -benchtime 1x ./internal/field
-	$(GO) test -run '^$$' -bench '^BenchmarkForward' -benchtime 1x ./internal/ntt
+	$(GO) test -run '^$$' -bench '^Benchmark(Forward|ForwardPadded)$$' -benchtime 1x ./internal/ntt
+	$(GO) test -run '^$$' -bench '^Benchmark(PermuteX8|Compress64X8)$$' -benchtime 1x ./internal/keccak
 	$(GO) test -run '^$$' -bench '^BenchmarkRSEncodeRows$$' -benchtime 1x ./internal/kernel
 	$(GO) test -run '^$$' -bench '^BenchmarkRound(Cubic|Product|Generic)$$' -benchtime 1x ./internal/sumcheck
 
@@ -156,4 +169,4 @@ cluster-chaos:
 	$(GO) test -race -run 'TestClusterServer' ./internal/server
 	$(GO) run -race ./cmd/nocap-loadgen -cluster -requests 32 -clients 8 -n 256
 
-ci: vet staticcheck inline-check build test race chaos bench-smoke fuzz-smoke stats-race serve-smoke jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos
+ci: vet staticcheck inline-check build test race purego chaos bench-smoke fuzz-smoke stats-race serve-smoke jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos

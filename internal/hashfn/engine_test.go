@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nocap/internal/cpu"
 	"nocap/internal/field"
 )
 
@@ -70,41 +71,44 @@ func mustEngine(t *testing.T, id ID) Engine {
 	return e
 }
 
-// TestEngineCompressManyParity pins the multi-buffer engine against
-// crypto/sha3 across every batch size from 1 to 9 sibling pairs: the
-// aligned sizes (4, 8) exercise full interleaved passes on all 4 lanes,
-// the ragged sizes exercise the scalar tail, and every output position
-// is checked independently.
+// TestEngineCompressManyParity pins every batch datapath the machine
+// has (8-way, 4-way, scalar, forced through the cpu seam) against
+// crypto/sha3 across every batch size from 1 to 19 sibling pairs: the
+// aligned sizes exercise full interleaved passes, the others every
+// 8 → 4 → 1 cascade of tails, and every output position is checked
+// independently.
 func TestEngineCompressManyParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x4 := mustEngine(t, IDKeccakX4)
-	for pairs := 1; pairs <= 9; pairs++ {
-		prev := make([]Digest, 2*pairs)
-		for i := range prev {
-			rng.Read(prev[i][:])
-		}
-		got := make([]Digest, pairs)
-		x4.CompressMany(got, prev)
-		ref := make([]Digest, pairs)
-		Default().CompressMany(ref, prev)
-		for i := 0; i < pairs; i++ {
-			var cat [2 * Size]byte
-			copy(cat[:Size], prev[2*i][:])
-			copy(cat[Size:], prev[2*i+1][:])
-			want := Digest(sha3.Sum256(cat[:]))
-			if got[i] != want {
-				t.Fatalf("pairs=%d node %d: keccak-x4 disagrees with crypto/sha3", pairs, i)
+	cpu.Each(func(l cpu.Level) {
+		for pairs := 1; pairs <= 19; pairs++ {
+			prev := make([]Digest, 2*pairs)
+			for i := range prev {
+				rng.Read(prev[i][:])
 			}
-			if ref[i] != want {
-				t.Fatalf("pairs=%d node %d: sha3 engine disagrees with crypto/sha3", pairs, i)
+			got := make([]Digest, pairs)
+			x4.CompressMany(got, prev)
+			ref := make([]Digest, pairs)
+			Default().CompressMany(ref, prev)
+			for i := 0; i < pairs; i++ {
+				var cat [2 * Size]byte
+				copy(cat[:Size], prev[2*i][:])
+				copy(cat[Size:], prev[2*i+1][:])
+				want := Digest(sha3.Sum256(cat[:]))
+				if got[i] != want {
+					t.Fatalf("%v pairs=%d node %d: keccak-x4 disagrees with crypto/sha3", l, pairs, i)
+				}
+				if ref[i] != want {
+					t.Fatalf("%v pairs=%d node %d: sha3 engine disagrees with crypto/sha3", l, pairs, i)
+				}
 			}
 		}
-	}
+	})
 }
 
-// TestEngineSumManyParity covers the batched column hashing for aligned
-// and ragged groups, equal and unequal message lengths (unequal lengths
-// must fall back to the scalar sponge, not mishash).
+// TestEngineSumManyParity covers the batched column hashing on every
+// datapath for aligned and ragged groups, equal and unequal message
+// lengths (unequal lengths must finish on a narrower path, not mishash).
 func TestEngineSumManyParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x4 := mustEngine(t, IDKeccakX4)
@@ -115,21 +119,26 @@ func TestEngineSumManyParity(t *testing.T) {
 		{16, 300, 16, 16, 8, 8, 8, 8, 1120}, // ragged head group, aligned middle
 		{0, 0, 0, 0},
 		{136, 136, 136, 136, 137},
+		{64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64},             // 8 + 4 + 1
+		{8, 8, 8, 8, 8, 8, 8, 9, 8, 8, 8, 8, 8},                          // ragged 8-group, aligned 4-group
+		{272, 272, 272, 272, 272, 272, 272, 272, 5, 5, 5, 5, 5, 5, 5, 5}, // two 8-groups of different lengths
 	}
-	for _, lens := range lengthSets {
-		msgs := make([][]byte, len(lens))
-		for i, n := range lens {
-			msgs[i] = make([]byte, n)
-			rng.Read(msgs[i])
-		}
-		got := make([]Digest, len(msgs))
-		x4.SumMany(got, msgs)
-		for i := range msgs {
-			if want := Digest(sha3.Sum256(msgs[i])); got[i] != want {
-				t.Fatalf("lens=%v msg %d: keccak-x4 SumMany disagrees with crypto/sha3", lens, i)
+	cpu.Each(func(l cpu.Level) {
+		for _, lens := range lengthSets {
+			msgs := make([][]byte, len(lens))
+			for i, n := range lens {
+				msgs[i] = make([]byte, n)
+				rng.Read(msgs[i])
+			}
+			got := make([]Digest, len(msgs))
+			x4.SumMany(got, msgs)
+			for i := range msgs {
+				if want := Digest(sha3.Sum256(msgs[i])); got[i] != want {
+					t.Fatalf("%v lens=%v msg %d: keccak-x4 SumMany disagrees with crypto/sha3", l, lens, i)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestHashElemsMatchesEngines pins leaf packing across both engines and
@@ -167,14 +176,17 @@ func TestHashElemsNoAlloc(t *testing.T) {
 }
 
 // FuzzEngineParity is the differential fuzz target of the engine layer:
-// for arbitrary input bytes, every registered engine must agree with
-// crypto/sha3 on Sum, Hash2, CompressMany and SumMany outputs.
+// for arbitrary input bytes, every registered engine on every batch
+// datapath the machine has (8-way, 4-way, scalar) must agree with
+// crypto/sha3 on Sum, Hash2, CompressMany and SumMany outputs, for batch
+// sizes 1…20 (every 8 → 4 → 1 split of a batch).
 func FuzzEngineParity(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte("nocap"), uint8(4))
 	f.Add(bytes.Repeat([]byte{0xa5}, 300), uint8(9))
+	f.Add(bytes.Repeat([]byte{0x5a}, 1100), uint8(18))
 	f.Fuzz(func(t *testing.T, data []byte, batch uint8) {
-		n := 1 + int(batch)%9
+		n := 1 + int(batch)%20
 		// Derive n deterministic sibling pairs from the input.
 		prev := make([]Digest, 2*n)
 		for i := range prev {
@@ -189,34 +201,33 @@ func FuzzEngineParity(f *testing.F) {
 		}
 		// Split data into n equal-length messages plus one ragged tail.
 		msgs := make([][]byte, n)
-		chunk := 0
-		if n > 0 {
-			chunk = len(data) / n
-		}
+		chunk := len(data) / n
 		for i := range msgs {
 			msgs[i] = data[i*chunk : (i+1)*chunk]
 		}
 		if len(data) > 0 {
 			msgs = append(msgs, data)
 		}
-		for _, eng := range []Engine{Default(), keccakX4Engine{}} {
-			if got := eng.Sum(data); got != Digest(sha3.Sum256(data)) {
-				t.Fatalf("%s: Sum mismatch", eng.Name())
-			}
-			got := make([]Digest, n)
-			eng.CompressMany(got, prev)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: CompressMany node %d mismatch", eng.Name(), i)
+		cpu.Each(func(l cpu.Level) {
+			for _, eng := range []Engine{Default(), keccakX4Engine{}} {
+				if got := eng.Sum(data); got != Digest(sha3.Sum256(data)) {
+					t.Fatalf("%s/%v: Sum mismatch", eng.Name(), l)
+				}
+				got := make([]Digest, n)
+				eng.CompressMany(got, prev)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s/%v: CompressMany node %d mismatch", eng.Name(), l, i)
+					}
+				}
+				sums := make([]Digest, len(msgs))
+				eng.SumMany(sums, msgs)
+				for i := range msgs {
+					if sums[i] != Digest(sha3.Sum256(msgs[i])) {
+						t.Fatalf("%s/%v: SumMany msg %d mismatch", eng.Name(), l, i)
+					}
 				}
 			}
-			sums := make([]Digest, len(msgs))
-			eng.SumMany(sums, msgs)
-			for i := range msgs {
-				if sums[i] != Digest(sha3.Sum256(msgs[i])) {
-					t.Fatalf("%s: SumMany msg %d mismatch", eng.Name(), i)
-				}
-			}
-		}
+		})
 	})
 }

@@ -13,7 +13,11 @@
 // quad helpers compile to straight-line four-wide scalar code.
 package keccak
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"nocap/internal/cpu"
+)
 
 // quad holds one 64-bit lane from each of the four interleaved states.
 // It is a four-field struct rather than a [4]uint64 so the compiler's
@@ -75,11 +79,21 @@ func chi4(b0, b1, b2 quad) quad {
 	}
 }
 
-// Vectorized reports whether Permute runs on the AVX2 datapath. Callers
-// with a choice (hashfn's batch entry points) use the multi-buffer
-// sponge only then: the portable four-wide permutation is slower than
-// four scalar crypto/sha3 calls.
-func Vectorized() bool { return useAVX2 }
+// Lanes reports how many independent sponges the widest vectorized
+// permutation on this machine advances per pass: 8 with AVX-512F
+// (StateX8), 4 with AVX2 (StateX4), otherwise 1. Callers with a choice
+// (hashfn's batch entry points) use a multi-buffer sponge only at or
+// below this width: the portable multi-state permutations are slower
+// than one crypto/sha3 call per message.
+func Lanes() int {
+	switch {
+	case cpu.Has(cpu.AVX512):
+		return 8
+	case cpu.Has(cpu.AVX2):
+		return 4
+	}
+	return 1
+}
 
 // StateX4 is four independent 5×5 Keccak states in lane-interleaved
 // layout: StateX4[x+5y][k] is lane (x,y) of state k. The zero value is

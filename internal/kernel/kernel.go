@@ -58,12 +58,7 @@ func FoldCtx(ctx context.Context, evals []field.Element, r field.Element) []fiel
 	sp := BeginCtx(ctx, StageSumcheck)
 	half := len(evals) / 2
 	lo, hi := evals[:half], evals[half:]
-	par.For(half, func(from, to int) {
-		l, h := lo[from:to], hi[from:to]
-		for i, v := range l {
-			l[i] = field.MulAdd(r, field.Sub(h[i], v), v)
-		}
-	})
+	par.For(half, func(from, to int) { field.Fold(lo[from:to], hi[from:to], r) })
 	field.AddMulCount(uint64(half))
 	sp.End(half)
 	return lo
@@ -218,9 +213,9 @@ func MerkleLevelCtx(ctx context.Context, eng hashfn.Engine, dst, prev []hashfn.D
 }
 
 // columnGroup is how many columns each worker packs before one SumMany
-// call: the multi-buffer engine's interleave width, so every full group
-// is hashed in single interleaved passes.
-const columnGroup = 4
+// call: the widest batch datapath's lane count (the 8-way sponge), so
+// every full group fills all lanes of whichever datapath runs.
+const columnGroup = 8
 
 // ColumnLeavesCtx hashes every column of the row-major matrix rows into
 // leaves: leaves[j] = H(rows[0][j] ‖ rows[1][j] ‖ …). Every rows[r] must
@@ -228,7 +223,7 @@ const columnGroup = 4
 // each worker packs columnGroup equal-length columns into reused byte
 // buffers and hashes them through the engine's batch entry point, so the
 // loop allocates O(workers), not O(columns), and a multi-buffer engine
-// advances four columns per permutation pass.
+// advances a whole group of columns per permutation pass.
 func ColumnLeavesCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, rows [][]field.Element) error {
 	sp := BeginCtx(ctx, StageMerkle)
 	depth := len(rows)

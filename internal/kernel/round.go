@@ -16,9 +16,10 @@ import "nocap/internal/field"
 // Dataflow per point j, for every array x: the low and high halves
 // x[j], x[j+half] are read once; the difference d = hi − lo is hoisted;
 // the values at t = 0, 1 are lo, hi themselves and each further t adds d.
-// The outer multiply of every term goes into a delayed-reduction
-// accumulator (field.Acc) that lives in registers across the range and is
-// reduced once at the end.
+// The Go loop puts the outer multiply of every term into a delayed-
+// reduction accumulator (field.Acc) that lives in registers across the
+// range and is reduced once at the end; the 8-lane loop keeps one
+// canonical sum per lane and adds the eight lanes once at the end.
 //
 // The Fold variants first bind the previous round's challenge r: the
 // arrays still have their pre-fold length 4·half, and point j needs the
@@ -33,9 +34,12 @@ import "nocap/internal/field"
 // j, j+half, j+2·half, j+3·half and writes j and j+half, so disjoint
 // point ranges touch disjoint entries and ranges may run concurrently.
 //
-// The loops are pure (no spans, no context): the caller owns attribution
-// and cancellation. CubicMuls, ProductMuls and FoldMuls are their
-// multiply counts per point for the §III counter.
+// The arithmetic runs in internal/field's slice kernels (field.Fold,
+// field.CubicSums, field.ProductSums): eight lanes at a time where the
+// CPU has AVX-512F, the pure-Go loop otherwise. The loops are pure (no
+// spans, no context): the caller owns attribution and cancellation.
+// CubicMuls, ProductMuls and FoldMuls are their multiply counts per point
+// for the §III counter.
 
 const (
 	// CubicMuls is the number of 64-bit multiplies per point of
@@ -59,34 +63,15 @@ const fuseBlock = 256
 // both folded values of every point, stored at j and j+half.
 func foldRange(x []field.Element, r field.Element, half, lo, hi int) {
 	for k := 0; k < 2; k++ {
-		dst := x[k*half+lo : k*half+hi]
-		src := x[(k+2)*half+lo : (k+2)*half+hi]
-		src = src[:len(dst)]
-		for j, v := range dst {
-			dst[j] = field.MulAdd(r, field.Sub(src[j], v), v)
-		}
+		field.Fold(x[k*half+lo:k*half+hi], x[(k+2)*half+lo:(k+2)*half+hi], r)
 	}
 }
 
 // CubicRound returns Σ_{j∈[lo,hi)} eq·(a·b − c) evaluated at t = 0…3,
 // where each array of length 2·half contributes x[j] + t·(x[j+half] − x[j]).
 func CubicRound(eq, a, b, c []field.Element, half, lo, hi int) [4]field.Element {
-	var s0, s1, s2, s3 field.Acc
-	eL, eH := eq[lo:hi], eq[half+lo:half+hi]
-	aL, aH := a[lo:hi], a[half+lo:half+hi]
-	bL, bH := b[lo:hi], b[half+lo:half+hi]
-	cL, cH := c[lo:hi], c[half+lo:half+hi]
-	for j := range eL {
-		e0, e1, a0, a1, b0, b1, c0, c1 := eL[j], eH[j], aL[j], aH[j], bL[j], bH[j], cL[j], cH[j]
-		de, da, db, dc := field.Sub(e1, e0), field.Sub(a1, a0), field.Sub(b1, b0), field.Sub(c1, c0)
-		s0 = s0.AddMul(e0, field.Sub(field.Mul(a0, b0), c0))
-		s1 = s1.AddMul(e1, field.Sub(field.Mul(a1, b1), c1))
-		e1, a1, b1, c1 = field.Add(e1, de), field.Add(a1, da), field.Add(b1, db), field.Add(c1, dc)
-		s2 = s2.AddMul(e1, field.Sub(field.Mul(a1, b1), c1))
-		e1, a1, b1, c1 = field.Add(e1, de), field.Add(a1, da), field.Add(b1, db), field.Add(c1, dc)
-		s3 = s3.AddMul(e1, field.Sub(field.Mul(a1, b1), c1))
-	}
-	return [4]field.Element{s0.Reduce(), s1.Reduce(), s2.Reduce(), s3.Reduce()}
+	return field.CubicSums(eq[lo:hi], eq[half+lo:half+hi], a[lo:hi], a[half+lo:half+hi],
+		b[lo:hi], b[half+lo:half+hi], c[lo:hi], c[half+lo:half+hi])
 }
 
 // CubicFoldRound binds the previous challenge r into the four arrays
@@ -110,16 +95,7 @@ func CubicFoldRound(eq, a, b, c []field.Element, r field.Element, half, lo, hi i
 // ProductRound returns Σ_{j∈[lo,hi)} m·z evaluated at t = 0…2, with the
 // same array convention as CubicRound.
 func ProductRound(m, z []field.Element, half, lo, hi int) [3]field.Element {
-	var s0, s1, s2 field.Acc
-	mL, mH := m[lo:hi], m[half+lo:half+hi]
-	zL, zH := z[lo:hi], z[half+lo:half+hi]
-	for j := range mL {
-		m0, m1, z0, z1 := mL[j], mH[j], zL[j], zH[j]
-		s0 = s0.AddMul(m0, z0)
-		s1 = s1.AddMul(m1, z1)
-		s2 = s2.AddMul(field.Add(m1, field.Sub(m1, m0)), field.Add(z1, field.Sub(z1, z0)))
-	}
-	return [3]field.Element{s0.Reduce(), s1.Reduce(), s2.Reduce()}
+	return field.ProductSums(m[lo:hi], m[half+lo:half+hi], z[lo:hi], z[half+lo:half+hi])
 }
 
 // ProductFoldRound is ProductRound fused with the fold at r, with the

@@ -10,7 +10,7 @@ import (
 // uses so race tests can re-exercise the concurrent-first-use path
 // repeatedly.
 func resetStagesForTest(logN int) {
-	for s := 0; s <= logN-2; s++ {
+	for s := 0; s < logN; s++ {
 		stageCache[s].Store(nil)
 	}
 }

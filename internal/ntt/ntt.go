@@ -35,22 +35,21 @@ const FULanes = 64
 // L = 1 hold (trivially) transformed sub-vectors, and each pass merges
 // adjacent blocks until L = n. Passes are radix-4 — four blocks of length
 // L become one of length 4L, two butterfly stages in one sweep over the
-// vector — with a single radix-2 pass first when the number of stages is
-// odd. For w a primitive 4L-th root of unity, the radix-4 butterfly on
-// x0[j], x1[j], x2[j], x3[j] (the j-th entries of the four blocks) is
+// vector (field.Radix4Pass has the butterfly: three multiplies where two
+// radix-2 stages spend four, the fourth root of unity being a shift) —
+// with a single radix-2 pass last, at L = n/2, when the number of stages
+// is odd. Putting the odd stage last rather than first keeps every pass
+// of a Reed-Solomon encode (which starts at L = blowup = 4) at a block
+// length the 8-lane datapath fills; the stages run in the same order
+// either way, and the arithmetic is exact, so the output is identical.
 //
-//	a = x0[j]   b = x1[j]·w^2j   c = x2[j]·w^j   d = x3[j]·w^3j
-//	x0[j] = (a+b) + (c+d)        x2[j] = (a+b) − (c+d)
-//	x1[j] = (a−b) + (c−d)·ω₄     x3[j] = (a−b) − (c−d)·ω₄
-//
-// three multiplies where two radix-2 stages spend four, and ω₄ = 2^48 in
-// Goldilocks, so the fourth is a shift (field.MulPow2).
-//
-// Twiddles are stored per pass, contiguously, in the order the pass reads
-// them: stage level s (L = 2^s) holds the triples (w^j, w^2j, w^3j) for
-// j < L. A level depends only on L, not on n, so all transform sizes
-// share the same tables; a radix-2 pass at block length L reads the
-// middle entries (w^2j is the 2L-th root's j-th power).
+// Twiddles are stored per stage level s (L = 2^s), contiguously, as three
+// runs of L entries in the order the butterfly reads them: w^j, then
+// w^2j, then w^3j, with w the primitive 4L-th root of unity — so every
+// twiddle load of a pass is unit-stride. A level depends only on L, not
+// on n, so all transform sizes share the same tables; a radix-2 pass at
+// block length L reads the middle run (w^2j is the 2L-th root's j-th
+// power).
 
 // stageCache memoizes the per-level twiddle tables, one atomic slot per
 // level. A table is immutable once published, so the hot path is a single
@@ -69,13 +68,13 @@ var revCache [field.TwoAdicity + 1]atomic.Pointer[[]uint32]
 // Prepare precomputes the twiddle tables for size 1<<logN so later calls
 // at that size are allocation-free.
 func Prepare(logN int) {
-	for s := 0; s <= logN-2; s++ {
+	for s := 0; s < logN; s++ {
 		stageTable(s)
 	}
 }
 
-// stageTable returns level s: [w^j, w^2j, w^3j] for j < 2^s, with w the
-// primitive 2^(s+2)-th root of unity.
+// stageTable returns level s: the runs w^j, w^2j, w^3j for j < 2^s,
+// with w the primitive 2^(s+2)-th root of unity.
 func stageTable(s int) []field.Element {
 	if p := stageCache[s].Load(); p != nil {
 		return *p
@@ -86,7 +85,7 @@ func stageTable(s int) []field.Element {
 	w1 := field.One
 	for j := 0; j < l; j++ {
 		w2 := field.Square(w1)
-		t[3*j], t[3*j+1], t[3*j+2] = w1, w2, field.Mul(w1, w2)
+		t[j], t[l+j], t[2*l+j] = w1, w2, field.Mul(w1, w2)
 		w1 = field.Mul(w1, w)
 	}
 	if !stageCache[s].CompareAndSwap(nil, &t) {
@@ -210,49 +209,23 @@ func passes(ctx context.Context, v []field.Element, done int) error {
 	n := len(v)
 	logN := bits.TrailingZeros(uint(n))
 	muls := 0
-	if (logN-done)%2 == 1 {
-		radix2Pass(v, 1<<done, stageTable(done))
-		muls += n / 2
-		done++
-	}
-	for ; done < logN; done += 2 {
+	for ; done+2 <= logN; done += 2 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		radix4Pass(v, 1<<done, stageTable(done))
+		field.Radix4Pass(v, 1<<done, stageTable(done))
 		muls += 3 * n / 4
+	}
+	if done < logN {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		l := 1 << done
+		field.Radix2Pass(v, l, stageTable(done)[l:2*l])
+		muls += n / 2
 	}
 	field.AddMulCount(uint64(muls))
 	return nil
-}
-
-// radix2Pass merges pairs of length-l blocks; tw is stage level log2(l).
-func radix2Pass(v []field.Element, l int, tw []field.Element) {
-	for base := 0; base < len(v); base += 2 * l {
-		x0, x1 := v[base:base+l], v[base+l:base+2*l]
-		for j := range x0 {
-			lo, hi := x0[j], field.Mul(x1[j], tw[3*j+1])
-			x0[j], x1[j] = field.Add(lo, hi), field.Sub(lo, hi)
-		}
-	}
-}
-
-// radix4Pass merges quadruples of length-l blocks; tw is stage level
-// log2(l). See the schedule comment for the butterfly.
-func radix4Pass(v []field.Element, l int, tw []field.Element) {
-	tw = tw[:3*l]
-	for base := 0; base < len(v); base += 4 * l {
-		x0, x1 := v[base:base+l], v[base+l:base+2*l]
-		x2, x3 := v[base+2*l:base+3*l], v[base+3*l:base+4*l]
-		for j := range x0 {
-			a, b := x0[j], field.Mul(x1[j], tw[3*j+1])
-			c, d := field.Mul(x2[j], tw[3*j]), field.Mul(x3[j], tw[3*j+2])
-			e0, e1 := field.Add(a, b), field.Sub(a, b)
-			f0, f1 := field.Add(c, d), field.MulPow2(field.Sub(c, d), 48)
-			x0[j], x1[j] = field.Add(e0, f0), field.Add(e1, f1)
-			x2[j], x3[j] = field.Sub(e0, f0), field.Sub(e1, f1)
-		}
-	}
 }
 
 // Inverse computes the in-place inverse cyclic NTT of v, the inverse of

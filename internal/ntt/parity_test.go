@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"nocap/internal/cpu"
 	"nocap/internal/field"
 )
 
@@ -34,12 +35,14 @@ func equalVec(t *testing.T, what string, got, want []field.Element) {
 	}
 }
 
-// FuzzNTTParity is the differential fuzz target of the transform: the
-// radix-4 schedule against the O(n²) DFT for n ≤ 2^8 and against the
-// retained radix-2 transform up to 2^14; the zero-padded entry point
-// against the full transform of the padded vector for blowup 1, 2, 4, 8
-// (including message lengths that are not powers of two, and dirty
-// destination buffers); and Inverse∘Forward = id.
+// FuzzNTTParity is the differential fuzz target of the transform, run on
+// every datapath the machine has (the 8-lane passes and the pure-Go
+// loops, forced through the cpu seam): the radix-4 schedule against the
+// O(n²) DFT for n ≤ 2^8 and against the retained radix-2 transform up to
+// 2^14; the zero-padded entry point against the full transform of the
+// padded vector for blowup 1, 2, 4, 8 (including message lengths that are
+// not powers of two or multiples of 8, and dirty destination buffers);
+// and Inverse∘Forward = id.
 func FuzzNTTParity(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint16(0))
 	f.Add(int64(2), uint8(1), uint16(1))
@@ -47,36 +50,38 @@ func FuzzNTTParity(f *testing.F) {
 	f.Add(int64(4), uint8(8), uint16(200))
 	f.Add(int64(5), uint8(13), uint16(2048))
 	f.Add(int64(6), uint8(14), uint16(5000))
+	f.Add(int64(7), uint8(11), uint16(3))
 	f.Fuzz(func(t *testing.T, seed int64, logN uint8, msgLen uint16) {
 		n := int(logN) % 15
 		v := parityVec(seed, n, 1<<n)
-
-		got := append([]field.Element(nil), v...)
-		Forward(got)
 		want := append([]field.Element(nil), v...)
 		forwardRadix2(want)
-		equalVec(t, "Forward vs radix-2", got, want)
 		if n <= 8 {
-			equalVec(t, "Forward vs DFT", got, naiveDFT(v))
+			equalVec(t, "radix-2 reference vs DFT", want, naiveDFT(v))
 		}
-		Inverse(got)
-		equalVec(t, "Inverse∘Forward", got, v)
+		cpu.Each(func(l cpu.Level) {
+			got := append([]field.Element(nil), v...)
+			Forward(got)
+			equalVec(t, "Forward vs radix-2 on "+l.String(), got, want)
+			Inverse(got)
+			equalVec(t, "Inverse∘Forward on "+l.String(), got, v)
 
-		for _, blowup := range []int{1, 2, 4, 8} {
-			if blowup > len(v) {
-				break
+			for _, blowup := range []int{1, 2, 4, 8} {
+				if blowup > len(v) {
+					break
+				}
+				m := len(v) / blowup
+				msg := v[:m-int(msgLen)%m] // in (0, m]: also the non-power-of-two lengths
+				padded := make([]field.Element, len(v))
+				copy(padded, msg)
+				forwardRadix2(padded)
+				dst := parityVec(seed+1, n, 1<<n) // dirty scratch
+				if err := ForwardPaddedCtx(context.Background(), dst, msg); err != nil {
+					t.Fatal(err)
+				}
+				equalVec(t, "padded entry vs full transform on "+l.String(), dst, padded)
 			}
-			m := len(v) / blowup
-			msg := v[:m-int(msgLen)%m] // in (0, m]: also the non-power-of-two lengths
-			padded := make([]field.Element, len(v))
-			copy(padded, msg)
-			Forward(padded)
-			dst := parityVec(seed+1, n, 1<<n) // dirty scratch
-			if err := ForwardPaddedCtx(context.Background(), dst, msg); err != nil {
-				t.Fatal(err)
-			}
-			equalVec(t, "padded entry vs full transform", dst, padded)
-		}
+		})
 	})
 }
 

@@ -16,19 +16,20 @@ import (
 // racer must end up with the same backing array — and that the published
 // table is correct.
 func TestTwiddleConcurrentFirstUse(t *testing.T) {
-	const level = 11 // the last pass of a 2^13-point transform
+	const level = 12 // the radix-2 pass of a 2^13-point transform
 	workers := 4 * runtime.GOMAXPROCS(0)
 	if workers < 8 {
 		workers = 8
 	}
 
-	// Serial reference, computed before any concurrent access: the
-	// triples (w^j, w^2j, w^3j) of the 2^(level+2)-th root.
+	// Serial reference, computed before any concurrent access: the runs
+	// w^j, w^2j, w^3j of the 2^(level+2)-th root.
 	w := field.RootOfUnity(level + 2)
-	want := make([]field.Element, 3<<level)
-	for j := 0; j < 1<<level; j++ {
+	const l = 1 << level
+	want := make([]field.Element, 3*l)
+	for j := 0; j < l; j++ {
 		wj := field.Exp(w, uint64(j))
-		want[3*j], want[3*j+1], want[3*j+2] = wj, field.Square(wj), field.Mul(wj, field.Square(wj))
+		want[j], want[l+j], want[2*l+j] = wj, field.Square(wj), field.Mul(wj, field.Square(wj))
 	}
 
 	for round := 0; round < 25; round++ {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nocap/internal/cpu"
 	"nocap/internal/field"
 	"nocap/internal/kernel"
 	"nocap/internal/poly"
@@ -72,17 +73,28 @@ func referenceRound(arrays [][]field.Element, r *field.Element, degree int, comb
 	return arrays, sums
 }
 
-// checkKernelRound compares one round of the dedicated loops, cut at an
-// arbitrary point into two ranges, against referenceRound: the round
-// polynomial and (for the fused variant) the folded arrays.
-func checkKernelRound(t *testing.T, arrays [][]field.Element, r *field.Element, cut int) {
+// pureGo runs f on the pure-Go loops whatever datapath the caller is
+// testing: the references are computed there.
+func pureGo(f func()) {
+	defer cpu.Cap(cpu.Scalar)()
+	f()
+}
+
+// checkKernelRound compares one round of the dedicated loops on the
+// current datapath, cut at an arbitrary point into two ranges (so range
+// lengths that do and do not fill the vector lanes), against
+// referenceRound on the pure-Go loops: the round polynomial and (for the
+// fused variant) the folded arrays.
+func checkKernelRound(t *testing.T, l cpu.Level, arrays [][]field.Element, r *field.Element, cut int) {
 	t.Helper()
 	cubic := len(arrays) == 4
 	degree, combine := 2, Combiner(productCombine)
 	if cubic {
 		degree, combine = 3, cubicCombine
 	}
-	want, wantSums := referenceRound(cloneArrays(arrays), r, degree, combine)
+	var want [][]field.Element
+	var wantSums []field.Element
+	pureGo(func() { want, wantSums = referenceRound(cloneArrays(arrays), r, degree, combine) })
 	got := cloneArrays(arrays)
 	half := len(got[0]) / 2
 	if r != nil {
@@ -110,22 +122,22 @@ func checkKernelRound(t *testing.T, arrays [][]field.Element, r *field.Element, 
 	}
 	for i := range sums {
 		if sums[i] != wantSums[i] {
-			t.Fatalf("%d arrays, n=%d, fold=%v, cut=%d: g(%d) = %v, want %v", len(arrays), len(arrays[0]), r != nil, cut, i, sums[i], wantSums[i])
+			t.Fatalf("%v: %d arrays, n=%d, fold=%v, cut=%d: g(%d) = %v, want %v", l, len(arrays), len(arrays[0]), r != nil, cut, i, sums[i], wantSums[i])
 		}
 	}
 	for k := range want {
 		for i, w := range want[k] {
 			if got[k][i] != w {
-				t.Fatalf("%d arrays, n=%d, cut=%d: folded array %d differs at %d", len(arrays), len(arrays[0]), cut, k, i)
+				t.Fatalf("%v: %d arrays, n=%d, cut=%d: folded array %d differs at %d", l, len(arrays), len(arrays[0]), cut, k, i)
 			}
 		}
 	}
 }
 
-// checkProtocol runs the dedicated prover and the generic Combiner prover
-// on the same arrays and requires identical round polynomials,
-// challenges and finals.
-func checkProtocol(t *testing.T, arrays [][]field.Element) {
+// checkProtocol runs the dedicated prover on the current datapath and
+// the generic Combiner prover on the pure-Go loops on the same arrays and
+// requires identical round polynomials, challenges and finals.
+func checkProtocol(t *testing.T, l cpu.Level, arrays [][]field.Element) {
 	t.Helper()
 	mles := make([]*poly.MLE, len(arrays))
 	for k, x := range cloneArrays(arrays) {
@@ -136,7 +148,11 @@ func checkProtocol(t *testing.T, arrays [][]field.Element) {
 		degree, combine = 3, cubicCombine
 	}
 	claim := field.New(12345) // any claim: the prover does not check it
-	wantProof, wantR, wantFinals := Prove(transcript.New("parity"), "sc", claim, mles, degree, combine)
+	var wantProof *Proof
+	var wantR, wantFinals []field.Element
+	pureGo(func() {
+		wantProof, wantR, wantFinals = Prove(transcript.New("parity"), "sc", claim, mles, degree, combine)
+	})
 
 	a := cloneArrays(arrays)
 	var proof *Proof
@@ -153,16 +169,16 @@ func checkProtocol(t *testing.T, arrays [][]field.Element) {
 	for i := range wantProof.RoundPolys {
 		for j, w := range wantProof.RoundPolys[i] {
 			if proof.RoundPolys[i][j] != w {
-				t.Fatalf("%d arrays, n=%d: round %d g(%d) = %v, want %v", len(arrays), len(arrays[0]), i, j, proof.RoundPolys[i][j], w)
+				t.Fatalf("%v: %d arrays, n=%d: round %d g(%d) = %v, want %v", l, len(arrays), len(arrays[0]), i, j, proof.RoundPolys[i][j], w)
 			}
 		}
 		if r[i] != wantR[i] {
-			t.Fatalf("round %d challenge diverged", i)
+			t.Fatalf("%v: round %d challenge diverged", l, i)
 		}
 	}
 	for k := range wantFinals {
 		if finals[k] != wantFinals[k] {
-			t.Fatalf("final %d = %v, want %v", k, finals[k], wantFinals[k])
+			t.Fatalf("%v: final %d = %v, want %v", l, k, finals[k], wantFinals[k])
 		}
 	}
 }
@@ -170,9 +186,12 @@ func checkProtocol(t *testing.T, arrays [][]field.Element) {
 // FuzzRoundKernelParity is the differential fuzz target of the sumcheck
 // datapath: the cubic and product loops — unfused (round 0) and fused
 // with the fold, cut into ranges at arbitrary points, serial and fanned
-// out — must agree with the generic Combiner loop on round polynomials,
+// out, on every datapath the machine has (the 8-lane kernels and the
+// pure-Go loops, forced through the cpu seam) — must agree with the
+// generic Combiner loop on the pure-Go loops on round polynomials,
 // challenges, finals and folded arrays, for sizes 2…2^15 (both sides of
-// the worker-pool threshold and of the fuse and cancellation block sizes).
+// the worker-pool threshold, of the fuse and cancellation block sizes and
+// of the lane width).
 func FuzzRoundKernelParity(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(0), uint16(0))
 	f.Add(int64(2), uint8(2), uint8(0xff), uint16(1))
@@ -185,15 +204,17 @@ func FuzzRoundKernelParity(f *testing.F) {
 		r := field.New(uint64(seed) * 0x9e3779b97f4a7c15)
 		for _, count := range []int{4, 2} {
 			arrays := parityArrays(seed, n, pattern, count)
-			checkKernelRound(t, arrays, nil, int(cut))
-			if n >= 2 {
-				checkKernelRound(t, arrays, &r, int(cut))
-			}
-			for _, procs := range []int{1, 4} {
-				old := runtime.GOMAXPROCS(procs)
-				checkProtocol(t, arrays)
-				runtime.GOMAXPROCS(old)
-			}
+			cpu.Each(func(l cpu.Level) {
+				checkKernelRound(t, l, arrays, nil, int(cut))
+				if n >= 2 {
+					checkKernelRound(t, l, arrays, &r, int(cut))
+				}
+				for _, procs := range []int{1, 4} {
+					old := runtime.GOMAXPROCS(procs)
+					checkProtocol(t, l, arrays)
+					runtime.GOMAXPROCS(old)
+				}
+			})
 		}
 	})
 }
