@@ -12,7 +12,10 @@ FUZZ_TARGETS = \
 	./internal/cluster:FuzzClusterRPC \
 	./internal/hashfn:FuzzEngineParity \
 	./internal/sumcheck:FuzzRoundKernelParity \
-	./internal/ntt:FuzzNTTParity
+	./internal/ntt:FuzzNTTParity \
+	./internal/r1cs:FuzzMatrixEvalsParity \
+	./internal/kernel:FuzzEqExpandParity \
+	./internal/merkle:FuzzMerkleVerifyManyParity
 
 .PHONY: all build test vet staticcheck inline-check race purego chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
 
@@ -57,7 +60,7 @@ race:
 # packages' own tests and the proof-byte golden, which must hold on
 # every path.
 PUREGO_PKGS = ./internal/cpu ./internal/field ./internal/ntt ./internal/kernel ./internal/sumcheck \
-	./internal/hashfn ./internal/keccak/... ./internal/spartan
+	./internal/hashfn ./internal/keccak/... ./internal/spartan ./internal/r1cs ./internal/pcs ./internal/merkle
 purego:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego $(PUREGO_PKGS)
@@ -76,10 +79,12 @@ chaos:
 # measurement run.
 bench-smoke:
 	$(GO) test -run '^$$' -bench Prove -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkVerify$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkMatrixEvals$$' -benchtime 1x ./internal/r1cs
 	$(GO) test -run '^$$' -bench '^Benchmark(Mul|VecScaleAdd|InnerProduct)$$' -benchtime 1x ./internal/field
 	$(GO) test -run '^$$' -bench '^Benchmark(Forward|ForwardPadded)$$' -benchtime 1x ./internal/ntt
 	$(GO) test -run '^$$' -bench '^Benchmark(PermuteX8|Compress64X8)$$' -benchtime 1x ./internal/keccak
-	$(GO) test -run '^$$' -bench '^BenchmarkRSEncodeRows$$' -benchtime 1x ./internal/kernel
+	$(GO) test -run '^$$' -bench '^Benchmark(RSEncodeRows|EqExpand)$$' -benchtime 1x ./internal/kernel
 	$(GO) test -run '^$$' -bench '^BenchmarkRound(Cubic|Product|Generic)$$' -benchtime 1x ./internal/sumcheck
 
 # The repository's one benchmark (BENCHMARK.json; benchmark/README.md has

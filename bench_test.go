@@ -200,3 +200,22 @@ func BenchmarkRealVerifier(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVerify measures verification of a 2^16-constraint synthetic
+// proof under the paper's parameters (3 repetitions, 128 rows, ZK on) —
+// the statement behind the benchmark's verify_p50_ms on lib-prove-2p16.
+func BenchmarkVerify(b *testing.B) {
+	b.ReportAllocs()
+	bm := nocap.Synthetic(1 << 16)
+	params := nocap.FitParams(nocap.DefaultParams(), bm.Inst)
+	proof, err := nocap.Prove(params, bm.Inst, bm.IO, bm.Witness)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := nocap.Verify(params, bm.Inst, bm.IO, proof); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nocap"
+	"nocap/internal/arena"
 	"nocap/internal/faultinject"
 	"nocap/internal/leakcheck"
 	"nocap/internal/zkerr"
@@ -138,9 +139,9 @@ func TestCancelSweepInjectionPointBased(t *testing.T) {
 
 	for seed := int64(0); seed < 10; seed++ {
 		plan, err := faultinject.RandomPlan(seed, trace, []faultinject.Kind{faultinject.Hook})
-	if err != nil {
-		t.Fatalf("RandomPlan(seed %d): %v", seed, err)
-	}
+		if err != nil {
+			t.Fatalf("RandomPlan(seed %d): %v", seed, err)
+		}
 		t.Run(plan.Point, func(t *testing.T) {
 			defer faultinject.Disarm()
 			snap := leakcheck.Take()
@@ -173,6 +174,77 @@ func TestCancelSweepInjectionPointBased(t *testing.T) {
 			snap.Check(t)
 			if err := prove(context.Background()); err != nil {
 				t.Fatalf("clean retry after hook cancel failed: %v", err)
+			}
+		})
+	}
+}
+
+// TestCancelVerifyInsideFanOuts cancels VerifyCtx from inside each of
+// the verifier's fan-outs: the matrix pass of the final Spartan check
+// and the batched column check of the opening. A recorded clean verify
+// locates the first worker chunk after each stage's checkpoint, and a
+// Hook plan on that chunk's "par.worker" hit cancels the context while
+// the fan-out is in flight. The verify must return context.Canceled
+// promptly, with no goroutine left behind and every arena checkout of the
+// run returned.
+func TestCancelVerifyInsideFanOuts(t *testing.T) {
+	bm := nocap.Synthetic(1 << 13)
+	params := nocap.FitParams(nocap.DefaultParams(), bm.Inst)
+	proof, err := nocap.Prove(params, bm.Inst, bm.IO, bm.Witness)
+	if err != nil {
+		t.Fatalf("prove: %v", err)
+	}
+	verify := func(ctx context.Context) error {
+		return nocap.VerifyCtx(ctx, params, bm.Inst, bm.IO, proof)
+	}
+	trace := recordPoints(t, func() error { return verify(context.Background()) })
+
+	for _, stage := range []string{"spartan.verify.matrixevals", "pcs.verify.columns"} {
+		t.Run(stage, func(t *testing.T) {
+			var trigger, workerHits uint64
+			seen := false
+			for _, p := range trace {
+				seen = seen || p == stage
+				if p == "par.worker" {
+					workerHits++
+					if seen {
+						trigger = workerHits
+						break
+					}
+				}
+			}
+			if trigger == 0 {
+				t.Fatalf("no worker chunk after %s in the recorded verify", stage)
+			}
+			defer faultinject.Disarm()
+			snap := leakcheck.Take()
+			runArena := &arena.Collector{}
+			ctx, cancel := context.WithCancel(arena.WithCollector(context.Background(), runArena))
+			defer cancel()
+			var cancelledAt time.Time
+			faultinject.MustArm(faultinject.Plan{Point: "par.worker", Kind: faultinject.Hook, Trigger: trigger, Hook: func() error {
+				cancelledAt = time.Now()
+				cancel()
+				return nil
+			}})
+			err := verify(ctx)
+			returned := time.Now()
+			if !faultinject.Fired() {
+				t.Fatalf("hook at par.worker hit %d never fired", trigger)
+			}
+			faultinject.Disarm()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("verify cancelled inside the fan-out after %s returned %v", stage, err)
+			}
+			if lag := returned.Sub(cancelledAt); lag > cancelReturnBudget {
+				t.Fatalf("verifier ran %v past cancellation (budget %v)", lag, cancelReturnBudget)
+			}
+			snap.Check(t)
+			if st := runArena.Snapshot(); st.Outstanding != 0 || st.Gets == 0 {
+				t.Fatalf("arena after cancelled verify: %d gets, %d outstanding", st.Gets, st.Outstanding)
+			}
+			if err := verify(context.Background()); err != nil {
+				t.Fatalf("clean verify after cancellation failed: %v", err)
 			}
 		})
 	}

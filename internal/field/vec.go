@@ -91,6 +91,26 @@ func Fold(x, y []Element, r Element) {
 	}
 }
 
+// EqSplit is one doubling step of an eq-table expansion: every entry
+// t = lo[i] splits into hi[i] = t·r and lo[i] = t − t·r = t·(1 − r).
+// len(hi) must equal len(lo).
+func EqSplit(lo, hi []Element, r Element) {
+	if len(hi) != len(lo) {
+		panic("field: eq split length mismatch")
+	}
+	n := 0
+	if vec8() {
+		if n = len(lo) &^ 7; n > 0 {
+			eqSplit8(&lo[0], &hi[0], n, r)
+		}
+	}
+	lo, hi = lo[n:], hi[n:len(lo)]
+	for i, t := range lo {
+		hi[i] = Mul(t, r)
+		lo[i] = Sub(t, hi[i])
+	}
+}
+
 // CubicSums returns Σ_j e·(a·b − c) evaluated at t = 0, 1, 2, 3, where
 // each of e, a, b, c contributes x0[j] + t·(x1[j] − x0[j]) — the round
 // polynomial of Spartan's outer sumcheck over a range of points

@@ -17,6 +17,9 @@ func radix2x8(v *Element, n int, l int, w *Element)
 func fold8(x *Element, y *Element, n int, r Element)
 
 //go:noescape
+func eqSplit8(lo *Element, hi *Element, n int, r Element)
+
+//go:noescape
 func cubicSums8(e0 *Element, e1 *Element, a0 *Element, a1 *Element, b0 *Element, b1 *Element, c0 *Element, c1 *Element, n int, sums *[4][8]Element)
 
 //go:noescape

@@ -230,6 +230,30 @@ foldloop:
 	VZEROUPPER
 	RET
 
+// func eqSplit8(lo *Element, hi *Element, n int, r Element)
+// hi[i] = lo[i]·r, lo[i] = lo[i] − hi[i] for i < n; n is a positive
+// multiple of 8.
+TEXT ·eqSplit8(SB), NOSPLIT, $0-32
+	MOVQ         lo+0(FP), DI
+	MOVQ         hi+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VPBROADCASTQ r+24(FP), Z4
+	LOAD_EPS
+	SHLQ         $3, CX
+	XORQ         DX, DX
+
+eqsplitloop:
+	VMOVDQU64 (DI)(DX*1), Z0
+	MUL(Z0, Z4, Z1, Z8, Z9, Z10, Z11)
+	SUB(Z0, Z1, Z0)
+	VMOVDQU64 Z1, (SI)(DX*1)
+	VMOVDQU64 Z0, (DI)(DX*1)
+	ADDQ      $64, DX
+	CMPQ      DX, CX
+	JNE       eqsplitloop
+	VZEROUPPER
+	RET
+
 // CUBIC_TERM adds e·(a·b − c) into the lane accumulator s.
 #define CUBIC_TERM(e, a, b, c, s) \
 	MUL(a, b, Z12, Z8, Z9, Z10, Z11);   \

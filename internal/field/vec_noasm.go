@@ -13,6 +13,8 @@ func radix2x8(*Element, int, int, *Element) { panic("unreachable") }
 
 func fold8(*Element, *Element, int, Element) { panic("unreachable") }
 
+func eqSplit8(*Element, *Element, int, Element) { panic("unreachable") }
+
 func cubicSums8(_, _, _, _, _, _, _, _ *Element, _ int, _ *[4][8]Element) { panic("unreachable") }
 
 func productSums8(_, _, _, _ *Element, _ int, _ *[3][8]Element) { panic("unreachable") }

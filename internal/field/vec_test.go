@@ -124,6 +124,11 @@ func TestKernelsMatchGoLoops(t *testing.T) {
 			Fold(z, y, r)
 			return fmt.Sprint(z)
 		})
+		eachPath(t, fmt.Sprintf("EqSplit n=%d", n), func() string {
+			lo, hi := append([]Element(nil), x...), make([]Element, n)
+			EqSplit(lo, hi, r)
+			return fmt.Sprint(lo, hi)
+		})
 		a := make([][]Element, 8)
 		for k := range a {
 			a[k] = vecOperands(rng, n)

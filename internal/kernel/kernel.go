@@ -19,6 +19,7 @@ package kernel
 
 import (
 	"context"
+	"encoding/binary"
 
 	"nocap/internal/field"
 	"nocap/internal/hashfn"
@@ -78,7 +79,8 @@ func EqExpand(table []field.Element, r []field.Element) {
 // The table is built from the last variable to the first: after k steps
 // table[:2^k] is the eq table of the last k variables, and the next
 // variable becomes the new high bit — entry i splits into t·(1−rk) at i
-// and t·rk at i+size. Each step reads and writes entry pairs (i, i+size)
+// and t·rk at i+size (field.EqSplit, on eight lanes where the CPU has
+// them). Each step reads and writes entry pairs (i, i+size)
 // independently, so the large final doublings fan out across the worker
 // pool. Every entry is the same product of L factors whichever order
 // they are multiplied in, so the table is identical to a first-to-last
@@ -92,11 +94,7 @@ func EqExpandCtx(ctx context.Context, table []field.Element, r []field.Element) 
 	size := 1
 	var rk field.Element
 	step := func(from, to int) { // one closure for all steps: size and rk are read at call time
-		l, h := table[from:to], table[size+from:size+to]
-		for i, t := range l {
-			h[i] = field.Mul(t, rk)
-			l[i] = field.Sub(t, h[i])
-		}
+		field.EqSplit(table[from:to], table[size+from:size+to], rk)
 	}
 	for k := len(r) - 1; k >= 0; k-- {
 		rk = r[k]
@@ -225,25 +223,49 @@ const columnGroup = 8
 // loop allocates O(workers), not O(columns), and a multi-buffer engine
 // advances a whole group of columns per permutation pass.
 func ColumnLeavesCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, rows [][]field.Element) error {
+	return leavesCtx(ctx, eng, leaves, len(rows), func(dst []byte, j int) {
+		for r, row := range rows {
+			binary.LittleEndian.PutUint64(dst[8*r:], row[j].Uint64())
+		}
+	})
+}
+
+// HashColumnsCtx is ColumnLeavesCtx over columns that are already
+// contiguous — a verifier's opened columns: leaves[q] = H(cols[q]), the
+// digest hashfn.HashElems gives, through the same groups and batch entry
+// point. Every cols[q] must have the same length and len(cols) must equal
+// len(leaves).
+func HashColumnsCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, cols [][]field.Element) error {
+	if len(cols) != len(leaves) {
+		panic("kernel: column count mismatch")
+	}
+	if len(cols) == 0 {
+		return nil
+	}
+	depth := len(cols[0])
+	for _, col := range cols {
+		if len(col) != depth {
+			panic("kernel: ragged columns")
+		}
+	}
+	return leavesCtx(ctx, eng, leaves, depth, func(dst []byte, q int) { hashfn.PutElems(dst, cols[q]) })
+}
+
+// leavesCtx is the shared body of the leaf kernels: pack(dst, j) writes
+// column j's depth elements into dst, and every group of columnGroup
+// packed columns is hashed by one SumMany.
+func leavesCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, depth int, pack func(dst []byte, j int)) error {
 	sp := BeginCtx(ctx, StageMerkle)
-	depth := len(rows)
 	err := par.ForErrCtx(ctx, len(leaves), func(lo, hi int) error {
-		col := make([]field.Element, depth)
 		flat := make([]byte, columnGroup*8*depth)
 		var msgs [columnGroup][]byte
 		for k := range msgs {
 			msgs[k] = flat[8*depth*k : 8*depth*(k+1)]
 		}
 		for j := lo; j < hi; j += columnGroup {
-			m := columnGroup
-			if hi-j < m {
-				m = hi - j
-			}
+			m := min(columnGroup, hi-j)
 			for k := 0; k < m; k++ {
-				for r, row := range rows {
-					col[r] = row[j+k]
-				}
-				hashfn.PutElems(msgs[k], col)
+				pack(msgs[k], j+k)
 			}
 			eng.SumMany(leaves[j:j+m], msgs[:m])
 		}

@@ -33,11 +33,6 @@ func LeafOfColumn(col []field.Element) hashfn.Digest {
 	return hashfn.HashElems(col)
 }
 
-// LeafOfColumnEngine is LeafOfColumn under an explicit hash engine.
-func LeafOfColumnEngine(eng hashfn.Engine, col []field.Element) hashfn.Digest {
-	return eng.HashElems(col)
-}
-
 // New builds a tree over the given leaves. The number of leaves must be a
 // power of two and non-zero. An injected fault (chaos tests only)
 // escapes as a panic contained by the caller's zkerr boundary;
@@ -137,20 +132,64 @@ func Verify(root hashfn.Digest, leaf hashfn.Digest, p Path) error {
 }
 
 // VerifyEngine is Verify under an explicit hash engine (the engine the
-// tree was built with; the verifier takes it from its agreed params).
+// tree was built with; the verifier takes it from its agreed params). It
+// is the one-path case of VerifyManyEngine.
 func VerifyEngine(eng hashfn.Engine, root hashfn.Digest, leaf hashfn.Digest, p Path) error {
-	h := leaf
-	idx := p.Index
-	for _, sib := range p.Siblings {
-		if idx&1 == 0 {
-			h = eng.Hash2(h, sib)
-		} else {
-			h = eng.Hash2(sib, h)
+	var errs [1]error
+	VerifyManyEngine(eng, root, []hashfn.Digest{leaf}, []Path{p}, errs[:])
+	return errs[0]
+}
+
+// VerifyManyEngine checks every paths[i] against leaves[i] under root and
+// sets errs[i] to nil where the path authenticates and to
+// ErrPathMismatch where it does not. The paths are walked level by level
+// with one batch compression (eng.CompressMany) over every path still
+// climbing at that depth, so a multi-buffer engine hashes many paths per
+// permutation pass. Each path's own walk is exactly the scalar one: one
+// 2-to-1 hash per sibling, its index shifted right per level, and a
+// match only if it ends at root with the index used up — a path of any
+// length, even a hostile one, gets the verdict a lone walk would give.
+// leaves, paths and errs must have the same length.
+func VerifyManyEngine(eng hashfn.Engine, root hashfn.Digest, leaves []hashfn.Digest, paths []Path, errs []error) {
+	if len(leaves) != len(paths) || len(errs) != len(paths) {
+		panic("merkle: batch verify length mismatch")
+	}
+	// One allocation: the running node per path, one level's input pairs,
+	// and that level's outputs.
+	nodes := make([]hashfn.Digest, 4*len(paths))
+	h, pairs, out := nodes[:len(paths)], nodes[len(paths):3*len(paths)], nodes[3*len(paths):]
+	copy(h, leaves)
+	idx := make([]int, 2*len(paths)) // running index per path, then one level's climbers
+	climbing := idx[len(paths):]
+	depth := 0
+	for i, p := range paths {
+		idx[i] = p.Index
+		depth = max(depth, len(p.Siblings))
+	}
+	for d := 0; d < depth; d++ {
+		n := 0
+		for i, p := range paths {
+			if d >= len(p.Siblings) {
+				continue
+			}
+			if idx[i]&1 == 0 {
+				pairs[2*n], pairs[2*n+1] = h[i], p.Siblings[d]
+			} else {
+				pairs[2*n], pairs[2*n+1] = p.Siblings[d], h[i]
+			}
+			idx[i] >>= 1
+			climbing[n] = i
+			n++
 		}
-		idx >>= 1
+		eng.CompressMany(out[:n], pairs[:2*n])
+		for k, i := range climbing[:n] {
+			h[i] = out[k]
+		}
 	}
-	if h != root || idx != 0 {
-		return ErrPathMismatch
+	for i := range paths {
+		errs[i] = nil
+		if h[i] != root || idx[i] != 0 {
+			errs[i] = ErrPathMismatch
+		}
 	}
-	return nil
 }

@@ -261,12 +261,15 @@ func ForErrCtxSized(ctx context.Context, n, itemSize int, fn func(lo, hi int) er
 }
 
 // runChunk runs one chunk through the fault-injection point with panic
-// containment.
+// containment; an injected panic is contained like any other, even on a
+// pool goroutine.
 func runChunk(lo, hi int, fn func(lo, hi int) error) error {
-	if err := faultinject.Check(fiWorker); err != nil {
-		return err
-	}
-	return protect(lo, hi, fn)
+	return protect(lo, hi, func(lo, hi int) error {
+		if err := faultinject.Check(fiWorker); err != nil {
+			return err
+		}
+		return fn(lo, hi)
+	})
 }
 
 // protect runs one chunk, converting a panic into a *WorkerPanic error.

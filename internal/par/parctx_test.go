@@ -169,3 +169,24 @@ func TestForErrCtxFaultInjectionPoint(t *testing.T) {
 		t.Fatalf("pool did not recover after injected fault: %v", err)
 	}
 }
+
+// TestForErrCtxContainsInjectedPanic arms a panic at the par.worker point
+// of a chunk that runs on a pool goroutine: it must come back as a
+// *WorkerPanic error, not take the process down.
+func TestForErrCtxContainsInjectedPanic(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	defer faultinject.Disarm()
+	faultinject.MustArm(faultinject.Plan{Point: "par.worker", Kind: faultinject.Panic, Trigger: 3})
+	snap := leakcheck.Take()
+	err := ForErr(1<<14, func(lo, hi int) error { return nil })
+	var wp *WorkerPanic
+	if !errors.As(err, &wp) || !errors.Is(err, zkerr.ErrInternal) {
+		t.Fatalf("want a contained *WorkerPanic from the injected panic, got %v", err)
+	}
+	if !faultinject.Fired() {
+		t.Fatal("armed plan never fired")
+	}
+	faultinject.Disarm()
+	snap.Check(t)
+}

@@ -669,10 +669,9 @@ func Verify(params Params, comm *Commitment, tr *transcript.Transcript,
 }
 
 // VerifyCtx is Verify with cooperative cancellation: the context is
-// checked before the codeword re-encodes (the expensive part of
-// verification) and every few columns of the spot-check loop, with
-// fault-injection points at both boundaries ("pcs.verify.encode",
-// "pcs.verify.columns").
+// checked before the codeword re-encodes and by every fan-out of the
+// encode and of the batched column checks, with fault-injection points
+// at both boundaries ("pcs.verify.encode", "pcs.verify.columns").
 func VerifyCtx(ctx context.Context, params Params, comm *Commitment, tr *transcript.Transcript,
 	points [][]field.Element, values []field.Element, proof *OpeningProof) (err error) {
 
@@ -764,67 +763,115 @@ func VerifyCtx(ctx context.Context, params Params, comm *Commitment, tr *transcr
 		}
 	}
 
-	// Encode every transmitted combination once.
+	// Encode every transmitted combination once, in one kernel call.
 	if err := faultinject.Check(fiVerifyEncode); err != nil {
 		return err
 	}
-	encProx := make([][]field.Element, len(proof.ProxVectors))
-	for j, u := range proof.ProxVectors {
-		if encProx[j], err = encodeCtx(ctx, params.Code, u); err != nil {
-			return err
-		}
+	encLen := comm.MsgLen * params.Code.Blowup()
+	msgs := make([][]field.Element, 0, len(proof.ProxVectors)+len(proof.EvalVectors))
+	msgs = append(append(msgs, proof.ProxVectors...), proof.EvalVectors...)
+	encBuf := arena.GetUninitCtx(ctx, len(msgs)*encLen)
+	defer arena.Put(encBuf)
+	enc := make([][]field.Element, len(msgs))
+	for i := range enc {
+		enc[i] = encBuf[i*encLen : (i+1)*encLen]
 	}
-	encEval := make([][]field.Element, len(proof.EvalVectors))
-	for i, u := range proof.EvalVectors {
-		if encEval[i], err = encodeCtx(ctx, params.Code, u); err != nil {
-			return err
-		}
+	if err := encodeRows(ctx, params.Code, enc, msgs); err != nil {
+		return err
 	}
+	encProx, encEval := enc[:len(proof.ProxVectors)], enc[len(proof.ProxVectors):]
 
 	// Column checks at shared query positions.
 	if err := faultinject.Check(fiVerifyColumns); err != nil {
 		return err
 	}
-	encLen := comm.MsgLen * params.Code.Blowup()
 	idxs := tr.ChallengeIndices("pcs/columns", params.Code.Queries(), encLen)
+	return checkColumns(ctx, params, comm, proof, idxs, gammas, qRows, encProx, encEval)
+}
+
+// checkColumns runs the spot checks of every opened column — height,
+// index, Merkle authentication, proximity, evaluation — and returns the
+// error of the first column that fails, naming the first check it fails
+// in that order; a proof fails exactly as a column-by-column loop would
+// fail it. The work is batched: the structural checks run first and
+// bound the columns worth hashing, the leaves of those columns are hashed
+// eight at a time and their paths walked level by level, and the linear
+// checks fan out across the worker pool; the verdicts are then read in
+// column order.
+func checkColumns(ctx context.Context, params Params, comm *Commitment, proof *OpeningProof, idxs []int,
+	gammas, qRows, encProx, encEval [][]field.Element) error {
+
+	// Structural checks. Columns after the first structurally bad one
+	// cannot be reported, so only the prefix before it is checked further.
 	total := comm.Rows + params.numMasks()
-	eng := params.Engine()
+	var structErr error
+	n := len(idxs)
 	for q, j := range idxs {
-		if q&63 == 0 && q > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if len(proof.Columns[q]) != total {
+			structErr = fmt.Errorf("%w: column height", ErrMalformed)
+		} else if idx := proof.Paths[q].Index; idx != j {
+			structErr = fmt.Errorf("%w: column %d opened at %d, expected %d", ErrColumnAuth, q, idx, j)
 		}
-		col := proof.Columns[q]
-		if len(col) != total {
-			return fmt.Errorf("%w: column height", ErrMalformed)
+		if structErr != nil {
+			n = q
+			break
 		}
-		path := proof.Paths[q]
-		if path.Index != j {
-			return fmt.Errorf("%w: column %d opened at %d, expected %d", ErrColumnAuth, q, path.Index, j)
+	}
+	cols, paths := proof.Columns[:n], proof.Paths[:n]
+
+	eng := params.Engine()
+	leaves := make([]hashfn.Digest, n)
+	if err := kernel.HashColumnsCtx(ctx, eng, leaves, cols); err != nil {
+		return err
+	}
+	authErrs := make([]error, n)
+	merkle.VerifyManyEngine(eng, comm.Root, leaves, paths, authErrs)
+
+	colErrs := make([]error, n)
+	err := par.ForErrCtxSized(ctx, n, total*(len(gammas)+len(qRows)), func(lo, hi int) error {
+		for q := lo; q < hi; q++ {
+			colErrs[q] = checkColumn(params, comm, cols[q], idxs[q], q, authErrs[q], gammas, qRows, encProx, encEval)
 		}
-		if err := merkle.VerifyEngine(eng, comm.Root, merkle.LeafOfColumnEngine(eng, col), path); err != nil {
-			return fmt.Errorf("%w: column %d: %v", ErrColumnAuth, q, err)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, err := range colErrs {
+		if err != nil {
+			return err
 		}
-		// Proximity: Enc(γᵀM + mask_j)[j] == γᵀ·col_data + col_mask_j.
-		for pj, gamma := range gammas {
-			want := field.InnerProduct(gamma, col[:comm.Rows])
-			if params.ZK {
-				want = field.Add(want, col[comm.Rows+pj])
-			}
-			if encProx[pj][j] != want {
-				return fmt.Errorf("%w (vector %d, column %d)", ErrProximity, pj, j)
-			}
+	}
+	return structErr
+}
+
+// checkColumn returns the first failing check of one structurally valid
+// opened column q at codeword position j, given its authentication
+// verdict.
+func checkColumn(params Params, comm *Commitment, col []field.Element, j, q int, authErr error,
+	gammas, qRows, encProx, encEval [][]field.Element) error {
+
+	if authErr != nil {
+		return fmt.Errorf("%w: column %d: %v", ErrColumnAuth, q, authErr)
+	}
+	// Proximity: Enc(γᵀM + mask_j)[j] == γᵀ·col_data + col_mask_j.
+	for pj, gamma := range gammas {
+		want := field.InnerProduct(gamma, col[:comm.Rows])
+		if params.ZK {
+			want = field.Add(want, col[comm.Rows+pj])
 		}
-		// Evaluation combinations.
-		for i := range points {
-			want := field.InnerProduct(qRows[i], col[:comm.Rows])
-			if params.ZK {
-				want = field.Add(want, col[comm.Rows+params.NumProximity+i])
-			}
-			if encEval[i][j] != want {
-				return fmt.Errorf("%w (point %d, column %d)", ErrEvalCheck, i, j)
-			}
+		if encProx[pj][j] != want {
+			return fmt.Errorf("%w (vector %d, column %d)", ErrProximity, pj, j)
+		}
+	}
+	// Evaluation combinations.
+	for i, qRow := range qRows {
+		want := field.InnerProduct(qRow, col[:comm.Rows])
+		if params.ZK {
+			want = field.Add(want, col[comm.Rows+params.NumProximity+i])
+		}
+		if encEval[i][j] != want {
+			return fmt.Errorf("%w (point %d, column %d)", ErrEvalCheck, i, j)
 		}
 	}
 	return nil

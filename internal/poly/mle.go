@@ -147,10 +147,46 @@ func EqEval(a, b []field.Element) field.Element {
 	return acc
 }
 
+// interpMaxDegree is the largest degree whose Lagrange denominators are
+// memoised; sumcheck round polynomials here are degree 2 or 3, generic
+// combiners a few more. Higher degrees work too, at the old price.
+const interpMaxDegree = 15
+
+// interpInvDenoms[d][i] = 1 / (i!·(d−i)!·(−1)^(d−i)): the Lagrange
+// denominators on the domain {0,…,d}, which depend on d alone. Each is
+// an Exp-based inversion, so they are computed once.
+var interpInvDenoms = func() (t [interpMaxDegree + 1][]field.Element) {
+	for d := range t {
+		t[d] = lagrangeInvDenoms(d)
+	}
+	return t
+}()
+
+// lagrangeInvDenoms computes the inverse Lagrange denominators of the
+// domain {0,…,d}.
+func lagrangeInvDenoms(d int) []field.Element {
+	fact := make([]field.Element, d+1)
+	fact[0] = field.One
+	for i := 1; i <= d; i++ {
+		fact[i] = field.Mul(fact[i-1], field.New(uint64(i)))
+	}
+	inv := make([]field.Element, d+1)
+	for i := range inv {
+		denom := field.Mul(fact[i], fact[d-i])
+		if (d-i)%2 == 1 {
+			denom = field.Neg(denom)
+		}
+		inv[i] = field.Inv(denom)
+	}
+	return inv
+}
+
 // InterpolateEval returns q(x) for the unique polynomial q of degree
 // ≤ len(vals)−1 with q(i) = vals[i] for i = 0..len(vals)−1, via Lagrange
 // interpolation on the small domain {0,…,d}. Sumcheck verifiers use this
-// to evaluate round polynomials at the challenge.
+// to evaluate round polynomials at the challenge. Up to interpMaxDegree
+// it allocates nothing and inverts nothing: the denominators are
+// memoised and the one scratch vector lives on the stack.
 func InterpolateEval(vals []field.Element, x field.Element) field.Element {
 	d := len(vals) - 1
 	if d < 0 {
@@ -160,34 +196,26 @@ func InterpolateEval(vals []field.Element, x field.Element) field.Element {
 	if x.Uint64() <= uint64(d) {
 		return vals[x.Uint64()]
 	}
-	// prefix[i] = Π_{j<i} (x−j), suffix[i] = Π_{j>i} (x−j).
-	n := d + 1
-	prefix := make([]field.Element, n)
-	suffix := make([]field.Element, n)
-	prefix[0] = field.One
-	for i := 1; i < n; i++ {
-		prefix[i] = field.Mul(prefix[i-1], field.Sub(x, field.New(uint64(i-1))))
+	var inv, suffix []field.Element
+	var stack [interpMaxDegree + 1]field.Element
+	if d <= interpMaxDegree {
+		inv, suffix = interpInvDenoms[d], stack[:d+1]
+	} else {
+		inv, suffix = lagrangeInvDenoms(d), make([]field.Element, d+1)
 	}
-	suffix[n-1] = field.One
-	for i := n - 2; i >= 0; i-- {
+	// q(x) = Σ_i vals[i]·prefix_i·suffix_i / denom_i with
+	// prefix_i = Π_{j<i} (x−j) and suffix_i = Π_{j>i} (x−j).
+	suffix[d] = field.One
+	for i := d - 1; i >= 0; i-- {
 		suffix[i] = field.Mul(suffix[i+1], field.Sub(x, field.New(uint64(i+1))))
 	}
-	// denom_i = i! · (d−i)! · (−1)^(d−i)
-	fact := make([]field.Element, n)
-	fact[0] = field.One
-	for i := 1; i < n; i++ {
-		fact[i] = field.Mul(fact[i-1], field.New(uint64(i)))
+	prefix := field.One
+	var acc field.Acc
+	for i, v := range vals {
+		acc = acc.AddMul(field.Mul(v, field.Mul(prefix, suffix[i])), inv[i])
+		prefix = field.Mul(prefix, field.Sub(x, field.New(uint64(i))))
 	}
-	var acc field.Element
-	for i := 0; i < n; i++ {
-		denom := field.Mul(fact[i], fact[d-i])
-		if (d-i)%2 == 1 {
-			denom = field.Neg(denom)
-		}
-		term := field.Mul(vals[i], field.Mul(prefix[i], suffix[i]))
-		acc = field.Add(acc, field.Div(term, denom))
-	}
-	return acc
+	return acc.Reduce()
 }
 
 // UnivariateEval evaluates a coefficient-form polynomial at x via Horner.

@@ -207,6 +207,71 @@ func TestInterpolateEvalRandomDegrees(t *testing.T) {
 	}
 }
 
+// interpolateEvalReference is InterpolateEval as it was before its
+// denominators were memoised: fresh prefix/suffix/factorial slices and
+// one Div per term.
+func interpolateEvalReference(vals []field.Element, x field.Element) field.Element {
+	d := len(vals) - 1
+	if x.Uint64() <= uint64(d) {
+		return vals[x.Uint64()]
+	}
+	n := d + 1
+	prefix := make([]field.Element, n)
+	suffix := make([]field.Element, n)
+	prefix[0] = field.One
+	for i := 1; i < n; i++ {
+		prefix[i] = field.Mul(prefix[i-1], field.Sub(x, field.New(uint64(i-1))))
+	}
+	suffix[n-1] = field.One
+	for i := n - 2; i >= 0; i-- {
+		suffix[i] = field.Mul(suffix[i+1], field.Sub(x, field.New(uint64(i+1))))
+	}
+	fact := make([]field.Element, n)
+	fact[0] = field.One
+	for i := 1; i < n; i++ {
+		fact[i] = field.Mul(fact[i-1], field.New(uint64(i)))
+	}
+	var acc field.Element
+	for i := 0; i < n; i++ {
+		denom := field.Mul(fact[i], fact[d-i])
+		if (d-i)%2 == 1 {
+			denom = field.Neg(denom)
+		}
+		term := field.Mul(vals[i], field.Mul(prefix[i], suffix[i]))
+		acc = field.Add(acc, field.Div(term, denom))
+	}
+	return acc
+}
+
+// TestInterpolateEvalMatchesReference is the table test of the memoised
+// interpolation against the old formula: every degree 0…8 (and one past
+// the memo), at every domain point and at points outside the domain —
+// just past it, far from it, and at the top of the field.
+func TestInterpolateEvalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, d := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, interpMaxDegree + 1} {
+		vals := randElems(d+1, int64(d)+70)
+		xs := []field.Element{field.New(uint64(d + 1)), field.New(uint64(d + 2)), field.New(1 << 40),
+			field.Neg(field.One), field.New(rng.Uint64())}
+		for i := 0; i <= d; i++ {
+			xs = append(xs, field.New(uint64(i)))
+		}
+		for _, x := range xs {
+			if got, want := InterpolateEval(vals, x), interpolateEvalReference(vals, x); got != want {
+				t.Fatalf("d=%d x=%v: got %v, want %v", d, x, got, want)
+			}
+		}
+	}
+}
+
+func TestInterpolateEvalDoesNotAllocate(t *testing.T) {
+	vals := randElems(4, 71)
+	x := field.New(1 << 40)
+	if n := testing.AllocsPerRun(100, func() { InterpolateEval(vals, x) }); n != 0 {
+		t.Fatalf("InterpolateEval allocates %v times per call", n)
+	}
+}
+
 func TestEvaluateDimensionPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -14,11 +14,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 
+	"nocap/internal/arena"
 	"nocap/internal/field"
 	"nocap/internal/hashfn"
 	"nocap/internal/kernel"
-	"nocap/internal/poly"
+	"nocap/internal/par"
 )
 
 // Entry is one nonzero of a sparse matrix row. It is the kernel layer's
@@ -96,27 +98,6 @@ func (m *SparseMatrix) MulIntoCtx(ctx context.Context, y, x []field.Element) err
 		panic("r1cs: SpMV output length mismatch")
 	}
 	return kernel.SpMVCtx(ctx, y, m.Rows, x)
-}
-
-// MLEEvalWithTables evaluates the matrix's multilinear extension at the
-// point whose row/column eq-tables are given: Σ M[i,j]·eqRow[i]·eqCol[j].
-// The verifier uses this for the final Spartan check; it is O(nnz).
-func (m *SparseMatrix) MLEEvalWithTables(eqRow, eqCol []field.Element) field.Element {
-	if len(eqRow) < m.NumRows || len(eqCol) < m.NumCols {
-		panic("r1cs: eq table too small")
-	}
-	var acc field.Element
-	for r, row := range m.Rows {
-		if len(row) == 0 {
-			continue
-		}
-		var rowAcc field.Element
-		for _, e := range row {
-			rowAcc = field.Add(rowAcc, field.Mul(e.Val, eqCol[e.Col]))
-		}
-		acc = field.Add(acc, field.Mul(eqRow[r], rowAcc))
-	}
-	return acc
 }
 
 // Bandwidth returns the maximum |col − row| over nonzeros: the matrix
@@ -277,16 +258,71 @@ func (in *Instance) Satisfied(z []field.Element) (bool, int) {
 	return true, -1
 }
 
-// MatrixEvals evaluates Ã, B̃, C̃ at (rx, ry) — the verifier's final
+// MatrixEvalsCtx evaluates Ã, B̃, C̃ at (rx, ry) — the verifier's final
 // Spartan check (our substitution for the Spark sparse commitment,
-// DESIGN.md §3.4). len(rx) = LogConstraints, len(ry) = LogVars.
-func (in *Instance) MatrixEvals(rx, ry []field.Element) (va, vb, vc field.Element) {
-	eqRow := poly.EqTable(rx)
-	eqCol := poly.EqTable(ry)
-	va = in.A.MLEEvalWithTables(eqRow, eqCol)
-	vb = in.B.MLEEvalWithTables(eqRow, eqCol)
-	vc = in.C.MLEEvalWithTables(eqRow, eqCol)
-	return va, vb, vc
+// DESIGN.md §3.4): Σ M[i,j]·eq(rx,i)·eq(ry,j) for each matrix.
+// len(rx) = LogConstraints, len(ry) = LogVars.
+//
+// The two eq tables are arena scratch, and the three sums are one
+// row-parallel pass over A, B and C, attributed to the spmv stage. Each
+// chunk of rows keeps one delayed-reduction accumulator per matrix. A
+// single-entry row (most R1CS rows) adds eq(rx,i)·Val·eq(ry,j) straight
+// into it — one Mul at most, none for Val = 1, and no reduction of its
+// own; a longer row sums its entries in a row accumulator, reduced once.
+// Chunk results combine with field.Add, which is exact, so the values do
+// not depend on the chunking. Cancelling ctx stops the fan-out and
+// returns the context's error.
+func (in *Instance) MatrixEvalsCtx(ctx context.Context, rx, ry []field.Element) (va, vb, vc field.Element, err error) {
+	if len(rx) != in.LogConstraints() || len(ry) != in.LogVars() {
+		panic("r1cs: matrix evaluation point dimension mismatch")
+	}
+	eqRow := arena.GetUninitCtx(ctx, in.NumConstraints())
+	defer arena.Put(eqRow)
+	eqCol := arena.GetUninitCtx(ctx, in.NumVars())
+	defer arena.Put(eqCol)
+	kernel.EqExpandCtx(ctx, eqRow, rx)
+	kernel.EqExpandCtx(ctx, eqCol, ry)
+
+	sp := kernel.BeginCtx(ctx, kernel.StageSpMV)
+	var mu sync.Mutex
+	nnz := 0
+	mats := [3]*SparseMatrix{in.A, in.B, in.C}
+	err = par.ForErrCtxSized(ctx, in.NumConstraints(), len(mats), func(lo, hi int) error {
+		var sums [3]field.Acc
+		entries := 0
+		for m, mat := range mats {
+			var s field.Acc
+			for i, row := range mat.Rows[lo:hi] {
+				entries += len(row)
+				var w field.Element
+				if len(row) == 1 {
+					if w = eqCol[row[0].Col]; row[0].Val != field.One {
+						w = field.Mul(row[0].Val, w)
+					}
+				} else {
+					var r field.Acc
+					for _, e := range row {
+						r = r.AddMul(e.Val, eqCol[e.Col])
+					}
+					w = r.Reduce()
+				}
+				s = s.AddMul(eqRow[lo+i], w)
+			}
+			sums[m] = s
+		}
+		mu.Lock()
+		nnz += entries
+		va = field.Add(va, sums[0].Reduce())
+		vb = field.Add(vb, sums[1].Reduce())
+		vc = field.Add(vc, sums[2].Reduce())
+		mu.Unlock()
+		return nil
+	})
+	sp.End(nnz)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return va, vb, vc, nil
 }
 
 // Stats summarizes an instance for benchmarking output.

@@ -1,6 +1,7 @@
 package r1cs
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -102,7 +103,7 @@ func TestSparseMatrixMLEMatchesDense(t *testing.T) {
 	for i := range ry {
 		ry[i] = field.New(rng.Uint64())
 	}
-	got := m.MLEEvalWithTables(poly.EqTable(rx), poly.EqTable(ry))
+	got := mleEvalWithTables(m, poly.EqTable(rx), poly.EqTable(ry))
 	// Dense reference: MLE over 7 variables (3 row + 4 col, row bits high).
 	want := poly.NewMLE(dense).Evaluate(append(append([]field.Element(nil), rx...), ry...))
 	if got != want {
@@ -258,11 +259,14 @@ func TestMatrixEvalsAgainstDirect(t *testing.T) {
 	for i := range ry {
 		ry[i] = field.New(rng.Uint64())
 	}
-	va, vb, vc := inst.MatrixEvals(rx, ry)
+	va, vb, vc, err := inst.MatrixEvalsCtx(context.Background(), rx, ry)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eqR, eqC := poly.EqTable(rx), poly.EqTable(ry)
-	if va != inst.A.MLEEvalWithTables(eqR, eqC) ||
-		vb != inst.B.MLEEvalWithTables(eqR, eqC) ||
-		vc != inst.C.MLEEvalWithTables(eqR, eqC) {
+	if va != mleEvalWithTables(inst.A, eqR, eqC) ||
+		vb != mleEvalWithTables(inst.B, eqR, eqC) ||
+		vc != mleEvalWithTables(inst.C, eqR, eqC) {
 		t.Fatal("MatrixEvals disagrees with direct evaluation")
 	}
 }

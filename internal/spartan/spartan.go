@@ -658,7 +658,10 @@ func VerifyCtx(ctx context.Context, params Params, inst *r1cs.Instance, io []fie
 		if err := checkpoint(ctx, fiVerifyMatrixEvals); err != nil {
 			return err
 		}
-		va2, vb2, vc2 := inst.MatrixEvals(rx, ry)
+		va2, vb2, vc2, err := inst.MatrixEvalsCtx(ctx, rx, ry)
+		if err != nil {
+			return err
+		}
 		mv := field.Add(field.Add(
 			field.Mul(rABC[0], va2), field.Mul(rABC[1], vb2)), field.Mul(rABC[2], vc2))
 		uEval := publicEval(io, ry[1:])
