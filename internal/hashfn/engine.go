@@ -1,7 +1,5 @@
 package hashfn
 
-import "nocap/internal/field"
-
 // ID identifies a registered hash engine. The id is part of a proof's
 // meaning: it is bound into the serialized proof header (spartan wire
 // format v2) and into the Fiat–Shamir transcript seed, so proofs
@@ -38,8 +36,6 @@ type Engine interface {
 	Sum(data []byte) Digest
 	// Hash2 is the 2-to-1 Merkle compression H(a ‖ b).
 	Hash2(a, b Digest) Digest
-	// HashElems hashes a packed field-element vector (leaf packing).
-	HashElems(elems []field.Element) Digest
 	// CompressMany fills dst[i] = Hash2(prev[2i], prev[2i+1]) — one
 	// Merkle-level chunk. len(prev) must be 2·len(dst).
 	CompressMany(dst, prev []Digest)
@@ -58,8 +54,6 @@ type sha3fn struct{}
 func (sha3fn) Sum(data []byte) Digest { return Sum(data) }
 
 func (sha3fn) Hash2(a, b Digest) Digest { return Hash2(a, b) }
-
-func (sha3fn) HashElems(elems []field.Element) Digest { return HashElems(elems) }
 
 func (sha3fn) CompressMany(dst, prev []Digest) { compressMany(dst, prev) }
 

@@ -142,7 +142,9 @@ func TestEngineSumManyParity(t *testing.T) {
 }
 
 // TestHashElemsMatchesEngines pins leaf packing across both engines and
-// the package function.
+// the package function: a leaf is the hash of the packed elements, the
+// same digest whether HashElems computes it or an engine's batch entry
+// point hashes the packed bytes (the path the leaf kernels take).
 func TestHashElemsMatchesEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 4, 17, 128, 140, 256, 257, 1000} {
@@ -151,9 +153,16 @@ func TestHashElemsMatchesEngines(t *testing.T) {
 			elems[i] = field.New(rng.Uint64())
 		}
 		want := Sum(ElemBytes(elems))
+		if got := HashElems(elems); got != want {
+			t.Fatalf("n=%d: HashElems mismatch", n)
+		}
+		packed := make([]byte, 8*n)
+		PutElems(packed, elems)
 		for _, eng := range []Engine{Default(), mustEngine(t, IDKeccakX4)} {
-			if got := eng.HashElems(elems); got != want {
-				t.Fatalf("n=%d: %s HashElems mismatch", n, eng.Name())
+			var got [1]Digest
+			eng.SumMany(got[:], [][]byte{packed})
+			if got[0] != want {
+				t.Fatalf("n=%d: %s leaf hash mismatch", n, eng.Name())
 			}
 		}
 	}
