@@ -28,7 +28,7 @@
 //
 // Degradation is graceful at every layer: with zero live workers the
 // coordinator either runs attempts through its local executor
-// (LocalFallback) or the server sheds new jobs with a typed 503
+// (Config.Local) or the server sheds new jobs with a typed 503
 // {"code":"no_workers"} whose Retry-After tracks an EWMA of worker poll
 // arrivals. Batches are dispatched whole to one node but fail
 // member-scoped: each member classifies, refunds, and retries

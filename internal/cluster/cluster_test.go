@@ -367,14 +367,13 @@ func TestClusterCompleteChecksHolder(t *testing.T) {
 	}
 }
 
-// TestClusterLocalFallback: with zero live workers and LocalFallback,
+// TestClusterLocalFallback: with zero live workers and a Local executor,
 // Exec proves in-process instead of queueing forever.
 func TestClusterLocalFallback(t *testing.T) {
 	snap := leakcheck.Take()
 	h := newHarness(t, Config{
-		LeaseTTL:      100 * time.Millisecond,
-		LocalFallback: true,
-		Local:         echoBatch,
+		LeaseTTL: 100 * time.Millisecond,
+		Local:    echoBatch,
 	})
 	res, err := h.coord.Exec(context.Background(), jobs.Spec{Payload: json.RawMessage(`7`), Tenant: "t0"})
 	if err != nil {
@@ -396,10 +395,9 @@ func TestClusterLocalFallback(t *testing.T) {
 func TestClusterQueuedUnitReclaimedForLocal(t *testing.T) {
 	snap := leakcheck.Take()
 	h := newHarness(t, Config{
-		LeaseTTL:      100 * time.Millisecond,
-		DeadAfter:     200 * time.Millisecond,
-		LocalFallback: true,
-		Local:         echoBatch,
+		LeaseTTL:  100 * time.Millisecond,
+		DeadAfter: 200 * time.Millisecond,
+		Local:     echoBatch,
 	})
 	// One poll registers the node as live, then the "fleet" goes silent.
 	w := newTestWorker(t, h, "node-a", echoExec, nil)
@@ -618,6 +616,37 @@ func TestClusterSuspectProbation(t *testing.T) {
 	}
 	if m := h.coord.Metrics(); len(m.Nodes) != 1 || m.Nodes[0].State != "healthy" {
 		t.Fatalf("node = %+v, want healthy after completion", m.Nodes)
+	}
+}
+
+// TestClusterLiveNodesMatchesHasLiveWorkers: a node silent past
+// DeadAfter stops counting as live at once, in Metrics as in
+// HasLiveWorkers, even while the reaper has not yet marked it dead.
+func TestClusterLiveNodesMatchesHasLiveWorkers(t *testing.T) {
+	snap := leakcheck.Take()
+	// An hour-long TTL keeps the reaper from ticking during the test.
+	c := New(Config{LeaseTTL: time.Hour, Seed: 1})
+	defer func() {
+		c.Close()
+		snap.Check(t)
+	}()
+
+	c.mu.Lock()
+	n := c.touchNodeLocked("node-a")
+	c.mu.Unlock()
+	if m := c.Metrics(); m.LiveNodes != 1 || !c.HasLiveWorkers() {
+		t.Fatalf("fresh node: LiveNodes = %d, HasLiveWorkers = %v; want 1, true", m.LiveNodes, c.HasLiveWorkers())
+	}
+
+	c.mu.Lock()
+	n.lastSeen = time.Now().Add(-c.cfg.DeadAfter - time.Second)
+	c.mu.Unlock()
+	m := c.Metrics()
+	if m.LiveNodes != 0 || c.HasLiveWorkers() {
+		t.Fatalf("silent node: LiveNodes = %d, HasLiveWorkers = %v; want 0, false", m.LiveNodes, c.HasLiveWorkers())
+	}
+	if len(m.Nodes) != 1 || m.Nodes[0].State == "dead" {
+		t.Fatalf("nodes = %+v, want one node the reaper has not yet marked dead", m.Nodes)
 	}
 }
 

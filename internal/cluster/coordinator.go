@@ -62,10 +62,9 @@ type Config struct {
 	// MaxPollWait caps worker long-polls so Shutdown never waits on a
 	// parked handler (default 2s).
 	MaxPollWait time.Duration
-	// Local runs a unit in-process when no live worker exists and
-	// LocalFallback is set; required when LocalFallback is true.
-	Local         jobs.BatchExec
-	LocalFallback bool
+	// Local runs a unit in-process when no live worker exists; nil
+	// turns the fallback off, and units wait for a worker.
+	Local jobs.BatchExec
 	// TenantWeight returns a tenant's fair-share weight (<=0 → 1), so
 	// cross-node dispatch honours the same DRR weights as local
 	// admission.
@@ -179,7 +178,10 @@ type Metrics struct {
 	LocalFallbacks int64
 	QueuedUnits    int
 	LiveLeases     int
-	Nodes          []NodeInfo
+	// LiveNodes counts the nodes eligible for work, by the predicate
+	// HasLiveWorkers uses.
+	LiveNodes int
+	Nodes     []NodeInfo
 }
 
 // Coordinator owns dispatch: it queues ready units per tenant, leases
@@ -305,6 +307,7 @@ func (c *Coordinator) Metrics() Metrics {
 		Polls:          c.polls,
 		LocalFallbacks: c.localFallbacks,
 		LiveLeases:     len(c.lss),
+		LiveNodes:      c.liveWorkersLocked(),
 	}
 	for _, tq := range c.q {
 		m.QueuedUnits += len(tq.units)
@@ -387,10 +390,10 @@ func (c *Coordinator) BatchExec(ctx context.Context, members []jobs.BatchMember)
 	return outs
 }
 
-// localOKLocked reports whether an attempt should run in-process: local
-// fallback is configured and no live worker exists.
+// localOKLocked reports whether an attempt should run in-process: a
+// local executor is configured and no live worker exists.
 func (c *Coordinator) localOKLocked() bool {
-	return c.cfg.LocalFallback && c.cfg.Local != nil && c.liveWorkersLocked() == 0
+	return c.cfg.Local != nil && c.liveWorkersLocked() == 0
 }
 
 func (c *Coordinator) enqueueLocked(u *unit) {

@@ -25,6 +25,11 @@ import (
 type Code interface {
 	// Encode returns the codeword for msg. len(msg) must be a power of two.
 	Encode(msg []field.Element) []field.Element
+	// EncodeRowsIntoCtx writes the codeword of each src row into the
+	// matching dst row under ctx. Every src row must share one
+	// power-of-two length and every dst row be Blowup() times that; dst
+	// may be dirty scratch, and on error it must be discarded.
+	EncodeRowsIntoCtx(ctx context.Context, dst, src [][]field.Element) error
 	// Blowup is the codeword-to-message length ratio.
 	Blowup() int
 	// Queries is the number of codeword positions a verifier must spot-check
@@ -61,36 +66,21 @@ func (c *ReedSolomon) Encode(msg []field.Element) []field.Element {
 }
 
 // EncodeCtx is Encode with cooperative cancellation, checked inside the
-// underlying NTT between passes. The PCS prefers this variant
-// when a code provides it (see pcs.encodeCtx) so long row encodes stop
-// promptly when a proving context is cancelled.
+// underlying NTT between passes.
 func (c *ReedSolomon) EncodeCtx(ctx context.Context, msg []field.Element) ([]field.Element, error) {
-	cw := make([]field.Element, len(msg)*c.BlowupFactor)
-	if err := c.EncodeIntoCtx(ctx, cw, msg); err != nil {
+	n := len(msg)
+	if n == 0 || n&(n-1) != 0 {
+		panic("code: message length must be a positive power of two")
+	}
+	cw := make([]field.Element, n*c.BlowupFactor)
+	if err := kernel.RSEncodeCtx(ctx, cw, msg); err != nil {
 		return nil, err
 	}
 	return cw, nil
 }
 
-// EncodeIntoCtx encodes msg into caller-owned scratch dst (length must
-// be exactly Blowup()×len(msg); contents may be arbitrary). This is the
-// allocation-free entry point the PCS uses with arena buffers; on error
-// dst must be discarded.
-func (c *ReedSolomon) EncodeIntoCtx(ctx context.Context, dst, msg []field.Element) error {
-	n := len(msg)
-	if n == 0 || n&(n-1) != 0 {
-		panic("code: message length must be a positive power of two")
-	}
-	if len(dst) != n*c.BlowupFactor {
-		panic("code: codeword buffer length mismatch")
-	}
-	return kernel.RSEncodeCtx(ctx, dst, msg)
-}
-
-// EncodeRowsIntoCtx encodes a whole row matrix in one kernel invocation:
-// dst[r] receives the codeword of src[r], with the rows fanned out across
-// the worker pool. Every src row must have the same power-of-two length
-// and every dst row Blowup() times that.
+// EncodeRowsIntoCtx implements Code in one kernel invocation, with the
+// rows fanned out across the worker pool.
 func (c *ReedSolomon) EncodeRowsIntoCtx(ctx context.Context, dst, src [][]field.Element) error {
 	for r, msg := range src {
 		if n := len(msg); n == 0 || n&(n-1) != 0 || n != len(src[0]) {
@@ -202,8 +192,7 @@ func (c *Expander) Encode(msg []field.Element) []field.Element {
 
 // EncodeCtx is Encode with cooperative cancellation (polled inside the
 // graph SpMVs and the Reed-Solomon base case) and per-run stats
-// attribution via the context's collector. The PCS prefers this variant
-// when a code provides it (see pcs.encodeCtx).
+// attribution via the context's collector.
 func (c *Expander) EncodeCtx(ctx context.Context, msg []field.Element) ([]field.Element, error) {
 	n := len(msg)
 	if n == 0 || n&(n-1) != 0 {
@@ -229,6 +218,22 @@ func (c *Expander) EncodeCtx(ctx context.Context, msg []field.Element) ([]field.
 	cw = append(cw, z...)
 	cw = append(cw, u...)
 	return cw, nil
+}
+
+// EncodeRowsIntoCtx implements Code one row at a time on the calling
+// goroutine: the graph cache is not safe for concurrent first use.
+func (c *Expander) EncodeRowsIntoCtx(ctx context.Context, dst, src [][]field.Element) error {
+	for r, msg := range src {
+		cw, err := c.EncodeCtx(ctx, msg)
+		if err != nil {
+			return err
+		}
+		if len(dst[r]) != len(cw) {
+			panic("code: codeword buffer length mismatch")
+		}
+		copy(dst[r], cw)
+	}
+	return nil
 }
 
 // Blowup implements Code.

@@ -49,67 +49,6 @@ var (
 	fiVerifyColumns = faultinject.Register("pcs.verify.columns")
 )
 
-// ctxEncoder is the optional context-aware face of a code.Code; the
-// production Reed-Solomon code implements it. encodeCtx falls back to
-// the plain Encode for codes that do not (the expander baseline).
-type ctxEncoder interface {
-	EncodeCtx(ctx context.Context, msg []field.Element) ([]field.Element, error)
-}
-
-// intoEncoder is the allocation-free face: the codeword is written into
-// caller-owned scratch of length Blowup()×len(msg).
-type intoEncoder interface {
-	EncodeIntoCtx(ctx context.Context, dst, msg []field.Element) error
-}
-
-// rowsEncoder is the whole-matrix face: every row encoded in one kernel
-// invocation that fans out internally (one wall-clock rs-encode span per
-// commitment). The production Reed-Solomon code implements it; codes
-// that do not are encoded row by row on the calling goroutine.
-type rowsEncoder interface {
-	EncodeRowsIntoCtx(ctx context.Context, dst, src [][]field.Element) error
-}
-
-// encodeCtx encodes one row under ctx when the code supports it.
-func encodeCtx(ctx context.Context, c code.Code, msg []field.Element) ([]field.Element, error) {
-	if ce, ok := c.(ctxEncoder); ok {
-		return ce.EncodeCtx(ctx, msg)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.Encode(msg), nil
-}
-
-// encodeInto encodes one row into dst, using the code's in-place entry
-// point when it has one and copying from a temporary codeword otherwise.
-func encodeInto(ctx context.Context, c code.Code, dst, msg []field.Element) error {
-	if ie, ok := c.(intoEncoder); ok {
-		return ie.EncodeIntoCtx(ctx, dst, msg)
-	}
-	cw, err := encodeCtx(ctx, c, msg)
-	if err != nil {
-		return err
-	}
-	copy(dst, cw)
-	return nil
-}
-
-// encodeRows encodes every src row into the matching dst row: in one
-// fanned-out kernel call when the code offers it, else one row at a time
-// (a code's per-size caches need not be safe for concurrent first use).
-func encodeRows(ctx context.Context, c code.Code, dst, src [][]field.Element) error {
-	if re, ok := c.(rowsEncoder); ok {
-		return re.EncodeRowsIntoCtx(ctx, dst, src)
-	}
-	for r := range src {
-		if err := encodeInto(ctx, c, dst[r], src[r]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Params configures the scheme.
 type Params struct {
 	// Rows is the matrix height; the paper uses 128 (§VII-A).
@@ -330,7 +269,7 @@ func NewSharedCtx(ctx context.Context, params Params, n int) (*Shared, error) {
 	defer arena.Put(msg)
 	enc := arena.GetUninitCtx(ctx, g.encLen)
 	defer arena.Put(enc)
-	if err := encodeInto(ctx, params.Code, enc, msg); err != nil {
+	if err := params.Code.EncodeRowsIntoCtx(ctx, [][]field.Element{enc}, [][]field.Element{msg}); err != nil {
 		return nil, fmt.Errorf("pcs: shared warm-up encode: %w", err)
 	}
 	return &Shared{params: params, geom: g}, nil
@@ -407,7 +346,7 @@ func commitPlanned(ctx context.Context, params Params, g geometry, vec []field.E
 	if err := faultinject.Check(fiCommitEncode); err != nil {
 		return nil, fmt.Errorf("pcs: row encode: %w", err)
 	}
-	if err := encodeRows(ctx, params.Code, encoded, all); err != nil {
+	if err := params.Code.EncodeRowsIntoCtx(ctx, encoded, all); err != nil {
 		return nil, fmt.Errorf("pcs: row encode: %w", err)
 	}
 
@@ -776,7 +715,7 @@ func VerifyCtx(ctx context.Context, params Params, comm *Commitment, tr *transcr
 	for i := range enc {
 		enc[i] = encBuf[i*encLen : (i+1)*encLen]
 	}
-	if err := encodeRows(ctx, params.Code, enc, msgs); err != nil {
+	if err := params.Code.EncodeRowsIntoCtx(ctx, enc, msgs); err != nil {
 		return err
 	}
 	encProx, encEval := enc[:len(proof.ProxVectors)], enc[len(proof.ProxVectors):]

@@ -48,15 +48,18 @@ func (c Config) localFallback() bool { return c.ClusterLocalFallback || !c.Clust
 // worker-facing endpoints. Called from New before openJobs starts, so
 // the job manager can take s.coord as its executor.
 func (s *Server) openCluster() {
+	var local jobs.BatchExec
+	if s.cfg.localFallback() {
+		local = s.proveLocal
+	}
 	s.coord = cluster.New(cluster.Config{
-		LeaseTTL:      s.cfg.ClusterLeaseTTL,
-		DeadAfter:     s.cfg.ClusterDeadAfter,
-		ProbeBase:     s.cfg.ClusterProbeBase,
-		Local:         s.proveLocal,
-		LocalFallback: s.cfg.localFallback(),
-		Seed:          s.cfg.ClusterSeed,
-		TenantWeight:  func(tenantID string) int { return s.jobTenant(tenantID).Weight },
-		LocalityKey:   prover.BatchKey,
+		LeaseTTL:     s.cfg.ClusterLeaseTTL,
+		DeadAfter:    s.cfg.ClusterDeadAfter,
+		ProbeBase:    s.cfg.ClusterProbeBase,
+		Local:        local,
+		Seed:         s.cfg.ClusterSeed,
+		TenantWeight: func(tenantID string) int { return s.jobTenant(tenantID).Weight },
+		LocalityKey:  prover.BatchKey,
 	})
 	if !s.cfg.ClusterEnabled {
 		return

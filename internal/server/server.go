@@ -861,15 +861,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.ClusterEnabled {
 		cm := s.coord.Metrics()
-		live := 0
-		for _, n := range cm.Nodes {
-			if n.State != "dead" {
-				live++
-			}
-		}
 		body["cluster"] = map[string]any{
 			"nodes":          len(cm.Nodes),
-			"live_nodes":     live,
+			"live_nodes":     cm.LiveNodes,
 			"live_leases":    cm.LiveLeases,
 			"queued_units":   cm.QueuedUnits,
 			"local_fallback": s.cfg.ClusterLocalFallback,
