@@ -15,7 +15,8 @@ FUZZ_TARGETS = \
 	./internal/ntt:FuzzNTTParity \
 	./internal/r1cs:FuzzMatrixEvalsParity \
 	./internal/kernel:FuzzEqExpandParity \
-	./internal/merkle:FuzzMerkleVerifyManyParity
+	./internal/merkle:FuzzMerkleVerifyManyParity \
+	./internal/tenant:FuzzDRR
 
 .PHONY: all build test vet staticcheck inline-check race purego chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
 

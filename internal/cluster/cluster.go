@@ -18,10 +18,10 @@
 //     suspect (probation: one unit in flight), repeated losses mark it
 //     dead, and a dead node is re-admitted by a single jittered probe
 //     unit rather than a thundering reconnect.
-//   - Placement is locality-aware: within the stride-scheduled tenant,
-//     the coordinator prefers a unit whose (circuit, n, reps) key is
-//     warm on the polling node, so same-shape jobs land where the
-//     twiddle/encoder caches are already built.
+//   - Dispatch runs the worker pool's DRR (tenant.DRR) with its fairness
+//     bound; within the tenant served it prefers a unit whose (circuit,
+//     n, reps) key is warm on the polling node, where the twiddle and
+//     encoder caches are already built.
 //   - Duplicate completions from a resurrected lease are detected and
 //     discarded — the first terminal record wins — and counted in
 //     nocap_cluster_duplicate_completions_total.

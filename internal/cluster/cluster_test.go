@@ -442,9 +442,9 @@ func TestClusterStrideFairness(t *testing.T) {
 			}(ten, i)
 		}
 	}
-	// Give the queue a moment to fill before the single-slot worker
-	// starts draining it, so stride order is observable.
-	time.Sleep(100 * time.Millisecond)
+	// Let the queue fill before the single-slot worker starts draining
+	// it, so dispatch order is observable.
+	waitFor(t, "all units queued", func() bool { return h.coord.Metrics().QueuedUnits == 2*perTenant })
 
 	// One worker, one slot: dispatch order == execution order.
 	dispatchOrder := make(chan string, 2*perTenant)
@@ -492,6 +492,126 @@ func TestClusterStrideFairness(t *testing.T) {
 	stopWorker(t, w)
 	h.close()
 	snap.Check(t)
+}
+
+// drrRig drives a coordinator's queue directly: units go in through
+// enqueueLocked and come out through tryAssignLocked for one healthy
+// node, with no HTTP and no clock.
+type drrRig struct {
+	c   *Coordinator
+	n   *node
+	seq int
+}
+
+func (r *drrRig) queue(ten string, k int) []*unit {
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	var us []*unit
+	for range k {
+		r.seq++
+		u := &unit{tenant: ten, res: make(chan unitResult, 1), members: []jobs.BatchMember{
+			{ID: fmt.Sprintf("%s-%d", ten, r.seq), Ctx: context.Background()},
+		}}
+		r.c.enqueueLocked(u)
+		us = append(us, u)
+	}
+	return us
+}
+
+// dispatch leases the next unit and returns it, or nil when none is
+// queued.
+func (r *drrRig) dispatch() *unit {
+	r.c.mu.Lock()
+	defer r.c.mu.Unlock()
+	a := r.c.tryAssignLocked(r.n, nil)
+	if a == nil {
+		return nil
+	}
+	return r.c.lss[a.Lease].unit
+}
+
+// TestClusterDispatchDRR: cross-node dispatch runs the worker pool's
+// DRR. An idle tenant banks no credit, so while two tenants are
+// backlogged neither gets more than K = Σ_{j≠i} w_j + max_j w_j
+// consecutive dispatches (DESIGN.md §12), whatever either was served
+// before. A queued unit whose caller gives up leaves the queue at
+// once, and is never leased or charged against its tenant.
+func TestClusterDispatchDRR(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		weights map[string]int
+		run     func(t *testing.T, r *drrRig)
+	}{
+		{"idle tenant banks no credit", map[string]int{"A": 1, "B": 1}, func(t *testing.T, r *drrRig) {
+			r.queue("B", 1)
+			r.dispatch()
+			for range 50 {
+				r.queue("A", 1)
+				r.dispatch()
+			}
+			r.queue("A", 20)
+			r.queue("B", 20)
+			const K = 1 + 1 // Σ_{j≠i} w_j + max_j w_j
+			left := map[string]int{"A": 20, "B": 20}
+			var order []string
+			run := 0
+			for u := r.dispatch(); u != nil; u = r.dispatch() {
+				backlogged := left["A"] > 0 && left["B"] > 0
+				if len(order) > 0 && order[len(order)-1] == u.tenant {
+					run++
+				} else {
+					run = 1
+				}
+				if backlogged && run > K {
+					t.Fatalf("tenant %s got %d consecutive dispatches with both backlogged, K = %d: %v", u.tenant, run, K, append(order, u.tenant))
+				}
+				left[u.tenant]--
+				order = append(order, u.tenant)
+			}
+			if len(order) != 40 {
+				t.Fatalf("dispatched %d units, want 40", len(order))
+			}
+		}},
+		{"cancelled queued unit leaves at once uncharged", map[string]int{"A": 2, "B": 1}, func(t *testing.T, r *drrRig) {
+			gone := r.queue("A", 3)[0]
+			r.queue("B", 2)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if res := r.c.await(ctx, gone); !errors.Is(res.err, context.Canceled) {
+				t.Fatalf("await of a cancelled caller = %+v, want context.Canceled", res)
+			}
+			if q := r.c.Metrics().QueuedUnits; q != 4 {
+				t.Fatalf("QueuedUnits = %d right after the cancel, want 4", q)
+			}
+			// Had the cancelled unit been charged, A's quantum of 2 would
+			// have covered it and one more: A, B, A, B.
+			var order []string
+			for u := r.dispatch(); u != nil; u = r.dispatch() {
+				if u == gone {
+					t.Fatal("the cancelled unit was leased")
+				}
+				order = append(order, u.tenant)
+			}
+			if got := strings.Join(order, ""); got != "AABB" {
+				t.Fatalf("dispatch order %s, want AABB", got)
+			}
+			if m := r.c.Metrics(); m.Dispatches != 4 || m.QueuedUnits != 0 {
+				t.Fatalf("dispatches = %d, queued = %d; want 4, 0", m.Dispatches, m.QueuedUnits)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := leakcheck.Take()
+			// An hour-long TTL keeps the reaper from ticking during the test.
+			c := New(Config{LeaseTTL: time.Hour, Seed: 1, TenantWeight: func(id string) int { return tc.weights[id] }})
+			c.mu.Lock()
+			n := c.touchNodeLocked("node-a")
+			c.mu.Unlock()
+			tc.run(t, &drrRig{c: c, n: n})
+			c.Close()
+			snap.Check(t)
+		})
+	}
 }
 
 // TestClusterLocalityPlacement: with two queued units of different keys

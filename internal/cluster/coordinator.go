@@ -16,6 +16,7 @@ import (
 	"nocap/internal/backoff"
 	"nocap/internal/faultinject"
 	"nocap/internal/jobs"
+	"nocap/internal/tenant"
 )
 
 // ErrLeaseLost marks an attempt whose worker lease expired before a
@@ -65,9 +66,8 @@ type Config struct {
 	// Local runs a unit in-process when no live worker exists; nil
 	// turns the fallback off, and units wait for a worker.
 	Local jobs.BatchExec
-	// TenantWeight returns a tenant's fair-share weight (<=0 → 1), so
-	// cross-node dispatch honours the same DRR weights as local
-	// admission.
+	// TenantWeight returns a tenant's DRR weight (<=0 → 1), the same
+	// weight its queue has in front of the local worker pool.
 	TenantWeight func(tenant string) int
 	// LocalityKey derives the warm-cache key for a job (the server's
 	// batch key; "" for none). Nil disables locality placement.
@@ -106,13 +106,13 @@ type unitResult struct {
 }
 
 // unit is one dispatchable piece of work: k ≥ 1 jobs of one tenant,
-// leased whole to one node.
+// leased whole to one node. A queued unit is never delivered: whoever
+// resolves it first takes it off the queue.
 type unit struct {
 	tenant    string
 	key       string
 	members   []jobs.BatchMember
 	res       chan unitResult
-	leased    bool
 	delivered bool
 }
 
@@ -162,11 +162,6 @@ func (n *node) touchWarm(key string, seq int64) {
 	}
 }
 
-type tenantQueue struct {
-	units  []*unit
-	served float64
-}
-
 // Metrics is a point-in-time snapshot of the coordinator's counters.
 type Metrics struct {
 	Dispatches     int64
@@ -184,9 +179,9 @@ type Metrics struct {
 	Nodes     []NodeInfo
 }
 
-// Coordinator owns dispatch: it queues ready units per tenant, leases
-// them to polling workers, reaps expired leases, and resolves results
-// back into the jobs manager. Its BatchExec is the jobs manager's
+// Coordinator owns dispatch: it queues ready units per tenant in a DRR,
+// leases them to polling workers, reaps expired leases, and resolves
+// results back into the jobs manager. Its BatchExec is the jobs manager's
 // executor, so the journal, retries, breaker, and admission stack stay
 // exactly where they were.
 type Coordinator struct {
@@ -194,7 +189,7 @@ type Coordinator struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
 	seq  int64
-	q    map[string]*tenantQueue
+	q    *tenant.DRR[*unit]
 	lss  map[string]*lease
 	nds  map[string]*node
 	wtrs []chan struct{}
@@ -221,7 +216,7 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:  cfg,
 		rng:  rand.New(rand.NewSource(seed)),
-		q:    make(map[string]*tenantQueue),
+		q:    tenant.NewDRR[*unit](cfg.TenantWeight),
 		lss:  make(map[string]*lease),
 		nds:  make(map[string]*node),
 		quit: make(chan struct{}),
@@ -252,15 +247,6 @@ func (c *Coordinator) wakeLocked() {
 		close(ch)
 	}
 	c.wtrs = nil
-}
-
-func (c *Coordinator) weight(tenant string) float64 {
-	if c.cfg.TenantWeight != nil {
-		if w := c.cfg.TenantWeight(tenant); w > 0 {
-			return float64(w)
-		}
-	}
-	return 1
 }
 
 // HasLiveWorkers reports whether any node is currently eligible for
@@ -306,11 +292,9 @@ func (c *Coordinator) Metrics() Metrics {
 		Heartbeats:     c.heartbeats,
 		Polls:          c.polls,
 		LocalFallbacks: c.localFallbacks,
+		QueuedUnits:    c.q.Len(),
 		LiveLeases:     len(c.lss),
 		LiveNodes:      c.liveWorkersLocked(),
-	}
-	for _, tq := range c.q {
-		m.QueuedUnits += len(tq.units)
 	}
 	now := time.Now()
 	for _, n := range c.nds {
@@ -396,23 +380,10 @@ func (c *Coordinator) localOKLocked() bool {
 	return c.cfg.Local != nil && c.liveWorkersLocked() == 0
 }
 
+// enqueueLocked queues u at a cost of one per member, so a batch is
+// charged against its tenant's deficit like the jobs it carries.
 func (c *Coordinator) enqueueLocked(u *unit) {
-	tq := c.q[u.tenant]
-	if tq == nil {
-		// A new tenant joins at the minimum pass already in play so a
-		// late joiner with a zero ledger cannot monopolize dispatch.
-		var minPass float64
-		first := true
-		for t, other := range c.q {
-			p := other.served / c.weight(t)
-			if first || p < minPass {
-				minPass, first = p, false
-			}
-		}
-		tq = &tenantQueue{served: minPass * c.weight(u.tenant)}
-		c.q[u.tenant] = tq
-	}
-	tq.units = append(tq.units, u)
+	c.q.Push(u.tenant, u, len(u.members))
 	c.wakeLocked()
 }
 
@@ -446,6 +417,7 @@ func (c *Coordinator) await(ctx context.Context, u *unit) unitResult {
 			c.mu.Lock()
 			delivered := u.delivered
 			u.delivered = true
+			c.q.Remove(u.tenant, u) // no-op once leased
 			c.mu.Unlock()
 			if delivered {
 				// Raced with a resolution: take it.
@@ -454,7 +426,7 @@ func (c *Coordinator) await(ctx context.Context, u *unit) unitResult {
 			return unitResult{err: ctx.Err()}
 		case <-tick.C:
 			c.mu.Lock()
-			reclaimed := !u.delivered && !u.leased && c.localOKLocked()
+			reclaimed := c.localOKLocked() && c.q.Remove(u.tenant, u)
 			if reclaimed {
 				u.delivered = true
 			}
@@ -479,7 +451,7 @@ func (c *Coordinator) touchNodeLocked(id string) *node {
 
 // tryAssignLocked hands the polling node its next unit, honouring the
 // health gate (dead → at most one probe after retryAt; suspect → one
-// unit of probation), stride-scheduled tenant fairness, and locality.
+// unit of probation), the DRR's tenant fairness, and locality.
 func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 	now := time.Now()
 	switch n.state {
@@ -497,46 +469,16 @@ func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 		}
 	}
 
-	// Stride scheduling across tenants: pick the non-empty tenant with
-	// the lowest served/weight pass, so cross-node dispatch honours the
-	// same weights as local DRR admission.
-	var best string
-	bestPass, found := 0.0, false
-	for t, tq := range c.q {
-		c.pruneLocked(tq)
-		if len(tq.units) == 0 {
-			continue
-		}
-		pass := tq.served / c.weight(t)
-		if !found || pass < bestPass || (pass == bestPass && t < best) {
-			best, bestPass, found = t, pass, true
-		}
-	}
-	if !found {
+	// Locality: within the tenant the DRR serves, prefer the first unit
+	// whose key is warm on this node (tracked coordinator-side or
+	// reported by the worker); else the head.
+	u, _, ok := c.q.Pop(nil, func(u *unit) bool {
+		_, hot := n.warm[u.key]
+		return u.key != "" && (hot || slices.Contains(warm, u.key))
+	})
+	if !ok {
 		return nil
 	}
-	tq := c.q[best]
-
-	// Locality: prefer a unit whose key is warm on this node (either
-	// tracked coordinator-side or reported by the worker); fall back to
-	// the queue head.
-	warmSet := make(map[string]bool, len(warm)+len(n.warm))
-	for _, k := range warm {
-		warmSet[k] = true
-	}
-	for k := range n.warm {
-		warmSet[k] = true
-	}
-	pick := 0
-	for i, u := range tq.units {
-		if u.key != "" && warmSet[u.key] {
-			pick = i
-			break
-		}
-	}
-	u := tq.units[pick]
-	tq.units = append(tq.units[:pick], tq.units[pick+1:]...)
-	tq.served += float64(len(u.members))
 
 	c.seq++
 	ls := &lease{
@@ -546,7 +488,6 @@ func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 		expires: now.Add(c.cfg.LeaseTTL),
 	}
 	c.lss[ls.id] = ls
-	u.leased = true
 	n.inflight++
 	n.touchWarm(u.key, c.seq)
 	c.dispatches++
@@ -560,18 +501,6 @@ func (c *Coordinator) tryAssignLocked(n *node, warm []string) *Assignment {
 		a.Jobs = append(a.Jobs, AssignedJob{ID: mb.ID, Payload: mb.Spec.Payload})
 	}
 	return a
-}
-
-// pruneLocked drops units whose caller already gave up (delivered by
-// ctx cancellation) so they are never dispatched.
-func (c *Coordinator) pruneLocked(tq *tenantQueue) {
-	kept := tq.units[:0]
-	for _, u := range tq.units {
-		if !u.delivered {
-			kept = append(kept, u)
-		}
-	}
-	tq.units = kept
 }
 
 // probeDelayLocked draws the jittered dead→probe re-admission delay:

@@ -54,8 +54,6 @@ func (s *Server) openCluster() {
 	}
 	s.coord = cluster.New(cluster.Config{
 		LeaseTTL:     s.cfg.ClusterLeaseTTL,
-		DeadAfter:    s.cfg.ClusterDeadAfter,
-		ProbeBase:    s.cfg.ClusterProbeBase,
 		Local:        local,
 		Seed:         s.cfg.ClusterSeed,
 		TenantWeight: func(tenantID string) int { return s.jobTenant(tenantID).Weight },

@@ -146,13 +146,9 @@ type Config struct {
 	// ClusterKey, when set, is required as X-Cluster-Key on every
 	// worker RPC.
 	ClusterKey string
-	// ClusterLeaseTTL is the assignment lease TTL (default 3s);
-	// ClusterDeadAfter marks silent nodes dead (default 3×TTL);
-	// ClusterProbeBase shapes the jittered dead-node re-admission delay
-	// (default 5s).
-	ClusterLeaseTTL  time.Duration
-	ClusterDeadAfter time.Duration
-	ClusterProbeBase time.Duration
+	// ClusterLeaseTTL is the assignment lease TTL (default 3s); a node
+	// silent for 3×TTL is dead (cluster.Config defaults).
+	ClusterLeaseTTL time.Duration
 	// ClusterLocalFallback lets the coordinator prove in-process when
 	// zero live workers exist; false sheds new jobs with a typed 503
 	// {"code":"no_workers"} instead.

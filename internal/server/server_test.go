@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"nocap"
+	"nocap/internal/faultinject"
 	"nocap/internal/leakcheck"
 )
 
@@ -368,6 +369,22 @@ func TestGracefulDrain(t *testing.T) {
 	base := "http://" + addr.String()
 	client := &http.Client{Timeout: time.Minute}
 
+	// Hold the prove at its commit checkpoint until draining is
+	// visible, so the drain always has an in-flight prove to wait for.
+	running, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	faultinject.MustArm(faultinject.Plan{
+		Point: "spartan.prove.commit",
+		Kind:  faultinject.Hook,
+		Hook: func() error {
+			close(running)
+			<-release
+			return nil
+		},
+	})
+	defer faultinject.Disarm()
+
 	type result struct {
 		status int
 		body   []byte
@@ -378,16 +395,13 @@ func TestGracefulDrain(t *testing.T) {
 			ProveRequest{Circuit: "synthetic", N: 1024})
 		inflight <- result{status, body}
 	}()
-	// Wait until the prove is actually running.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, _, inf := s.Queue(); inf > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("prove never started")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-running:
+	case <-time.After(10 * time.Second):
+		t.Fatal("prove never started")
+	}
+	if _, _, inf := s.Queue(); inf == 0 {
+		t.Fatal("prove never started")
 	}
 
 	shutdownDone := make(chan error, 1)
@@ -404,6 +418,7 @@ func TestGracefulDrain(t *testing.T) {
 	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
+	releaseOnce()
 	rec := httptest.NewRecorder()
 	data, _ := json.Marshal(ProveRequest{Circuit: "synthetic", N: 64})
 	req := httptest.NewRequest("POST", "/prove", bytes.NewReader(data))

@@ -43,27 +43,18 @@ type QueueStats struct {
 }
 
 type entry struct {
-	v    any
-	cost int
-	at   time.Time
+	v  any
+	at time.Time
 }
 
-// tq is one tenant's queue plus its DRR state. All fields are guarded
+// tq is one tenant's queue bounds and counters. All fields are guarded
 // by Scheduler.mu.
 type tq struct {
 	id          string
 	weight      int
 	depth       int
 	maxInflight int
-
-	q       []entry
-	deficit int
-	// charged records that the quantum was granted for the current visit
-	// of the round pointer, so a tenant the pointer parks on (serving a
-	// burst) is charged exactly once per visit, not once per Dequeue.
-	charged  bool
-	active   bool // in the ring
-	inflight int
+	inflight    int
 
 	enqueued     int64
 	dequeued     int64
@@ -71,28 +62,16 @@ type tq struct {
 	waitNs       int64
 }
 
-// Scheduler is a weighted deficit-round-robin scheduler over per-tenant
-// bounded FIFO queues. It replaces the server's single admission
-// channel: producers Enqueue into their tenant's queue, workers block
-// in Dequeue, and the DRR policy picks which tenant's head to serve.
-//
-// Fairness invariant (DESIGN.md §12): with unit costs, a request at the
-// head of tenant i's queue is served after at most
-//
-//	K = Σ_{j≠i} w_j + max_j w_j
-//
-// other dequeues, regardless of how saturated the other queues are:
-// every other tenant j serves at most w_j items per full rotation
-// (deficits reset when a queue empties and do not accumulate while
-// inactive), plus the tenant the pointer was parked on may finish a
-// burst it had already been charged for. Starvation is impossible.
+// Scheduler is the worker pool's admission queue: a DRR behind a lock,
+// with per-tenant depth bounds, MaxInflight caps and counters.
+// Producers Enqueue into their tenant's queue, workers block in
+// Dequeue, and the DRR picks which tenant's head to serve, skipping
+// tenants at their MaxInflight cap. Its fairness bound is the DRR's.
 type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	byID    map[string]*tq
-	ring    []*tq // active (non-empty) tenants in round order
-	cur     int   // ring index the DRR pointer is parked on
-	queued  int   // total items across all queues
+	drr     *DRR[entry]
 	stopped bool
 }
 
@@ -100,24 +79,15 @@ type Scheduler struct {
 func NewScheduler(queues []QueueConfig) *Scheduler {
 	s := &Scheduler{byID: make(map[string]*tq, len(queues))}
 	s.cond = sync.NewCond(&s.mu)
+	s.drr = NewDRR[entry](func(id string) int { return s.byID[id].weight })
 	for _, qc := range queues {
-		w, d := qc.Weight, qc.Depth
-		if w < 1 {
-			w = 1
-		}
-		if d < 1 {
-			d = 1
-		}
-		s.byID[qc.ID] = &tq{id: qc.ID, weight: w, depth: d, maxInflight: qc.MaxInflight}
+		s.byID[qc.ID] = &tq{id: qc.ID, weight: max(qc.Weight, 1), depth: max(qc.Depth, 1), maxInflight: qc.MaxInflight}
 	}
 	return s
 }
 
 // Enqueue appends v to tenantID's queue (cost < 1 is treated as 1).
 func (s *Scheduler) Enqueue(tenantID string, v any, cost int) error {
-	if cost < 1 {
-		cost = 1
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
@@ -127,18 +97,12 @@ func (s *Scheduler) Enqueue(tenantID string, v any, cost int) error {
 	if t == nil {
 		return ErrUnknownTenant
 	}
-	if len(t.q) >= t.depth {
+	if s.drr.Queued(t.id) >= t.depth {
 		t.rejectedFull++
 		return ErrQueueFull
 	}
-	t.q = append(t.q, entry{v: v, cost: cost, at: time.Now()})
+	s.drr.Push(t.id, entry{v: v, at: time.Now()}, cost)
 	t.enqueued++
-	s.queued++
-	if !t.active {
-		t.active = true
-		t.charged = false
-		s.ring = append(s.ring, t)
-	}
 	s.cond.Broadcast()
 	return nil
 }
@@ -151,12 +115,13 @@ func (s *Scheduler) Dequeue() (v any, tenantID string, wait time.Duration, ok bo
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if e, t, found := s.pickLocked(); found {
+		if e, id, found := s.drr.Pop(s.atCapLocked, nil); found {
+			t := s.byID[id]
 			w := time.Since(e.at)
 			t.waitNs += w.Nanoseconds()
 			t.dequeued++
 			t.inflight++
-			return e.v, t.id, w, true
+			return e.v, id, w, true
 		}
 		if s.stopped {
 			return nil, "", 0, false
@@ -165,68 +130,9 @@ func (s *Scheduler) Dequeue() (v any, tenantID string, wait time.Duration, ok bo
 	}
 }
 
-// pickLocked runs the DRR rotation: grant the quantum once per visit,
-// serve the head while the deficit covers its cost, skip tenants at
-// their inflight cap without charging them, and drop emptied queues
-// from the ring with their deficit cleared. Returns found=false only
-// when no eligible work exists (all queues empty or all backlogged
-// tenants are at their inflight caps).
-func (s *Scheduler) pickLocked() (entry, *tq, bool) {
-	for s.queued > 0 && len(s.ring) > 0 {
-		eligible := false
-		for i := 0; i < len(s.ring); i++ {
-			t := s.ring[s.cur]
-			if t.maxInflight > 0 && t.inflight >= t.maxInflight {
-				s.advanceLocked()
-				continue
-			}
-			eligible = true
-			if !t.charged {
-				t.deficit += t.weight
-				t.charged = true
-			}
-			if t.deficit >= t.q[0].cost {
-				e := t.q[0]
-				t.q[0] = entry{}
-				t.q = t.q[1:]
-				t.deficit -= e.cost
-				s.queued--
-				if len(t.q) == 0 {
-					t.deficit = 0
-					t.charged = false
-					t.active = false
-					s.ring = append(s.ring[:s.cur], s.ring[s.cur+1:]...)
-					if s.cur >= len(s.ring) {
-						s.cur = 0
-					}
-					if cap(t.q) > 64 {
-						t.q = nil
-					}
-				}
-				return e, t, true
-			}
-			s.advanceLocked()
-		}
-		if !eligible {
-			break
-		}
-		// A full rotation granted quanta without serving (every head
-		// costs more than one quantum); loop — deficits accumulate until
-		// some head is affordable, so this terminates.
-	}
-	return entry{}, nil, false
-}
-
-// advanceLocked moves the round pointer to the next active tenant,
-// ending the current tenant's visit (its next visit re-grants the
-// quantum).
-func (s *Scheduler) advanceLocked() {
-	if len(s.ring) == 0 {
-		s.cur = 0
-		return
-	}
-	s.ring[s.cur].charged = false
-	s.cur = (s.cur + 1) % len(s.ring)
+func (s *Scheduler) atCapLocked(tenantID string) bool {
+	t := s.byID[tenantID]
+	return t.maxInflight > 0 && t.inflight >= t.maxInflight
 }
 
 // Done releases one inflight slot for tenantID.
@@ -248,25 +154,16 @@ func (s *Scheduler) Stop() {
 	s.cond.Broadcast()
 }
 
-// Drain removes and returns every queued item (FIFO within a tenant,
-// tenants in no particular order). Idempotent: each item is returned
-// exactly once across all Drain calls.
+// Drain removes and returns every queued item (FIFO within a tenant).
+// Idempotent: each item is returned exactly once across all Drain
+// calls.
 func (s *Scheduler) Drain() []any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []any
-	for _, t := range s.ring {
-		for _, e := range t.q {
-			out = append(out, e.v)
-		}
-		t.q = nil
-		t.deficit = 0
-		t.charged = false
-		t.active = false
+	for _, e := range s.drr.Drain() {
+		out = append(out, e.v)
 	}
-	s.ring = nil
-	s.cur = 0
-	s.queued = 0
 	return out
 }
 
@@ -274,7 +171,7 @@ func (s *Scheduler) Drain() []any {
 func (s *Scheduler) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queued
+	return s.drr.Len()
 }
 
 // Capacity is the sum of all queue bounds.
@@ -297,7 +194,7 @@ func (s *Scheduler) Stats() []QueueStats {
 		out = append(out, QueueStats{
 			ID:           t.id,
 			Weight:       t.weight,
-			Depth:        len(t.q),
+			Depth:        s.drr.Queued(t.id),
 			Capacity:     t.depth,
 			Inflight:     t.inflight,
 			Enqueued:     t.enqueued,
