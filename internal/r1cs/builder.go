@@ -165,22 +165,20 @@ func (b *Builder) ToBits(x LC, n int) []Variable {
 		panic(fmt.Sprintf("r1cs: value %d does not fit in %d bits", v, n))
 	}
 	bits := make([]Variable, n)
-	var sum LC
-	for i := 0; i < n; i++ {
-		bit := b.Secret(field.New((v >> uint(i)) & 1))
-		b.AssertBool(bit)
-		bits[i] = bit
-		sum = AddLC(sum, ScaleLC(field.New(uint64(1)<<uint(i)), FromVar(bit)))
+	for i := range bits {
+		bits[i] = b.Secret(field.New((v >> uint(i)) & 1))
+		b.AssertBool(bits[i])
 	}
-	b.AssertEq(sum, x)
+	b.AssertEq(FromBits(bits), x)
 	return bits
 }
 
-// FromBits returns the linear combination Σ bits[i]·2^i (free).
+// FromBits returns the linear combination Σ bits[i]·2^i (free), one
+// term per bit in bit order.
 func FromBits(bits []Variable) LC {
-	var sum LC
+	sum := make(LC, len(bits))
 	for i, v := range bits {
-		sum = AddLC(sum, ScaleLC(field.New(uint64(1)<<uint(i)), FromVar(v)))
+		sum[i] = Term{Coeff: field.New(uint64(1) << uint(i)), Var: v}
 	}
 	return sum
 }

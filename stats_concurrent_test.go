@@ -269,3 +269,47 @@ func TestConcurrentProveAttributionHammer(t *testing.T) {
 	}
 	snap.Check(t)
 }
+
+// TestConcurrentProveVerifyFreshInstance proves and verifies one freshly
+// built instance from several goroutines at once, so that every call
+// computes the instance digest and they all reach its memo together. Under
+// -race (make race) an unguarded memo fails the run; in any mode every
+// proof must verify and the memo must end at the digest of a separately
+// built copy of the statement.
+func TestConcurrentProveVerifyFreshInstance(t *testing.T) {
+	params := nocap.TestParams()
+	ref := nocap.Synthetic(1 << 12)
+	proof, err := nocap.Prove(params, ref.Inst, ref.IO, ref.Witness)
+	if err != nil {
+		t.Fatalf("reference prove: %v", err)
+	}
+	bm := nocap.Synthetic(1 << 12)
+	const pairs = 3
+	errs := make(chan error, 2*pairs)
+	var wg sync.WaitGroup
+	for range pairs {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			p, err := nocap.ProveCtx(context.Background(), params, bm.Inst, bm.IO, bm.Witness)
+			if err == nil {
+				err = nocap.VerifyCtx(context.Background(), params, ref.Inst, ref.IO, p)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			errs <- nocap.VerifyCtx(context.Background(), params, bm.Inst, bm.IO, proof)
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if bm.Inst.Digest() != ref.Inst.Digest() {
+		t.Fatal("memoized digest differs from a separately built copy's")
+	}
+}
