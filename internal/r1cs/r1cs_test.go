@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nocap/internal/field"
+	"nocap/internal/hashfn"
 	"nocap/internal/poly"
 )
 
@@ -329,5 +330,39 @@ func TestRandomCircuitProperty(t *testing.T) {
 		if used && ok {
 			t.Fatalf("trial %d: perturbed used wire %d accepted", trial, idx)
 		}
+	}
+}
+
+// TestDigestMemo checks what the statement digest memoizes: an abandoned
+// digest stores nothing, an engine other than the default stores nothing,
+// and a completed default digest is stored. TestInstanceDigestGolden in
+// the root package pins the values.
+func TestDigestMemo(t *testing.T) {
+	inst, _, _ := buildToy(3, 5, 7, 11, 13)
+	x4, ok := hashfn.ByName("keccak-x4")
+	if !ok {
+		t.Fatal("keccak-x4 engine not registered")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := inst.DigestEngineCtx(ctx, nil); err != context.Canceled {
+		t.Fatalf("cancelled digest: err %v, want context.Canceled", err)
+	}
+	if inst.digest.Load() != nil {
+		t.Fatal("abandoned digest was memoized")
+	}
+
+	dx4 := inst.DigestEngine(x4)
+	if inst.digest.Load() != nil {
+		t.Fatal("keccak-x4 digest was memoized")
+	}
+
+	d := inst.Digest()
+	if dx4 != d {
+		t.Fatalf("keccak-x4 digest %x, default %x", dx4, d)
+	}
+	if m := inst.digest.Load(); m == nil || *m != d {
+		t.Fatal("completed default digest was not memoized")
 	}
 }
