@@ -9,19 +9,16 @@ import (
 // BatchPlan is a shared-structure plan for proving the same statement
 // many times (DESIGN.md §15). Building the plan performs the
 // once-per-batch work — circuit synthesis, z assembly, the three SpMV
-// products and the satisfaction check, the instance-digest hash, the
-// PCS geometry plan with warmed NTT twiddle and encoder caches — and
+// products and the satisfaction check, the instance-digest hash — and
 // each ProveMemberCtx call then proves one member against that shared
 // state. Member proofs are byte-identical to solo ProveCtx proofs of
 // the same statement (with ZK enabled the proofs are nondeterministic
 // either way; the shared state is witness-randomness-free, so the
 // distribution is unchanged).
 //
-// Members run through the plan one at a time; the plan serializes
-// concurrent callers internally.
+// The plan is read-only once built: members may run concurrently.
 type BatchPlan struct {
 	sh *spartan.Shared
-	bm *Benchmark
 }
 
 // NewBatchPlanCtx builds the shared-structure plan for the named
@@ -37,13 +34,14 @@ func NewBatchPlanCtx(ctx context.Context, p Params, circuit string, n int) (*Bat
 }
 
 // NewBatchPlanForCtx builds the shared-structure plan for an explicit
-// statement.
+// statement. The plan borrows bm's public inputs and witness: do not
+// modify them while the plan is in use.
 func NewBatchPlanForCtx(ctx context.Context, p Params, bm *Benchmark) (*BatchPlan, error) {
 	sh, err := spartan.NewSharedCtx(ctx, p, bm.Inst, bm.IO, bm.Witness)
 	if err != nil {
 		return nil, err
 	}
-	return &BatchPlan{sh: sh, bm: bm}, nil
+	return &BatchPlan{sh: sh}, nil
 }
 
 // ProveMemberCtx proves one batch member through the shared plan. Each
@@ -55,9 +53,3 @@ func NewBatchPlanForCtx(ctx context.Context, p Params, bm *Benchmark) (*BatchPla
 func (p *BatchPlan) ProveMemberCtx(ctx context.Context) (*Proof, error) {
 	return p.sh.ProveCtx(ctx)
 }
-
-// Benchmark returns the statement the plan proves.
-func (p *BatchPlan) Benchmark() *Benchmark { return p.bm }
-
-// Params returns the parameters the plan was built for.
-func (p *BatchPlan) Params() Params { return p.sh.Params() }

@@ -180,17 +180,18 @@ func TestCancelSweepInjectionPointBased(t *testing.T) {
 	}
 }
 
-// TestCancelInsideStatementDigest cancels ProveCtx of a freshly built
-// instance while its statement digest is still hashing beside SpMV. The
-// sweeps above reuse one instance, whose digest is memoized by their
-// first clean prove, so none of their cancellations lands inside it. A
-// Hook plan on spartan.prove.spmv cancels the context: that checkpoint
-// runs right after the digest goroutine starts, long before it can
-// finish hashing a 2^16 instance, so the goroutine sees the cancellation
-// at its next row poll. Each cancelled prove must return within the
-// budget with no goroutine left behind, and the next prove on the same
-// instance must bind the golden digest: an abandoned digest is never
-// memoized.
+// TestCancelInsideStatementDigest cancels each prove entry — a solo
+// ProveCtx and a batch plan build — of a freshly built instance while its
+// statement digest is still hashing beside SpMV. The sweeps above reuse
+// one instance, whose digest is memoized by their first clean prove, so
+// none of their cancellations lands inside it. A Hook plan on
+// spartan.prove.spmv cancels the context: that checkpoint runs right
+// after the digest goroutine starts, long before it can finish hashing a
+// 2^16 instance, so the goroutine sees the cancellation at its next row
+// poll. Each cancelled entry must return within the budget with no
+// goroutine left behind (the plan entry joins its digest before
+// returning), and the next prove on the same instance must bind the
+// golden digest: an abandoned digest is never memoized.
 func TestCancelInsideStatementDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is not short")
@@ -203,45 +204,57 @@ func TestCancelInsideStatementDigest(t *testing.T) {
 	if d := ref.Inst.Digest(); hex.EncodeToString(d[:]) != want {
 		t.Fatalf("reference digest %x, golden %s", d, want)
 	}
-	for i := range 3 {
-		bm := nocap.Synthetic(1 << 16)
-		snap := leakcheck.Take()
-		ctx, cancel := context.WithCancel(context.Background())
-		var cancelledAt time.Time
-		faultinject.MustArm(faultinject.Plan{
-			Point: "spartan.prove.spmv",
-			Kind:  faultinject.Hook,
-			Hook: func() error {
-				cancelledAt = time.Now()
-				cancel()
-				return nil
-			},
-		})
-		_, err := nocap.ProveCtx(ctx, params, bm.Inst, bm.IO, bm.Witness)
-		returned := time.Now()
-		fired := faultinject.Fired()
-		faultinject.Disarm()
-		cancel()
-		if !fired {
-			t.Fatalf("run %d: hook at spartan.prove.spmv never fired", i)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("run %d: want context.Canceled, got %v", i, err)
-		}
-		if lag := returned.Sub(cancelledAt); lag > cancelReturnBudget {
-			t.Fatalf("run %d: prover ran %v past cancellation (budget %v)", i, lag, cancelReturnBudget)
-		}
-		snap.Check(t)
+	entries := map[string]func(context.Context, *nocap.Benchmark) error{
+		"solo": func(ctx context.Context, bm *nocap.Benchmark) error {
+			_, err := nocap.ProveCtx(ctx, params, bm.Inst, bm.IO, bm.Witness)
+			return err
+		},
+		"plan": func(ctx context.Context, bm *nocap.Benchmark) error {
+			_, err := nocap.NewBatchPlanForCtx(ctx, params, bm)
+			return err
+		},
+	}
+	for entry, start := range entries {
+		for i := range 3 {
+			bm := nocap.Synthetic(1 << 16)
+			snap := leakcheck.Take()
+			ctx, cancel := context.WithCancel(context.Background())
+			var cancelledAt time.Time
+			faultinject.MustArm(faultinject.Plan{
+				Point: "spartan.prove.spmv",
+				Kind:  faultinject.Hook,
+				Hook: func() error {
+					cancelledAt = time.Now()
+					cancel()
+					return nil
+				},
+			})
+			err := start(ctx, bm)
+			returned := time.Now()
+			fired := faultinject.Fired()
+			faultinject.Disarm()
+			cancel()
+			if !fired {
+				t.Fatalf("%s run %d: hook at spartan.prove.spmv never fired", entry, i)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s run %d: want context.Canceled, got %v", entry, i, err)
+			}
+			if lag := returned.Sub(cancelledAt); lag > cancelReturnBudget {
+				t.Fatalf("%s run %d: prover ran %v past cancellation (budget %v)", entry, i, lag, cancelReturnBudget)
+			}
+			snap.Check(t)
 
-		proof, err := nocap.Prove(params, bm.Inst, bm.IO, bm.Witness)
-		if err != nil {
-			t.Fatalf("run %d: clean prove after cancellation: %v", i, err)
-		}
-		if d := bm.Inst.Digest(); hex.EncodeToString(d[:]) != want {
-			t.Fatalf("run %d: memoized digest %x, golden %s", i, d, want)
-		}
-		if err := nocap.Verify(params, ref.Inst, ref.IO, proof); err != nil {
-			t.Fatalf("run %d: proof does not bind the golden digest: %v", i, err)
+			proof, err := nocap.Prove(params, bm.Inst, bm.IO, bm.Witness)
+			if err != nil {
+				t.Fatalf("%s run %d: clean prove after cancellation: %v", entry, i, err)
+			}
+			if d := bm.Inst.Digest(); hex.EncodeToString(d[:]) != want {
+				t.Fatalf("%s run %d: memoized digest %x, golden %s", entry, i, d, want)
+			}
+			if err := nocap.Verify(params, ref.Inst, ref.IO, proof); err != nil {
+				t.Fatalf("%s run %d: proof does not bind the golden digest: %v", entry, i, err)
+			}
 		}
 	}
 }

@@ -73,33 +73,66 @@ func assertContained(t *testing.T, err error, snap *leakcheck.Snapshot, retry fu
 
 // TestChaosProveMatrix arms {point × {Error, Panic}} for every injection
 // point a clean prove passes through, at both the first and the last hit
-// of the point, and proves the three invariants for each cell.
+// of the point, and proves the three invariants for each cell — once for
+// a solo prove and once for a member of a batch plan built before
+// recording starts, whose clean retry runs through the same plan.
 func TestChaosProveMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is not short")
 	}
 	bm, params := chaosBench()
-	prove := func() error {
-		_, err := nocap.ProveCtx(context.Background(), params, bm.Inst, bm.IO, bm.Witness)
-		return err
-	}
-	trace := recordPoints(t, prove)
-	counts := faultinject.HitCounts(trace)
-	t.Logf("prove pipeline has %d injection points (%d hits total)", len(counts), len(trace))
+	for _, e := range chaosProveEntries(t, bm, params) {
+		prove := e.prove
+		trace := recordPoints(t, prove)
+		counts := faultinject.HitCounts(trace)
+		t.Logf("%s prove pipeline has %d injection points (%d hits total)", e.name, len(counts), len(trace))
 
-	for point, hits := range counts {
-		for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Panic} {
-			for _, trigger := range triggersFor(hits) {
-				name := fmt.Sprintf("%s/%s/hit%d", point, kind, trigger)
-				t.Run(name, func(t *testing.T) {
-					defer faultinject.Disarm()
-					snap := leakcheck.Take()
-					faultinject.MustArm(faultinject.Plan{Point: point, Kind: kind, Trigger: trigger})
-					err := prove()
-					assertContained(t, err, snap, prove)
-				})
+		for point, hits := range counts {
+			for _, kind := range []faultinject.Kind{faultinject.Error, faultinject.Panic} {
+				for _, trigger := range triggersFor(hits) {
+					// Solo cells keep the unprefixed point/kind/hitN
+					// names that -run selectors already match.
+					name := fmt.Sprintf("%s/%s/hit%d", point, kind, trigger)
+					if e.name != "solo" {
+						name = e.name + "/" + name
+					}
+					t.Run(name, func(t *testing.T) {
+						defer faultinject.Disarm()
+						snap := leakcheck.Take()
+						faultinject.MustArm(faultinject.Plan{Point: point, Kind: kind, Trigger: trigger})
+						err := prove()
+						assertContained(t, err, snap, prove)
+					})
+				}
 			}
 		}
+	}
+}
+
+// proveEntry is one way into the prover that the chaos suite arms.
+type proveEntry struct {
+	name  string
+	prove func() error
+}
+
+// chaosProveEntries returns the two prove entries the chaos suite arms:
+// a solo prove, and one member of a batch plan built here, outside any
+// recording.
+func chaosProveEntries(t *testing.T, bm *nocap.Benchmark, params nocap.Params) []proveEntry {
+	t.Helper()
+	plan, err := nocap.NewBatchPlanForCtx(context.Background(), params, bm)
+	if err != nil {
+		t.Fatalf("batch plan: %v", err)
+	}
+	return []proveEntry{
+		{"solo", func() error {
+			_, err := nocap.ProveCtx(context.Background(), params, bm.Inst, bm.IO, bm.Witness)
+			return err
+		}},
+		{"member", func() error {
+			_, err := plan.ProveMemberCtx(context.Background())
+			return err
+		}},
 	}
 }
 
@@ -155,32 +188,41 @@ func triggersFor(hits uint64) []uint64 {
 // boundary named in DESIGN.md §8 that this pipeline configuration
 // executes must appear in the recorded trace, so a refactor that silently
 // drops a checkpoint fails here rather than weakening the chaos matrix.
+// The spartan stage checkpoints are pinned to exact per-member counts at
+// two repetitions, on a solo prove and on a batch member alike: the
+// chaos sweep and the statement-digest cancellation test rely on each
+// firing once per member (the sumcheck stages once per repetition).
 func TestChaosStageCoverage(t *testing.T) {
 	bm, params := chaosBench()
-	prove := func() error {
-		_, err := nocap.ProveCtx(context.Background(), params, bm.Inst, bm.IO, bm.Witness)
-		return err
-	}
-	counts := faultinject.HitCounts(recordPoints(t, prove))
-	for _, point := range []string{
-		"spartan.prove.assemble",
-		"spartan.prove.commit",
-		"spartan.prove.spmv",
-		"spartan.prove.outer",
-		"spartan.prove.inner",
-		"spartan.prove.open",
-		"pcs.commit.encode",
-		"pcs.commit.leaves",
-		"pcs.commit.tree",
-		"pcs.open.eval",
-		"pcs.open.prox",
-		"pcs.open.columns",
-		"merkle.build.level",
-		"sumcheck.prove.round",
-		"par.worker",
-	} {
-		if counts[point] == 0 {
-			t.Errorf("prove trace missing stage checkpoint %q", point)
+	params.Reps = 2
+	for _, e := range chaosProveEntries(t, bm, params) {
+		counts := faultinject.HitCounts(recordPoints(t, e.prove))
+		for point, want := range map[string]uint64{
+			"spartan.prove.assemble": 1,
+			"spartan.prove.spmv":     1,
+			"spartan.prove.commit":   1,
+			"spartan.prove.outer":    2,
+			"spartan.prove.inner":    2,
+			"spartan.prove.open":     1,
+		} {
+			if counts[point] != want {
+				t.Errorf("%s prove hit %q %d times, want %d", e.name, point, counts[point], want)
+			}
+		}
+		for _, point := range []string{
+			"pcs.commit.encode",
+			"pcs.commit.leaves",
+			"pcs.commit.tree",
+			"pcs.open.eval",
+			"pcs.open.prox",
+			"pcs.open.columns",
+			"merkle.build.level",
+			"sumcheck.prove.round",
+			"par.worker",
+		} {
+			if counts[point] == 0 {
+				t.Errorf("%s prove trace missing stage checkpoint %q", e.name, point)
+			}
 		}
 	}
 
@@ -188,7 +230,7 @@ func TestChaosStageCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prove: %v", err)
 	}
-	counts = faultinject.HitCounts(recordPoints(t, func() error {
+	counts := faultinject.HitCounts(recordPoints(t, func() error {
 		return nocap.VerifyCtx(context.Background(), params, bm.Inst, bm.IO, proof)
 	}))
 	for _, point := range []string{

@@ -190,113 +190,27 @@ func Commit(params Params, vec []field.Element) (*ProverState, error) {
 // boundary ("pcs.commit.encode", "pcs.commit.leaves",
 // "pcs.commit.tree").
 func CommitCtx(ctx context.Context, params Params, vec []field.Element) (*ProverState, error) {
-	g, err := planGeometry(params, len(vec))
-	if err != nil {
+	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	return commitPlanned(ctx, params, g, vec)
-}
-
-// geometry is the size plan of one commitment: a pure function of the
-// parameters and the vector length, so it can be computed once and
-// shared across the members of a batch.
-type geometry struct {
-	n      int // vector length
-	cols   int // data columns per row
-	msgLen int // padded message length per row (power of two)
-	encLen int // encoded row length (msgLen × blowup)
-	zkTail int // random tail entries per row (ZK only)
-	total  int // rows + masks
-}
-
-// planGeometry validates params against a vector length and fixes the
-// commitment's sizes.
-func planGeometry(params Params, n int) (geometry, error) {
-	if err := params.validate(); err != nil {
-		return geometry{}, err
-	}
+	n := len(vec)
 	if n < params.Rows || n&(n-1) != 0 {
-		return geometry{}, fmt.Errorf("pcs: vector length %d must be a power of two ≥ %d rows", n, params.Rows)
+		return nil, fmt.Errorf("pcs: vector length %d must be a power of two ≥ %d rows", n, params.Rows)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	cols := n / params.Rows
 	msgLen := cols
+	zkTail := 0
 	if params.ZK {
-		msgLen = cols + params.Code.Queries()
+		zkTail = params.Code.Queries()
+		msgLen = cols + zkTail
 	}
 	// Round msgLen to a power of two for the row code.
 	for msgLen&(msgLen-1) != 0 {
 		msgLen++
 	}
-	zkTail := 0
-	if params.ZK {
-		zkTail = params.Code.Queries()
-	}
-	return geometry{
-		n:      n,
-		cols:   cols,
-		msgLen: msgLen,
-		encLen: msgLen * params.Code.Blowup(),
-		zkTail: zkTail,
-		total:  params.Rows + params.numMasks(),
-	}, nil
-}
-
-// Shared is witness-independent commitment state precomputed once and
-// reused for every member of a batch with identical parameters and
-// vector length: the validated geometry plan plus warmed size-dependent
-// encoder caches. The plan carries no witness-dependent state, so
-// commitments produced through it are byte-identical to solo CommitCtx
-// commitments. A Shared plan is immutable after NewSharedCtx and safe
-// for concurrent use.
-type Shared struct {
-	params Params
-	geom   geometry
-}
-
-// NewSharedCtx validates the parameters, fixes the commitment geometry
-// for vectors of length n, and warms the size-dependent encoder caches
-// (NTT twiddle tables and any code-specific layout) by encoding one
-// zero-message row, so no batch member pays for building them.
-func NewSharedCtx(ctx context.Context, params Params, n int) (*Shared, error) {
-	g, err := planGeometry(params, n)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	msg := arena.GetCtx(ctx, g.msgLen)
-	defer arena.Put(msg)
-	enc := arena.GetUninitCtx(ctx, g.encLen)
-	defer arena.Put(enc)
-	if err := params.Code.EncodeRowsIntoCtx(ctx, [][]field.Element{enc}, [][]field.Element{msg}); err != nil {
-		return nil, fmt.Errorf("pcs: shared warm-up encode: %w", err)
-	}
-	return &Shared{params: params, geom: g}, nil
-}
-
-// Params returns the parameters the plan was built for.
-func (sh *Shared) Params() Params { return sh.params }
-
-// CommitSharedCtx is CommitCtx against a precomputed Shared plan:
-// validation and geometry planning are skipped (the plan already warmed
-// the per-size caches). The resulting commitment is byte-identical to
-// CommitCtx with the same parameters and vector.
-func CommitSharedCtx(ctx context.Context, sh *Shared, vec []field.Element) (*ProverState, error) {
-	if len(vec) != sh.geom.n {
-		return nil, fmt.Errorf("pcs: vector length %d does not match shared plan length %d", len(vec), sh.geom.n)
-	}
-	return commitPlanned(ctx, sh.params, sh.geom, vec)
-}
-
-// commitPlanned is the shared body of CommitCtx and CommitSharedCtx:
-// commit vec under an already-validated geometry.
-func commitPlanned(ctx context.Context, params Params, g geometry, vec []field.Element) (*ProverState, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	n := g.n
-	cols, msgLen, zkTail := g.cols, g.msgLen, g.zkTail
 
 	// The row, mask, and codeword matrices are subslices of three arena
 	// checkouts, owned by the ProverState until Close. rowsBuf is zeroed
@@ -332,7 +246,7 @@ func commitPlanned(ctx context.Context, params Params, g geometry, vec []field.E
 	all := make([][]field.Element, 0, total)
 	all = append(all, rows...)
 	all = append(all, masks...)
-	encLen := g.encLen
+	encLen := msgLen * params.Code.Blowup()
 	encBuf = arena.GetUninitCtx(ctx, total*encLen)
 	encoded := make([][]field.Element, total)
 	for r := range encoded {

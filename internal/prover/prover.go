@@ -348,9 +348,8 @@ func (p *Prover) jobAttempt(ctx context.Context, st *Statement, run proveFunc, c
 // (circuit, n, reps) by construction, so the first member's request
 // describes the statement. The once-per-batch work — circuit build, z
 // assembly, the SpMV products and satisfaction check, the instance
-// digest, the PCS geometry plan with warmed encoder/twiddle caches —
-// runs once under the plan's own collector and is charged back to the
-// members in exact proportional shares (sum(members) == aggregate);
+// digest — runs once under the plan's own collector and is charged back
+// to the members in exact proportional shares (sum(members) == aggregate);
 // each member then proves with its own context, deadline, collector,
 // transcript, and (with ZK) randomness, so member proofs are
 // byte-identical to solo proofs of the same request. Members run the

@@ -3,9 +3,11 @@ package spartan
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 
 	"nocap/internal/field"
+	"nocap/internal/zkerr"
 )
 
 // TestSharedProveByteIdentical checks the batched prover's core
@@ -80,5 +82,35 @@ func TestSharedProveRejectsBadWitness(t *testing.T) {
 	w2[0] = field.Add(w2[0], field.One)
 	if _, err := NewSharedCtx(context.Background(), TestParams(), inst, io, w2); err == nil {
 		t.Fatal("NewSharedCtx accepted an unsatisfying witness")
+	}
+}
+
+// TestProveEntriesRejectWrongShapes checks that both prove entries —
+// solo ProveCtx and the batch plan — turn a wrong public-input count or
+// witness length into the caller's error (ErrUsage) before any stage
+// runs, never an internal error that a retrying caller would re-prove.
+func TestProveEntriesRejectWrongShapes(t *testing.T) {
+	inst, io, w := buildFibonacci(10, 3, 4)
+	entries := map[string]func(io, w []field.Element) error{
+		"solo": func(io, w []field.Element) error {
+			_, err := ProveCtx(context.Background(), TestParams(), inst, io, w)
+			return err
+		},
+		"plan": func(io, w []field.Element) error {
+			_, err := NewSharedCtx(context.Background(), TestParams(), inst, io, w)
+			return err
+		},
+	}
+	shapes := map[string]struct{ io, w []field.Element }{
+		"io-long":       {append(append([]field.Element(nil), io...), field.One), w},
+		"witness-short": {io, w[:len(w)-1]},
+	}
+	for entry, run := range entries {
+		for shape, in := range shapes {
+			err := run(in.io, in.w)
+			if !errors.Is(err, zkerr.ErrUsage) || errors.Is(err, zkerr.ErrInternal) {
+				t.Errorf("%s/%s: want ErrUsage, got %v", entry, shape, err)
+			}
+		}
 	}
 }

@@ -22,9 +22,7 @@ package spartan
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"nocap/internal/arena"
 	"nocap/internal/faultinject"
@@ -239,62 +237,37 @@ func checkpoint(ctx context.Context, point string) error {
 // errors.Is(err, context.Canceled) or context.DeadlineExceeded. All
 // worker goroutines are drained before ProveCtx returns: a cancelled
 // caller gets its goroutines and memory back immediately.
+//
+// A solo prove is a batch plan of one: it builds the statement's Shared
+// plan and proves one member through it. Unlike NewSharedCtx it does not
+// join the instance digest up front; the member joins it after the
+// commitment, so hashing the statement overlaps SpMV and the commit.
 func ProveCtx(ctx context.Context, params Params, inst *r1cs.Instance, io, witness []field.Element) (proof *Proof, err error) {
 	defer zkerr.RecoverTo(&err, "spartan.Prove")
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validateStatement(params, inst, witness); err != nil {
+	sh, err := newShared(ctx, params, inst, io, witness)
+	if err != nil {
 		return nil, err
 	}
-	if err := checkpoint(ctx, fiProveAssemble); err != nil {
-		return nil, err
-	}
-	// The statement digest hashes the whole matrix structure on one
-	// core; it runs beside SpMV and the commitment and is joined when
-	// proveCore binds it.
-	digest := startDigest(ctx, inst, params.PCS.Engine())
-	defer digest.close()
-	z := arena.GetUninitCtx(ctx, inst.NumVars())
-	defer arena.Put(z)
-	inst.AssembleZInto(z, io, witness)
-
-	// SpMV: the three sparse matrix-vector products (paper §V-A),
-	// computed once into arena scratch and reused both for the witness
-	// satisfaction check ((Az)∘(Bz) = Cz directly on the products — no
-	// separate Satisfied pass) and, copied, as every repetition's outer
-	// DP arrays. With recomputation on, products are re-derived on demand
-	// instead. The transcript is untouched here, so running this stage
-	// before the commitment leaves proof bytes unchanged.
-	if err := checkpoint(ctx, fiProveSpMV); err != nil {
-		return nil, err
-	}
-	numCons := inst.NumConstraints()
-	var az, bz, cz []field.Element
-	if !params.Recompute {
-		az = arena.GetUninitCtx(ctx, numCons)
-		bz = arena.GetUninitCtx(ctx, numCons)
-		cz = arena.GetUninitCtx(ctx, numCons)
-		defer arena.Put(az)
-		defer arena.Put(bz)
-		defer arena.Put(cz)
-		if err := spmvAndCheck(ctx, inst, z, az, bz, cz); err != nil {
-			return nil, err
-		}
-	} else if ok, i := inst.Satisfied(z); !ok {
-		return nil, fmt.Errorf("spartan: witness does not satisfy constraint %d", i)
-	}
-	return proveCore(ctx, params, inst, io, witness, z, az, bz, cz, digest.wait, nil)
+	defer sh.digest.close()
+	return sh.prove(ctx)
 }
 
-// validateStatement checks the shape invariants shared by the solo and
-// batched prover entry points.
-func validateStatement(params Params, inst *r1cs.Instance, witness []field.Element) error {
+// validateStatement checks the statement's shapes before any stage runs.
+// A wrong count is the caller's error (ErrUsage): left to z assembly it
+// would surface as a recovered panic, an internal error that the jobs
+// layer retries.
+func validateStatement(params Params, inst *r1cs.Instance, io, witness []field.Element) error {
 	if params.Reps < 1 {
-		return errors.New("spartan: Reps must be ≥ 1")
+		return zkerr.Usagef("spartan: Reps must be ≥ 1")
+	}
+	if len(io) != inst.NumPublic {
+		return zkerr.Usagef("spartan: %d public inputs, want %d", len(io), inst.NumPublic)
 	}
 	if half := inst.NumVars() / 2; len(witness) != half {
-		return fmt.Errorf("spartan: witness length %d, want %d", len(witness), half)
+		return zkerr.Usagef("spartan: witness length %d, want %d", len(witness), half)
 	}
 	return nil
 }
@@ -319,22 +292,21 @@ func spmvAndCheck(ctx context.Context, inst *r1cs.Instance, z, az, bz, cz []fiel
 	return nil
 }
 
-// Shared is a batch-scoped shared-structure plan (DESIGN.md §15): every
-// statement-level input the prover needs that does not depend on the
-// member's transcript or commitment randomness, computed once and
-// reused by each member of a batch proving the same statement. That
-// covers the assembled z vector, the three SpMV products and the
-// satisfaction check, the instance digest (the transcript's first
-// absorb), the PCS geometry plan with its warmed encoder caches,
-// and a sumcheck scratch pool the members' in-place DP folds cycle
-// through. Per-member transcripts, ZK randomness, and proof bytes are
-// untouched: a proof produced through the plan is byte-identical to
-// what solo ProveCtx would emit for the same statement.
+// Shared is the prover's shared-structure plan for one statement
+// (DESIGN.md §15): every statement-level input that does not depend on a
+// member's transcript or commitment randomness — the assembled z vector,
+// the three SpMV products and the satisfaction check, and the instance
+// digest (the transcript's first absorb) — computed once. A solo
+// ProveCtx is a plan of one; a batch builds the plan with NewSharedCtx
+// and proves each member through it. Per-member transcripts, ZK
+// randomness, and proof bytes are untouched: a member proof is
+// byte-identical to what solo ProveCtx would emit for the same
+// statement.
 //
-// Members run through the plan one at a time (an internal mutex
-// serializes ProveCtx calls; the scratch pool is single-flight).
+// Plan data is read-only once built, so members may run concurrently.
+// The plan borrows io and witness; the caller must not modify them while
+// the plan is in use.
 type Shared struct {
-	mu      sync.Mutex
 	params  Params
 	inst    *r1cs.Instance
 	io      []field.Element
@@ -343,121 +315,113 @@ type Shared struct {
 	// az/bz/cz are nil when params.Recompute is set (products are
 	// re-derived on demand from z during the outer sumcheck).
 	az, bz, cz []field.Element
-	// digest is the instance digest under the batch's engine; every
-	// member binds it.
-	digest    hashfn.Digest
-	pcsShared *pcs.Shared
-	scratch   *sumcheck.Scratch
+	// digest hashes the instance under the plan's engine beside SpMV and
+	// the commitment; every member binds the value it computed.
+	digest *statementDigest
 }
 
-// NewSharedCtx builds the shared-structure plan for one statement:
-// validates shapes, assembles z, runs the SpMV products and the
-// satisfaction check once, hashes the instance under the batch's hash
-// engine beside them, and fixes the PCS geometry (warming its
-// size-dependent encoder caches). Plan buffers are plain allocations,
-// not arena checkouts — the plan outlives any single member run, while
-// arena accounting is run-scoped.
+// newShared runs the statement-level stages once: validation, z
+// assembly, and the SpMV products with the satisfaction check, while the
+// instance digest hashes on its own goroutine beside them. Plan buffers
+// are plain allocations, not arena checkouts: the plan outlives any
+// single member run, while arena accounting is run-scoped. On success the
+// caller must close the plan's digest; on failure it is already closed.
+func newShared(ctx context.Context, params Params, inst *r1cs.Instance, io, witness []field.Element) (*Shared, error) {
+	if err := validateStatement(params, inst, io, witness); err != nil {
+		return nil, err
+	}
+	if err := checkpoint(ctx, fiProveAssemble); err != nil {
+		return nil, err
+	}
+	sh := &Shared{
+		params:  params,
+		inst:    inst,
+		io:      io,
+		witness: witness,
+		z:       make([]field.Element, inst.NumVars()),
+		digest:  startDigest(ctx, inst, params.PCS.Engine()),
+	}
+	built := false
+	defer func() {
+		if !built {
+			sh.digest.close()
+		}
+	}()
+	inst.AssembleZInto(sh.z, io, witness)
+
+	// SpMV: the three sparse matrix-vector products (paper §V-A),
+	// computed once and reused both for the witness satisfaction check
+	// ((Az)∘(Bz) = Cz directly on the products — no separate Satisfied
+	// pass) and, copied, as every repetition's outer DP arrays. With
+	// recomputation on, products are re-derived on demand instead. The
+	// transcript is untouched here, so running this stage before the
+	// commitment leaves proof bytes unchanged.
+	if err := checkpoint(ctx, fiProveSpMV); err != nil {
+		return nil, err
+	}
+	if params.Recompute {
+		if ok, i := inst.Satisfied(sh.z); !ok {
+			return nil, fmt.Errorf("spartan: witness does not satisfy constraint %d", i)
+		}
+	} else {
+		numCons := inst.NumConstraints()
+		sh.az = make([]field.Element, numCons)
+		sh.bz = make([]field.Element, numCons)
+		sh.cz = make([]field.Element, numCons)
+		if err := spmvAndCheck(ctx, inst, sh.z, sh.az, sh.bz, sh.cz); err != nil {
+			return nil, err
+		}
+	}
+	built = true
+	return sh, nil
+}
+
+// NewSharedCtx builds the shared-structure plan for a batch proving one
+// statement many times. It joins the instance digest before returning,
+// so a batch fails at plan time and leaves no goroutine running.
 func NewSharedCtx(ctx context.Context, params Params, inst *r1cs.Instance, io, witness []field.Element) (sh *Shared, err error) {
 	defer zkerr.RecoverTo(&err, "spartan.NewShared")
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validateStatement(params, inst, witness); err != nil {
-		return nil, err
-	}
-	if err := checkpoint(ctx, fiProveAssemble); err != nil {
-		return nil, err
-	}
-	// The instance digest runs beside the SpMV products and the PCS
-	// plan; members bind the value it computed.
-	digest := startDigest(ctx, inst, params.PCS.Engine())
-	defer digest.close()
-	z := make([]field.Element, inst.NumVars())
-	inst.AssembleZInto(z, io, witness)
-
-	if err := checkpoint(ctx, fiProveSpMV); err != nil {
-		return nil, err
-	}
-	numCons := inst.NumConstraints()
-	var az, bz, cz []field.Element
-	if !params.Recompute {
-		az = make([]field.Element, numCons)
-		bz = make([]field.Element, numCons)
-		cz = make([]field.Element, numCons)
-		if err := spmvAndCheck(ctx, inst, z, az, bz, cz); err != nil {
-			return nil, err
-		}
-	} else if ok, i := inst.Satisfied(z); !ok {
-		return nil, fmt.Errorf("spartan: witness does not satisfy constraint %d", i)
-	}
-
-	ps, err := pcs.NewSharedCtx(ctx, params.effective(len(witness)), len(witness))
+	sh, err = newShared(ctx, params, inst, io, witness)
 	if err != nil {
-		return nil, fmt.Errorf("spartan: shared commit plan: %w", err)
+		return nil, err
 	}
-	d, err := digest.wait()
-	if err != nil {
+	defer sh.digest.close()
+	if _, err := sh.digest.wait(); err != nil {
 		return nil, fmt.Errorf("spartan: instance digest: %w", err)
 	}
-	return &Shared{
-		params:    params,
-		inst:      inst,
-		io:        append([]field.Element(nil), io...),
-		witness:   append([]field.Element(nil), witness...),
-		z:         z,
-		az:        az,
-		bz:        bz,
-		cz:        cz,
-		digest:    d,
-		pcsShared: ps,
-		scratch:   sumcheck.NewScratch(),
-	}, nil
+	return sh, nil
 }
 
-// Params returns the parameters the plan was built for.
-func (sh *Shared) Params() Params { return sh.params }
-
-// ProveCtx proves the plan's statement as one batch member: the
-// precomputed z/az/bz/cz are reused (copied into scratch where the
-// sumcheck folds in place), the commitment goes through the shared PCS
-// geometry, and the transcript binds the plan's instance digest. The
-// proof is byte-identical to solo ProveCtx for the same statement, and
-// every per-stage checkpoint (cancellation + fault injection) still
-// fires, so one member's cancellation or injected fault is contained to
-// that member.
+// ProveCtx proves the plan's statement as one batch member. The assemble
+// and SpMV stages ran at plan time; their checkpoints fire again here so
+// that cancellation and chaos faults behave as on the solo path and every
+// checkpoint fires once per member. One member's cancellation or
+// injected fault is contained to that member.
 func (sh *Shared) ProveCtx(ctx context.Context) (proof *Proof, err error) {
 	defer zkerr.RecoverTo(&err, "spartan.Prove")
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// The assemble and SpMV stages ran at plan time; keep their
-	// checkpoints so cancellation and chaos faults behave as on the solo
-	// path.
 	if err := checkpoint(ctx, fiProveAssemble); err != nil {
 		return nil, err
 	}
 	if err := checkpoint(ctx, fiProveSpMV); err != nil {
 		return nil, err
 	}
-	digest := func() (hashfn.Digest, error) { return sh.digest, nil }
-	return proveCore(ctx, sh.params, sh.inst, sh.io, sh.witness, sh.z, sh.az, sh.bz, sh.cz, digest, sh)
+	return sh.prove(ctx)
 }
 
-// proveCore is the transcript-facing body shared by the solo and
-// batched provers: commit, the per-repetition outer/inner sumchecks,
-// and the shared Orion opening. z is the assembled variable vector;
-// az/bz/cz are the SpMV products (nil in Recompute mode); digest
-// returns the instance digest, waiting on the solo path for the
-// goroutine that hashes it beside the commitment. The transcript is
-// created after the commitment, which never reads it, so the absorb
-// order is the same as binding first. When sh is
-// non-nil the commitment uses the plan's precomputed PCS geometry and
-// the repetition DP arrays cycle through the plan's scratch pool
-// instead of arena checkouts; the transcript sequence is identical
-// either way, so proof bytes do not depend on which path ran.
-func proveCore(ctx context.Context, params Params, inst *r1cs.Instance, io, witness, z, az, bz, cz []field.Element, digest func() (hashfn.Digest, error), sh *Shared) (proof *Proof, err error) {
+// prove is the member body: commit, the per-repetition outer/inner
+// sumchecks, and the shared Orion opening. The transcript is created
+// after the commitment, which never reads it, so the absorb order is the
+// same as binding first, and a solo prove's digest goroutine hashes
+// beside the commit. Every per-repetition buffer is arena scratch with a
+// deferred Put.
+func (sh *Shared) prove(ctx context.Context) (proof *Proof, err error) {
+	params, inst, z := sh.params, sh.inst, sh.z
 	numCons := inst.NumConstraints()
 	rowDot := func(mat *r1cs.SparseMatrix, i int) field.Element {
 		var acc field.Element
@@ -471,24 +435,19 @@ func proveCore(ctx context.Context, params Params, inst *r1cs.Instance, io, witn
 	if err := checkpoint(ctx, fiProveCommit); err != nil {
 		return nil, err
 	}
-	var st *pcs.ProverState
-	if sh != nil {
-		st, err = pcs.CommitSharedCtx(ctx, sh.pcsShared, witness)
-	} else {
-		st, err = pcs.CommitCtx(ctx, params.effective(len(witness)), witness)
-	}
+	st, err := pcs.CommitCtx(ctx, params.effective(len(sh.witness)), sh.witness)
 	if err != nil {
 		return nil, fmt.Errorf("spartan: commit: %w", err)
 	}
 	defer st.Close()
 	comm := st.Commitment()
-	d, err := digest()
+	d, err := sh.digest.wait()
 	if err != nil {
 		return nil, fmt.Errorf("spartan: instance digest: %w", err)
 	}
 	eng := params.PCS.Engine()
 	tr := transcript.NewEngine("spartan-orion", eng)
-	bindStatement(tr, d, io, params)
+	bindStatement(tr, d, sh.io, params)
 	tr.AppendDigest("witness-commitment", comm.Root)
 
 	logM := inst.LogConstraints()
@@ -526,29 +485,20 @@ func proveCore(ctx context.Context, params Params, inst *r1cs.Instance, io, witn
 				outer, rx, finals, err = sumcheck.ProveStreamedCtx(ctx, tr, lbl+"/outer", field.Zero, 4, logM, src, 3, outerCombine, 1<<20)
 			} else {
 				// The sumcheck folds its arrays in place, so eq(τ,·)
-				// expands straight into scratch and az/bz/cz are copied.
-				// Batch members draw the copies from the plan's scratch
-				// pool; solo runs check them out of the arena.
-				var eqTau, azc, bzc, czc []field.Element
-				if sh != nil {
-					eqTau = sh.scratch.Buf(0, 1<<logM)
-					azc = sh.scratch.Buf(1, numCons)
-					bzc = sh.scratch.Buf(2, numCons)
-					czc = sh.scratch.Buf(3, numCons)
-				} else {
-					eqTau = arena.GetUninitCtx(ctx, 1<<logM)
-					azc = arena.GetUninitCtx(ctx, numCons)
-					bzc = arena.GetUninitCtx(ctx, numCons)
-					czc = arena.GetUninitCtx(ctx, numCons)
-					defer arena.Put(eqTau)
-					defer arena.Put(azc)
-					defer arena.Put(bzc)
-					defer arena.Put(czc)
-				}
+				// expands straight into scratch and the plan's az/bz/cz
+				// are copied.
+				eqTau := arena.GetUninitCtx(ctx, 1<<logM)
+				azc := arena.GetUninitCtx(ctx, numCons)
+				bzc := arena.GetUninitCtx(ctx, numCons)
+				czc := arena.GetUninitCtx(ctx, numCons)
+				defer arena.Put(eqTau)
+				defer arena.Put(azc)
+				defer arena.Put(bzc)
+				defer arena.Put(czc)
 				poly.EqTableIntoCtx(ctx, eqTau, tau)
-				copy(azc, az)
-				copy(bzc, bz)
-				copy(czc, cz)
+				copy(azc, sh.az)
+				copy(bzc, sh.bz)
+				copy(czc, sh.cz)
 				outer, rx, finals, err = sumcheck.ProveCubicCtx(ctx, tr, lbl+"/outer", field.Zero, eqTau, azc, bzc, czc)
 			}
 			if err != nil {
@@ -566,19 +516,12 @@ func proveCore(ctx context.Context, params Params, inst *r1cs.Instance, io, witn
 			if err := checkpoint(ctx, fiProveInner); err != nil {
 				return RepProof{}, nil, err
 			}
-			var eqRx, my, zc []field.Element
-			if sh != nil {
-				eqRx = sh.scratch.Buf(4, 1<<len(rx))
-				my = sh.scratch.Zeroed(5, inst.NumVars())
-				zc = sh.scratch.Buf(6, len(z))
-			} else {
-				eqRx = arena.GetUninitCtx(ctx, 1<<len(rx))
-				defer arena.Put(eqRx)
-				my = arena.GetCtx(ctx, inst.NumVars())
-				defer arena.Put(my)
-				zc = arena.GetUninitCtx(ctx, len(z))
-				defer arena.Put(zc)
-			}
+			eqRx := arena.GetUninitCtx(ctx, 1<<len(rx))
+			defer arena.Put(eqRx)
+			my := arena.GetCtx(ctx, inst.NumVars())
+			defer arena.Put(my)
+			zc := arena.GetUninitCtx(ctx, len(z))
+			defer arena.Put(zc)
 			poly.EqTableIntoCtx(ctx, eqRx, rx)
 			copy(zc, z)
 			for _, p := range []struct {

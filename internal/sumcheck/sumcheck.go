@@ -54,42 +54,6 @@ func (p *Proof) SizeBytes() int {
 	return n
 }
 
-// Scratch is a reusable pool of oracle backing buffers for running many
-// structurally identical sumchecks back to back (batched proving,
-// DESIGN.md §15): the prover folds its oracles in place, so every run
-// needs fresh copies of the batch's precomputed shared DP inputs; a
-// Scratch lets those copies reuse one set of allocations across the
-// whole batch instead of checking new buffers out per member. Buffers
-// are plain allocations, not arena checkouts — a Scratch outlives any
-// single run, while arena accounting is run-scoped. Not safe for
-// concurrent use: a batch runs its members through it sequentially.
-type Scratch struct {
-	bufs [][]field.Element
-}
-
-// NewScratch returns an empty scratch pool.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// Buf returns slot i resized to n elements. Contents are unspecified —
-// callers overwrite every entry before reading (use Zeroed for
-// accumulators).
-func (s *Scratch) Buf(i, n int) []field.Element {
-	for len(s.bufs) <= i {
-		s.bufs = append(s.bufs, nil)
-	}
-	if cap(s.bufs[i]) < n {
-		s.bufs[i] = make([]field.Element, n)
-	}
-	return s.bufs[i][:n]
-}
-
-// Zeroed returns slot i resized to n elements with every entry cleared.
-func (s *Scratch) Zeroed(i, n int) []field.Element {
-	b := s.Buf(i, n)
-	clear(b)
-	return b
-}
-
 // ctxCheckInterval is how many hypercube points a round sweep processes
 // between context checks. At ~10ns per point the interval costs well
 // under a millisecond, so the check itself stays unmeasurable while a
