@@ -12,6 +12,13 @@
 //     (verified) bytes.
 //
 // The cache is bounded by an LRU bytes budget.
+//
+// A front index answers a repeat request before the caller has built
+// anything: an alias — a digest of the request, which determines the
+// statement — points onto a stored entry. It is one map beside the
+// content index, not a second cache: only a Commit whose verify passed
+// adds an alias, an entry owns its aliases, and evicting the entry
+// deletes them.
 package proofcache
 
 import (
@@ -92,8 +99,9 @@ type Acquisition struct {
 }
 
 type cacheEntry struct {
-	key  Key
-	data []byte
+	key     Key
+	data    []byte
+	aliases []Key // front-index keys that resolve to this entry
 }
 
 // Cache is the verified LRU + singleflight store. Safe for concurrent
@@ -104,6 +112,7 @@ type Cache struct {
 	bytes    int64
 	ll       *list.List // front = most recent
 	byKey    map[Key]*list.Element
+	byAlias  map[Key]*list.Element // front index: request digest → entry
 	flights  map[Key]*Flight
 	m        Metrics // Entries/Bytes computed at snapshot time
 }
@@ -114,8 +123,24 @@ func New(cfg Config) *Cache {
 		maxBytes: cfg.MaxBytes,
 		ll:       list.New(),
 		byKey:    make(map[Key]*list.Element),
+		byAlias:  make(map[Key]*list.Element),
 		flights:  make(map[Key]*Flight),
 	}
+}
+
+// Lookup answers a request from the front index: the stored bytes of
+// the entry alias names, counted as a hit. A miss counts nothing — the
+// caller goes on to Acquire, which counts the request exactly once.
+func (c *Cache) Lookup(alias Key) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byAlias[alias]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	c.m.Hits++
+	return el.Value.(*cacheEntry).data, true
 }
 
 // Acquire looks up k and, on a miss, either claims leadership of the
@@ -143,8 +168,9 @@ func (c *Cache) Acquire(k Key) Acquisition {
 // the verifier rejects is never inserted and never reaches a follower;
 // the rejection is returned to the leader as an internal error and
 // counted in VerifyRejects. On success the (possibly shared) verified
-// bytes are returned for the leader to serve.
-func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(context.Context, []byte) error) ([]byte, error) {
+// bytes are returned for the leader to serve, and the stored entry gains
+// aliases in the front index (none when the proof was not stored).
+func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(context.Context, []byte) error, aliases ...Key) ([]byte, error) {
 	if ferr := faultinject.Check(fiInsertCorrupt); ferr != nil && len(data) > 0 {
 		data = append([]byte(nil), data...)
 		data[len(data)/2] ^= 0x01
@@ -157,7 +183,7 @@ func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(cont
 		c.resolve(k, nil, rej)
 		return nil, rej
 	}
-	c.insert(k, data)
+	c.insert(k, data, aliases)
 	c.resolve(k, data, nil)
 	return data, nil
 }
@@ -179,11 +205,12 @@ func (c *Cache) resolve(k Key, data []byte, err error) {
 	}
 }
 
-func (c *Cache) insert(k Key, data []byte) {
+func (c *Cache) insert(k Key, data []byte, aliases []Key) {
 	size := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.byKey[k]; ok {
+	if el, ok := c.byKey[k]; ok {
+		c.attach(el, aliases)
 		return
 	}
 	if size > c.maxBytes {
@@ -198,12 +225,29 @@ func (c *Cache) insert(k Key, data []byte) {
 		ev := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.byKey, ev.key)
+		for _, a := range ev.aliases {
+			delete(c.byAlias, a)
+		}
 		c.bytes -= int64(len(ev.data))
 		c.m.Evictions++
 	}
-	c.byKey[k] = c.ll.PushFront(&cacheEntry{key: k, data: data})
+	el := c.ll.PushFront(&cacheEntry{key: k, data: data})
+	c.byKey[k] = el
+	c.attach(el, aliases)
 	c.bytes += size
 	c.m.Inserts++
+}
+
+// attach files under el each alias that is not filed yet, so every
+// alias has exactly one owning entry.
+func (c *Cache) attach(el *list.Element, aliases []Key) {
+	e := el.Value.(*cacheEntry)
+	for _, a := range aliases {
+		if _, ok := c.byAlias[a]; !ok {
+			c.byAlias[a] = el
+			e.aliases = append(e.aliases, a)
+		}
+	}
 }
 
 // Metrics snapshots the counters.

@@ -5,10 +5,11 @@
 // shared batch plan), and the verified proof-cache protocol.
 //
 // Every path that proves on a request's behalf calls it: POST /prove
-// and the nocap-prove CLI (Check, Build, Prove — the CLI as a Prover
-// with no cache and no bounds), async solo and batched attempts, the
-// cluster coordinator's in-process fallback and nocap-worker nodes
-// (Exec, BatchExec — the jobs package's executor signatures). One recipe
+// (Check, Lookup, Build, Prove) and the nocap-prove CLI (Check, Build,
+// Prove — the CLI as a Prover with no cache and no bounds), async solo
+// and batched attempts, the cluster coordinator's in-process fallback
+// and nocap-worker nodes (Exec, BatchExec — the jobs package's executor
+// signatures). One recipe
 // is what makes "a proof is byte-identical no matter which path or node
 // produced it" a property of the code, and why every path reports the
 // same per-run stats.
@@ -23,11 +24,16 @@ import (
 	"time"
 
 	"nocap"
+	"nocap/internal/faultinject"
 	"nocap/internal/hashfn"
 	"nocap/internal/jobs"
 	"nocap/internal/proofcache"
 	"nocap/internal/zkerr"
 )
+
+// fiBuild fires once per circuit build; tests count builds through it to
+// check that a front-index hit synthesizes nothing.
+var fiBuild = faultinject.Register("prover.build")
 
 // Request names a statement to prove. It is the POST /prove and POST
 // /jobs body; the jobs journal stores it verbatim as the job payload
@@ -89,7 +95,8 @@ type Statement struct {
 	Circuit string
 	Params  nocap.Params
 	Bench   *nocap.Benchmark
-	timeout time.Duration // set by Build, always positive
+	timeout time.Duration  // set by Build, always positive
+	request proofcache.Key // the request digest Build was given
 }
 
 // Outcome is one attempt's result. A cached outcome (hit or followed
@@ -142,18 +149,34 @@ func attempt(ctx context.Context, prove proveFunc, credit nocap.ProveStats) (Out
 // repetitions, masking, recomputation — folds into the digest, and the
 // full IO and witness vectors fold into the commitment.
 func (st *Statement) cacheKey() proofcache.Key {
-	params := st.Params
+	paramsDigest := hashfn.Sum([]byte(describe(st.Params)))
+	witness := hashfn.Hash2(hashfn.HashElems(st.Bench.IO), hashfn.HashElems(st.Bench.Witness))
+	k := hashfn.Hash2(hashfn.Hash2(hashfn.Sum([]byte(st.Circuit)), paramsDigest), witness)
+	return proofcache.Key(k)
+}
+
+// describe renders every parameter that could change a proof's meaning.
+func describe(params nocap.Params) string {
 	codeName := "nil"
 	if params.PCS.Code != nil {
 		codeName = fmt.Sprintf("%s/%d/%d", params.PCS.Code.Name(), params.PCS.Code.Blowup(), params.PCS.Code.Queries())
 	}
-	paramsDigest := hashfn.Sum([]byte(fmt.Sprintf(
+	return fmt.Sprintf(
 		"rows=%d code=%s prox=%d maxpts=%d zk=%t reps=%d recompute=%t hash=%s",
 		params.PCS.Rows, codeName, params.PCS.NumProximity, params.PCS.MaxPoints,
-		params.PCS.ZK, params.Reps, params.Recompute, params.PCS.Engine().Name())))
-	witness := hashfn.Hash2(hashfn.HashElems(st.Bench.IO), hashfn.HashElems(st.Bench.Witness))
-	k := hashfn.Hash2(hashfn.Hash2(hashfn.Sum([]byte(st.Circuit)), paramsDigest), witness)
-	return proofcache.Key(k)
+		params.PCS.ZK, params.Reps, params.Recompute, params.PCS.Engine().Name())
+}
+
+// requestKey is the front-index key of a checked request: a digest of
+// (circuit, n, reps) and the base parameters, which determine the
+// statement Build would construct — synthesis is deterministic and the
+// geometry fit is a function of the base parameters and the circuit.
+// It hashes a short string and builds nothing. timeout_ms is not part
+// of it: the deadline never changes a proof.
+func (p *Prover) requestKey(req Request) proofcache.Key {
+	params := p.cfg.Params
+	params.Reps = max(req.Reps, 1)
+	return proofcache.Key(hashfn.Sum([]byte(fmt.Sprintf("request circuit=%q n=%d %s", req.Circuit, req.N, describe(params)))))
 }
 
 // Config configures a Prover. Zero fields take the documented defaults.
@@ -201,7 +224,7 @@ func (p *Prover) Check(req Request) (time.Duration, error) {
 		return 0, zkerr.Resourcef("n=%d exceeds max %d", req.N, p.cfg.MaxN)
 	}
 	if req.Reps < 0 || req.Reps > 64 {
-		return 0, zkerr.Usagef("reps must be in [1,64], got %d", req.Reps)
+		return 0, zkerr.Usagef("reps must be in [0,64], got %d", req.Reps)
 	}
 	if !slices.Contains(nocap.CircuitNames(), req.Circuit) {
 		return 0, zkerr.Usagef("unknown circuit %q (want one of %v)", req.Circuit, nocap.CircuitNames())
@@ -221,19 +244,40 @@ func (p *Prover) Build(req Request) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := faultinject.Check(fiBuild); err != nil {
+		return nil, err
+	}
 	bm, err := nocap.CircuitByName(req.Circuit, req.N)
 	if err != nil {
 		return nil, err
 	}
 	params := p.cfg.Params
 	params.Reps = max(req.Reps, 1)
-	return &Statement{Circuit: req.Circuit, Params: nocap.FitParams(params, bm.Inst), Bench: bm, timeout: timeout}, nil
+	return &Statement{
+		Circuit: req.Circuit,
+		Params:  nocap.FitParams(params, bm.Inst),
+		Bench:   bm,
+		timeout: timeout,
+		request: p.requestKey(req),
+	}, nil
+}
+
+// Lookup answers a checked request from the proof cache's front index,
+// before anything is built: the verified bytes a previous identical
+// request committed, or a miss (always, with no cache configured). A
+// miss costs one short hash and takes the full path — Build, then Prove.
+func (p *Prover) Lookup(req Request) ([]byte, bool) {
+	if p.cfg.Cache == nil {
+		return nil, false
+	}
+	return p.cfg.Cache.Lookup(p.requestKey(req))
 }
 
 // Prove makes one attempt at the statement under its deadline. With a
 // cache configured it runs the cache protocol: a hit returns the cached
 // bytes; a leader proves, commits (the cache re-verifies before
-// inserting and resolves the flight), and aborts the flight on failure;
+// inserting, files the request digest in its front index, and resolves
+// the flight), and aborts the flight on failure;
 // a follower — an identical prove is already in flight — gets that
 // flight back instead of an outcome, for the caller to Wait on (under
 // the same deadline) where waiting is cheapest.
@@ -273,7 +317,7 @@ func (p *Prover) prove(ctx context.Context, st *Statement, run proveFunc, credit
 			return err
 		}
 		return st.Verify(ctx, proof)
-	})
+	}, st.request)
 	if err != nil {
 		return Outcome{}, nil, err
 	}
@@ -304,6 +348,12 @@ func (p *Prover) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) 
 	req, err := decode(spec.Payload)
 	if err != nil {
 		return jobs.Result{}, err
+	}
+	if _, err := p.Check(req); err != nil {
+		return jobs.Result{}, err
+	}
+	if data, ok := p.Lookup(req); ok {
+		return jobs.Result{Proof: data, Cached: true}, nil
 	}
 	st, err := p.Build(req)
 	if err != nil {

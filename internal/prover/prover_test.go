@@ -7,10 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"nocap"
+	"nocap/internal/faultinject"
 	"nocap/internal/jobs"
 	"nocap/internal/proofcache"
 	"nocap/internal/zkerr"
@@ -77,6 +80,12 @@ func TestCheckValidationTable(t *testing.T) {
 			if _, eerr := p.Exec(context.Background(), jobs.Spec{Payload: payload(t, tc.req)}); !errors.Is(eerr, tc.want) {
 				t.Errorf("%s: Exec err = %v, want %v", tc.name, eerr, tc.want)
 			}
+		}
+	}
+	// reps 0 means 1, so the range the error states starts at 0.
+	for _, reps := range []int{-1, 65} {
+		if _, err := p.Check(Request{Circuit: "synthetic", N: 256, Reps: reps}); err == nil || !strings.Contains(err.Error(), "reps must be in [0,64]") {
+			t.Errorf("reps %d: Check err = %v, want the [0,64] range", reps, err)
 		}
 	}
 	if _, err := p.Exec(context.Background(), jobs.Spec{Payload: json.RawMessage(`{nope`)}); !errors.Is(err, zkerr.ErrUsage) {
@@ -232,5 +241,61 @@ func TestCacheProtocol(t *testing.T) {
 	cache.Abort(st.cacheKey(), context.Canceled)
 	if err := <-done; !errors.Is(err, zkerr.ErrInternal) || !zkerr.Retryable(err) {
 		t.Fatalf("job following an abandoned leader: %v, want retryable internal", err)
+	}
+}
+
+// TestLookupBeforeBuild: a repeat request is served by Lookup with no
+// build, no prove and no verify, while a miss runs today's sequence —
+// build, prove, commit, verify-on-insert — in that order. Without a
+// cache Lookup always misses.
+func TestLookupBeforeBuild(t *testing.T) {
+	req := Request{Circuit: "synthetic", N: 256}
+	if _, ok := New(Config{Params: testParams()}).Lookup(req); ok {
+		t.Fatal("Lookup hit with no cache configured")
+	}
+	cache := proofcache.New(proofcache.Config{MaxBytes: 8 << 20})
+	p := New(Config{Params: testParams(), Cache: cache})
+	if _, ok := p.Lookup(req); ok {
+		t.Fatal("Lookup hit on an empty cache")
+	}
+	exec := func(req Request) (jobs.Result, []string) {
+		t.Helper()
+		faultinject.StartRecording()
+		res, err := p.Exec(context.Background(), jobs.Spec{Payload: payload(t, req)})
+		trace := faultinject.StopRecording()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, trace
+	}
+
+	first, trace := exec(req)
+	last := func(prefix string) int {
+		i := -1
+		for j, pt := range trace {
+			if strings.HasPrefix(pt, prefix) {
+				i = j
+			}
+		}
+		return i
+	}
+	commit := slices.Index(trace, "proofcache.insert.corrupt")
+	if first.Cached || len(trace) == 0 || trace[0] != "prover.build" ||
+		faultinject.HitCounts(trace)["prover.build"] != 1 ||
+		commit < last("spartan.prove.") || commit > slices.IndexFunc(trace, func(pt string) bool { return strings.HasPrefix(pt, "spartan.verify.") }) {
+		t.Fatalf("miss: cached %v, trace %v; want build, prove, commit, verify", first.Cached, trace)
+	}
+
+	before := cache.Metrics()
+	for _, again := range []Request{req, {Circuit: "synthetic", N: 256, Reps: 1, TimeoutMS: 5000}} {
+		res, trace := exec(again)
+		if !res.Cached || !bytes.Equal(res.Proof, first.Proof) || len(trace) != 0 {
+			t.Fatalf("repeat %+v: cached %v, identical %v, trace %v; want the stored bytes and no work", again, res.Cached, bytes.Equal(res.Proof, first.Proof), trace)
+		}
+	}
+	want := before
+	want.Hits += 2
+	if m := cache.Metrics(); m != want {
+		t.Fatalf("cache metrics %+v, want %+v (two hits, nothing else)", m, want)
 	}
 }

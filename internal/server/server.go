@@ -717,6 +717,12 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, ten, func() {
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
+		// A repeat request is answered from the cache's front index
+		// before its circuit is built.
+		if data, ok := s.prover.Lookup(req); ok {
+			s.writeProve(w, req, prover.Outcome{Proof: data, Cached: true}, time.Since(admitted))
+			return
+		}
 		st, err := s.prover.Build(req)
 		if err != nil {
 			s.writeTaxonomyError(w, err)

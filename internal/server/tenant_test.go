@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -378,6 +380,78 @@ func TestCacheVerifyRejectHTTP(t *testing.T) {
 	}
 	if cm := s.CacheMetrics(); cm.Inserts != 1 {
 		t.Fatalf("cache metrics after recovery %+v", cm)
+	}
+}
+
+// TestCacheHitNoSynthesis: a repeat request is answered from the
+// cache's front index without building its circuit. Requests that differ
+// only in timeout_ms, or in reps 0 vs 1, share the entry; once the entry
+// is evicted the next request builds, proves and re-verifies again.
+func TestCacheHitNoSynthesis(t *testing.T) {
+	var builds atomic.Int64
+	faultinject.MustArm(faultinject.Plan{
+		Point: "prover.build",
+		Kind:  faultinject.Hook,
+		Count: math.MaxUint32,
+		Hook:  func() error { builds.Add(1); return nil },
+	})
+	defer faultinject.Disarm()
+
+	cfg := testConfig()
+	cfg.CacheMB = 1
+	s, base, _ := startServer(t, cfg)
+	client := &http.Client{Timeout: time.Minute}
+	prove := func(req ProveRequest) ProveResponse {
+		t.Helper()
+		status, body, _ := doJSON(t, client, http.MethodPost, base+"/prove", "", req)
+		if status != http.StatusOK {
+			t.Fatalf("prove %+v: %d %s", req, status, body)
+		}
+		var pr ProveResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	req := ProveRequest{Circuit: "synthetic", N: 128}
+	first := prove(req)
+	if first.Cached || builds.Load() != 1 {
+		t.Fatalf("first prove: cached %v after %d builds, want a fresh prove and one build", first.Cached, builds.Load())
+	}
+	for _, again := range []ProveRequest{
+		req,
+		{Circuit: "synthetic", N: 128, TimeoutMS: 30_000},
+		{Circuit: "synthetic", N: 128, Reps: 1},
+	} {
+		pr := prove(again)
+		if !pr.Cached || pr.ProofB64 != first.ProofB64 {
+			t.Fatalf("repeat %+v: cached %v, identical %v", again, pr.Cached, pr.ProofB64 == first.ProofB64)
+		}
+		if n := builds.Load(); n != 1 {
+			t.Fatalf("repeat %+v: %d builds, want the first one only", again, n)
+		}
+	}
+	if cm := s.CacheMetrics(); cm.Hits != 3 || cm.Misses != 1 || cm.Inserts != 1 || cm.Coalesced != 0 {
+		t.Fatalf("cache metrics %+v, want 3 hits on 1 miss", cm)
+	}
+
+	// Larger statements fill the 1 MB budget until the least recently
+	// used entry — the first statement — is evicted.
+	for n := 1 << 16; s.CacheMetrics().Evictions == 0; n -= 2 {
+		if n < 1<<15 {
+			t.Fatalf("no eviction after filling: %+v", s.CacheMetrics())
+		}
+		if pr := prove(ProveRequest{Circuit: "synthetic", N: n}); pr.Cached {
+			t.Fatalf("n=%d served from cache", n)
+		}
+	}
+	before, inserts := builds.Load(), s.CacheMetrics().Inserts
+	pr := prove(req)
+	if pr.Cached || builds.Load() != before+1 {
+		t.Fatalf("after eviction: cached %v, %d builds, want a fresh prove and one build", pr.Cached, builds.Load()-before)
+	}
+	if cm := s.CacheMetrics(); cm.Inserts != inserts+1 || cm.VerifyRejects != 0 {
+		t.Fatalf("after eviction: cache metrics %+v, want one more verified insert", cm)
 	}
 }
 

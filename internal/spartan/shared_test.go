@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"nocap/internal/arena"
 	"nocap/internal/field"
 	"nocap/internal/zkerr"
 )
@@ -82,6 +83,64 @@ func TestSharedProveRejectsBadWitness(t *testing.T) {
 	w2[0] = field.Add(w2[0], field.One)
 	if _, err := NewSharedCtx(context.Background(), TestParams(), inst, io, w2); err == nil {
 		t.Fatal("NewSharedCtx accepted an unsatisfying witness")
+	}
+}
+
+// TestSoloPlanPooled checks who owns the plan buffers. A solo prove's
+// plan of one checks z/az/bz/cz out of the arena (z alone with
+// recomputation) and returns them before ProveCtx does, also when the
+// plan fails partway; a batch plan allocates them plainly, so building
+// it checks nothing out and its members check out only their own
+// scratch.
+func TestSoloPlanPooled(t *testing.T) {
+	inst, io, w := buildFibonacci(20, 3, 4)
+	bad := append([]field.Element(nil), w...)
+	bad[0] = field.Add(bad[0], field.One)
+	run := func(prove func(ctx context.Context) error) arena.Stats {
+		t.Helper()
+		var col arena.Collector
+		if err := prove(arena.WithCollector(context.Background(), &col)); err != nil {
+			t.Fatal(err)
+		}
+		return col.Snapshot()
+	}
+	for _, tc := range []struct {
+		recompute bool
+		planBufs  int64
+	}{{false, 4}, {true, 1}} {
+		params := TestParams()
+		params.Recompute = tc.recompute
+		solo := run(func(ctx context.Context) error {
+			_, err := ProveCtx(ctx, params, inst, io, w)
+			return err
+		})
+		var sh *Shared
+		build := run(func(ctx context.Context) (err error) {
+			sh, err = NewSharedCtx(ctx, params, inst, io, w)
+			return err
+		})
+		member := run(func(ctx context.Context) error {
+			_, err := sh.ProveCtx(ctx)
+			return err
+		})
+		failed := run(func(ctx context.Context) error {
+			if _, err := ProveCtx(ctx, params, inst, io, bad); err == nil {
+				return errors.New("unsatisfying witness proved")
+			}
+			return nil
+		})
+		if build.Gets != 0 || solo.Gets != member.Gets+tc.planBufs {
+			t.Errorf("recompute=%v: %d checkouts solo, %d per member, %d building the batch plan; want the solo plan's %d on top and none for the batch plan",
+				tc.recompute, solo.Gets, member.Gets, build.Gets, tc.planBufs)
+		}
+		if failed.Gets != tc.planBufs {
+			t.Errorf("recompute=%v: a plan failing its satisfaction check made %d checkouts, want %d", tc.recompute, failed.Gets, tc.planBufs)
+		}
+		for name, st := range map[string]arena.Stats{"solo": solo, "member": member, "failed plan": failed} {
+			if st.Outstanding != 0 || st.OutstandingElems != 0 {
+				t.Errorf("recompute=%v: %s left %d buffers (%d elems) checked out", tc.recompute, name, st.Outstanding, st.OutstandingElems)
+			}
+		}
 	}
 }
 

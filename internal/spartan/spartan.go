@@ -247,10 +247,11 @@ func ProveCtx(ctx context.Context, params Params, inst *r1cs.Instance, io, witne
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sh, err := newShared(ctx, params, inst, io, witness)
+	sh, err := newShared(ctx, params, inst, io, witness, true)
 	if err != nil {
 		return nil, err
 	}
+	defer sh.release()
 	defer sh.digest.close()
 	return sh.prove(ctx)
 }
@@ -318,33 +319,45 @@ type Shared struct {
 	// digest hashes the instance under the plan's engine beside SpMV and
 	// the commitment; every member binds the value it computed.
 	digest *statementDigest
+	// pooled: z/az/bz/cz are arena checkouts, returned by release.
+	pooled bool
 }
 
 // newShared runs the statement-level stages once: validation, z
 // assembly, and the SpMV products with the satisfaction check, while the
-// instance digest hashes on its own goroutine beside them. Plan buffers
-// are plain allocations, not arena checkouts: the plan outlives any
-// single member run, while arena accounting is run-scoped. On success the
-// caller must close the plan's digest; on failure it is already closed.
-func newShared(ctx context.Context, params Params, inst *r1cs.Instance, io, witness []field.Element) (*Shared, error) {
+// instance digest hashes on its own goroutine beside them. A pooled plan
+// — a solo prove's plan of one, which lives exactly as long as its
+// ProveCtx — checks its buffers out of the arena. A batch plan's buffers
+// are plain allocations: the plan outlives any single member run, while
+// arena accounting is run-scoped. On success the caller must close the
+// plan's digest and release the plan; on failure both are already done.
+func newShared(ctx context.Context, params Params, inst *r1cs.Instance, io, witness []field.Element, pooled bool) (*Shared, error) {
 	if err := validateStatement(params, inst, io, witness); err != nil {
 		return nil, err
 	}
 	if err := checkpoint(ctx, fiProveAssemble); err != nil {
 		return nil, err
 	}
+	alloc := func(n int) []field.Element {
+		if pooled {
+			return arena.GetUninitCtx(ctx, n)
+		}
+		return make([]field.Element, n)
+	}
 	sh := &Shared{
 		params:  params,
 		inst:    inst,
 		io:      io,
 		witness: witness,
-		z:       make([]field.Element, inst.NumVars()),
+		z:       alloc(inst.NumVars()),
 		digest:  startDigest(ctx, inst, params.PCS.Engine()),
+		pooled:  pooled,
 	}
 	built := false
 	defer func() {
 		if !built {
 			sh.digest.close()
+			sh.release()
 		}
 	}()
 	inst.AssembleZInto(sh.z, io, witness)
@@ -365,15 +378,22 @@ func newShared(ctx context.Context, params Params, inst *r1cs.Instance, io, witn
 		}
 	} else {
 		numCons := inst.NumConstraints()
-		sh.az = make([]field.Element, numCons)
-		sh.bz = make([]field.Element, numCons)
-		sh.cz = make([]field.Element, numCons)
+		sh.az, sh.bz, sh.cz = alloc(numCons), alloc(numCons), alloc(numCons)
 		if err := spmvAndCheck(ctx, inst, sh.z, sh.az, sh.bz, sh.cz); err != nil {
 			return nil, err
 		}
 	}
 	built = true
 	return sh, nil
+}
+
+// release returns a pooled plan's buffers to the arena.
+func (sh *Shared) release() {
+	if sh.pooled {
+		for _, b := range [][]field.Element{sh.z, sh.az, sh.bz, sh.cz} {
+			arena.Put(b)
+		}
+	}
 }
 
 // NewSharedCtx builds the shared-structure plan for a batch proving one
@@ -384,7 +404,7 @@ func NewSharedCtx(ctx context.Context, params Params, inst *r1cs.Instance, io, w
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sh, err = newShared(ctx, params, inst, io, witness)
+	sh, err = newShared(ctx, params, inst, io, witness, false)
 	if err != nil {
 		return nil, err
 	}
