@@ -85,7 +85,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(Mul|VecScaleAdd|InnerProduct)$$' -benchtime 1x ./internal/field
 	$(GO) test -run '^$$' -bench '^Benchmark(Forward|ForwardPadded)$$' -benchtime 1x ./internal/ntt
 	$(GO) test -run '^$$' -bench '^Benchmark(PermuteX8|Compress64X8)$$' -benchtime 1x ./internal/keccak
-	$(GO) test -run '^$$' -bench '^Benchmark(RSEncodeRows|EqExpand)$$' -benchtime 1x ./internal/kernel
+	$(GO) test -run '^$$' -bench '^Benchmark(RSEncodeRows|EqExpand|ColumnLeaves|HashColumns)$$' -benchtime 1x ./internal/kernel
 	$(GO) test -run '^$$' -bench '^BenchmarkRound(Cubic|Product|Generic)$$' -benchtime 1x ./internal/sumcheck
 
 # The repository's one benchmark (BENCHMARK.json; benchmark/README.md has

@@ -1,5 +1,7 @@
 package hashfn
 
+import "nocap/internal/field"
+
 // ID identifies a registered hash engine. The id is part of a proof's
 // meaning: it is bound into the serialized proof header (spartan wire
 // format v2) and into the Fiat–Shamir transcript seed, so proofs
@@ -23,7 +25,7 @@ const (
 )
 
 // Engine is one hash implementation behind the Merkle/transcript seam.
-// The three batch entry points exist so implementations can keep many
+// The two batch entry points exist so implementations can keep many
 // independent states in flight (the paper's hash FU holds 128): callers
 // present whole Merkle levels and column groups, not one message at a
 // time. All methods must be safe for concurrent use.
@@ -39,10 +41,11 @@ type Engine interface {
 	// CompressMany fills dst[i] = Hash2(prev[2i], prev[2i+1]) — one
 	// Merkle-level chunk. len(prev) must be 2·len(dst).
 	CompressMany(dst, prev []Digest)
-	// SumMany fills dst[i] = Sum(msgs[i]). len(msgs) must equal
-	// len(dst). The multi-buffer datapath hashes equal-length groups in
-	// interleaved passes; ragged groups fall back to scalar hashing.
-	SumMany(dst []Digest, msgs [][]byte)
+	// SumColumns fills leaves[k] = HashElems of column j+k of the
+	// row-major matrix rows (rows[0][j+k], rows[1][j+k], …) for every
+	// k < len(leaves) ≤ 8: one group of Merkle leaves, absorbed
+	// straight from the rows into the sponge lanes.
+	SumColumns(leaves []Digest, rows [][]field.Element, j int)
 }
 
 // sha3fn is the hash function every registered engine computes: SHA3-256,
@@ -57,7 +60,9 @@ func (sha3fn) Hash2(a, b Digest) Digest { return Hash2(a, b) }
 
 func (sha3fn) CompressMany(dst, prev []Digest) { compressMany(dst, prev) }
 
-func (sha3fn) SumMany(dst []Digest, msgs [][]byte) { sumMany(dst, msgs) }
+func (sha3fn) SumColumns(leaves []Digest, rows [][]field.Element, j int) {
+	sumColumns(leaves, rows, j)
+}
 
 // sha3Engine is the default identity: its digests are exactly those of
 // the pre-engine library.

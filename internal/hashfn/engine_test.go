@@ -3,6 +3,7 @@ package hashfn
 import (
 	"bytes"
 	"crypto/sha3"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -106,35 +107,52 @@ func TestEngineCompressManyParity(t *testing.T) {
 	})
 }
 
-// TestEngineSumManyParity covers the batched column hashing on every
-// datapath for aligned and ragged groups, equal and unequal message
-// lengths (unequal lengths must finish on a narrower path, not mishash).
+// columnMatrix returns depth rows of cols random elements.
+func columnMatrix(rng *rand.Rand, depth, cols int) [][]field.Element {
+	rows := make([][]field.Element, depth)
+	for r := range rows {
+		rows[r] = make([]field.Element, cols)
+		for c := range rows[r] {
+			rows[r][c] = field.New(rng.Uint64())
+		}
+	}
+	return rows
+}
+
+// sha3Column is the reference leaf: crypto/sha3 of column j's packed
+// little-endian words.
+func sha3Column(rows [][]field.Element, j int) Digest {
+	col := make([]field.Element, len(rows))
+	for r, row := range rows {
+		col[r] = row[j]
+	}
+	return Digest(sha3.Sum256(ElemBytes(col)))
+}
+
+// TestEngineSumManyParity is the column-parity table of SumColumns: on
+// every datapath, for depths that end a sponge block early, exactly, one
+// word past it and across several blocks (17 words fill one), every
+// group width 1…8 at every offset of a 21-column matrix must hash each
+// column as crypto/sha3 does.
 func TestEngineSumManyParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	x4 := mustEngine(t, IDKeccakX4)
-	lengthSets := [][]int{
-		{40},
-		{40, 40, 40, 40},
-		{40, 40, 40, 40, 40, 40, 40},
-		{16, 300, 16, 16, 8, 8, 8, 8, 1120}, // ragged head group, aligned middle
-		{0, 0, 0, 0},
-		{136, 136, 136, 136, 137},
-		{64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64, 64},             // 8 + 4 + 1
-		{8, 8, 8, 8, 8, 8, 8, 9, 8, 8, 8, 8, 8},                          // ragged 8-group, aligned 4-group
-		{272, 272, 272, 272, 272, 272, 272, 272, 5, 5, 5, 5, 5, 5, 5, 5}, // two 8-groups of different lengths
-	}
 	cpu.Each(func(l cpu.Level) {
-		for _, lens := range lengthSets {
-			msgs := make([][]byte, len(lens))
-			for i, n := range lens {
-				msgs[i] = make([]byte, n)
-				rng.Read(msgs[i])
+		for _, depth := range []int{0, 1, 16, 17, 18, 34, 136, 140, 153, 300} {
+			rows := columnMatrix(rng, depth, 21)
+			want := make([]Digest, 21)
+			for j := range want {
+				want[j] = sha3Column(rows, j)
 			}
-			got := make([]Digest, len(msgs))
-			x4.SumMany(got, msgs)
-			for i := range msgs {
-				if want := Digest(sha3.Sum256(msgs[i])); got[i] != want {
-					t.Fatalf("%v lens=%v msg %d: keccak-x4 SumMany disagrees with crypto/sha3", l, lens, i)
+			for width := 1; width <= 8; width++ {
+				for j := 0; j+width <= len(want); j++ {
+					got := make([]Digest, width)
+					x4.SumColumns(got, rows, j)
+					for k := range got {
+						if got[k] != want[j+k] {
+							t.Fatalf("%v depth=%d width=%d j=%d: column %d disagrees with crypto/sha3", l, depth, width, j, j+k)
+						}
+					}
 				}
 			}
 		}
@@ -143,8 +161,9 @@ func TestEngineSumManyParity(t *testing.T) {
 
 // TestHashElemsMatchesEngines pins leaf packing across both engines and
 // the package function: a leaf is the hash of the packed elements, the
-// same digest whether HashElems computes it or an engine's batch entry
-// point hashes the packed bytes (the path the leaf kernels take).
+// same digest whether HashElems computes it or an engine's SumColumns
+// hashes the vector as the one column of a len(elems) × 1 matrix (the
+// path the leaf kernels take).
 func TestHashElemsMatchesEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{0, 1, 4, 17, 128, 140, 256, 257, 1000} {
@@ -156,11 +175,13 @@ func TestHashElemsMatchesEngines(t *testing.T) {
 		if got := HashElems(elems); got != want {
 			t.Fatalf("n=%d: HashElems mismatch", n)
 		}
-		packed := make([]byte, 8*n)
-		PutElems(packed, elems)
+		rows := make([][]field.Element, n)
+		for r := range rows {
+			rows[r] = elems[r : r+1]
+		}
 		for _, eng := range []Engine{Default(), mustEngine(t, IDKeccakX4)} {
 			var got [1]Digest
-			eng.SumMany(got[:], [][]byte{packed})
+			eng.SumColumns(got[:], rows, 0)
 			if got[0] != want {
 				t.Fatalf("n=%d: %s leaf hash mismatch", n, eng.Name())
 			}
@@ -187,8 +208,9 @@ func TestHashElemsNoAlloc(t *testing.T) {
 // FuzzEngineParity is the differential fuzz target of the engine layer:
 // for arbitrary input bytes, every registered engine on every batch
 // datapath the machine has (8-way, 4-way, scalar) must agree with
-// crypto/sha3 on Sum, Hash2, CompressMany and SumMany outputs, for batch
-// sizes 1…20 (every 8 → 4 → 1 split of a batch).
+// crypto/sha3 on Sum, Hash2 and CompressMany outputs, for batch sizes
+// 1…20 (every 8 → 4 → 1 split of a batch), and on SumColumns over a row
+// matrix read from the input, for group widths 1…8 at offsets 0…3.
 func FuzzEngineParity(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte("nocap"), uint8(4))
@@ -208,14 +230,20 @@ func FuzzEngineParity(f *testing.F) {
 			copy(cat[Size:], prev[2*i+1][:])
 			want[i] = Digest(sha3.Sum256(cat[:]))
 		}
-		// Split data into n equal-length messages plus one ragged tail.
-		msgs := make([][]byte, n)
-		chunk := len(data) / n
-		for i := range msgs {
-			msgs[i] = data[i*chunk : (i+1)*chunk]
+		// One row per 8 input bytes; column c of row r is that word
+		// shifted by c, so the columns differ.
+		width, j := 1+int(batch)%8, int(batch>>3)%4
+		rows := make([][]field.Element, len(data)/8)
+		for r := range rows {
+			w := binary.LittleEndian.Uint64(data[8*r:])
+			rows[r] = make([]field.Element, j+width)
+			for c := range rows[r] {
+				rows[r][c] = field.New(w + uint64(c)*0x9e3779b97f4a7c15)
+			}
 		}
-		if len(data) > 0 {
-			msgs = append(msgs, data)
+		cols := make([]Digest, width)
+		for k := range cols {
+			cols[k] = sha3Column(rows, j+k)
 		}
 		cpu.Each(func(l cpu.Level) {
 			for _, eng := range []Engine{Default(), keccakX4Engine{}} {
@@ -229,11 +257,11 @@ func FuzzEngineParity(f *testing.F) {
 						t.Fatalf("%s/%v: CompressMany node %d mismatch", eng.Name(), l, i)
 					}
 				}
-				sums := make([]Digest, len(msgs))
-				eng.SumMany(sums, msgs)
-				for i := range msgs {
-					if sums[i] != Digest(sha3.Sum256(msgs[i])) {
-						t.Fatalf("%s/%v: SumMany msg %d mismatch", eng.Name(), l, i)
+				leaves := make([]Digest, width)
+				eng.SumColumns(leaves, rows, j)
+				for k := range leaves {
+					if leaves[k] != cols[k] {
+						t.Fatalf("%s/%v: SumColumns column %d of %d rows mismatch", eng.Name(), l, j+k, len(rows))
 					}
 				}
 			}

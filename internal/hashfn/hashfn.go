@@ -45,27 +45,8 @@ const hashElemsStack = 256
 // elements are packed into a stack buffer; only oversized vectors
 // allocate scratch.
 func HashElems(elems []field.Element) Digest {
-	if len(elems) <= hashElemsStack {
-		var buf [8 * hashElemsStack]byte
-		b := buf[:8*len(elems)]
-		PutElems(b, elems)
-		return Sum(b)
-	}
-	b := make([]byte, 8*len(elems))
-	PutElems(b, elems)
-	return Sum(b)
-}
-
-// PutElems packs elems into dst as 64-bit little-endian words. len(dst)
-// must be exactly 8·len(elems). Batch hashers (kernel.ColumnLeavesCtx)
-// pack into reused buffers with it instead of allocating per column.
-func PutElems(dst []byte, elems []field.Element) {
-	if len(dst) != 8*len(elems) {
-		panic("hashfn: PutElems buffer size mismatch")
-	}
-	for i, e := range elems {
-		binary.LittleEndian.PutUint64(dst[8*i:], e.Uint64())
-	}
+	var buf [8 * hashElemsStack]byte
+	return Sum(AppendElems(buf[:0], elems))
 }
 
 // AppendElems appends the packed little-endian representation of elems to
@@ -73,9 +54,7 @@ func PutElems(dst []byte, elems []field.Element) {
 // reuse one byte buffer (dst[:0]) instead of allocating per vector.
 func AppendElems(dst []byte, elems []field.Element) []byte {
 	for _, e := range elems {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], e.Uint64())
-		dst = append(dst, b[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, e.Uint64())
 	}
 	return dst
 }

@@ -77,6 +77,9 @@ func (s *State) round(rc uint64) {
 // rate is the SHA3-256 sponge rate in bytes (1088 bits).
 const rate = 136
 
+// rateWords is the rate in 64-bit words: the words one block absorbs.
+const rateWords = rate / 8
+
 // Sum256 computes SHA3-256 of data via the sponge construction over
 // Keccak-f[1600] (absorb at rate 136 B with domain padding 0x06, then
 // squeeze 32 bytes).

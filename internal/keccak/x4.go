@@ -211,51 +211,41 @@ func Compress64X4(out *[4][32]byte, in *[4][64]byte) {
 		s[16].setLane(k, 1<<63)
 	}
 	s.Permute()
-	for k := 0; k < 4; k++ {
-		for l := 0; l < 4; l++ {
-			binary.LittleEndian.PutUint64(out[k][8*l:], s[l].lane(k))
-		}
-	}
+	squeezeX4(&s, out[:])
 }
 
-// Sum256X4 computes SHA3-256 of four equal-length messages in
-// interleaved passes: each rate-sized block absorbs into all four states
-// before one shared Permute. Digests are bit-for-bit identical to
-// sha3.Sum256 of each message. All four messages must have the same
-// length (the multi-buffer datapath processes aligned blocks; callers
-// with ragged batches fall back to the scalar sponge for the tail).
-func Sum256X4(out *[4][32]byte, msgs *[4][]byte) {
-	n := len(msgs[0])
-	for k := 1; k < 4; k++ {
-		if len(msgs[k]) != n {
-			panic("keccak: Sum256X4 messages must have equal length")
-		}
+// SumColumnsX4 is SumColumnsX8 for the 4-way datapath: out[k] is the
+// SHA3-256 digest of column j+k of rows, for every k < len(out) ≤ 4.
+func SumColumnsX4[W ~uint64, D ~[32]byte](out []D, rows [][]W, j int) {
+	m := len(out)
+	if m > 4 {
+		panic("keccak: SumColumnsX4 group wider than four columns")
 	}
 	var s StateX4
-	off := 0
-	for ; n-off >= rate; off += rate {
-		for k := 0; k < 4; k++ {
-			block := msgs[k][off : off+rate]
-			for l := 0; l < rate/8; l++ {
-				s[l].xorLane(k, binary.LittleEndian.Uint64(block[8*l:]))
+	for r := 0; ; r += rateWords {
+		block := rows[r:min(r+rateWords, len(rows))]
+		for l, row := range block {
+			for k, w := range row[j : j+m] {
+				s[l].xorLane(k, uint64(w))
 			}
 		}
-		s.Permute()
-	}
-	// Final padded block, shared across the four states since the
-	// message lengths (and thus pad positions) agree.
-	var block [rate]byte
-	for k := 0; k < 4; k++ {
-		copy(block[:], msgs[k][off:])
-		clear(block[n-off:])
-		block[n-off] = padByte
-		block[rate-1] |= 0x80
-		for l := 0; l < rate/8; l++ {
-			s[l].xorLane(k, binary.LittleEndian.Uint64(block[8*l:]))
+		if len(block) == rateWords {
+			s.Permute()
+			continue
 		}
+		for k := range m {
+			s[len(block)].xorLane(k, padByte)
+			s[rateWords-1].xorLane(k, 1<<63)
+		}
+		s.Permute()
+		break
 	}
-	s.Permute()
-	for k := 0; k < 4; k++ {
+	squeezeX4(&s, out)
+}
+
+// squeezeX4 writes the 32-byte SHA3-256 digest of state k to out[k].
+func squeezeX4[D ~[32]byte](s *StateX4, out []D) {
+	for k := range out {
 		for l := 0; l < 4; l++ {
 			binary.LittleEndian.PutUint64(out[k][8*l:], s[l].lane(k))
 		}

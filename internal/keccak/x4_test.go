@@ -57,39 +57,6 @@ func TestCompress64X4MatchesStdlib(t *testing.T) {
 	}
 }
 
-// TestSum256X4MatchesStdlib covers the multi-block sponge across
-// lengths that exercise 0, 1 and 2 full rate blocks plus every padding
-// position class (empty tail, mid-block tail, tail one byte short of
-// the rate, tail exactly at a block boundary).
-func TestSum256X4MatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 8, 64, 135, 136, 137, 272, 300, 1024, 1120} {
-		var msgs [4][]byte
-		for k := range msgs {
-			msgs[k] = make([]byte, n)
-			rng.Read(msgs[k])
-		}
-		var out [4][32]byte
-		Sum256X4(&out, &msgs)
-		for k := range msgs {
-			if want := sha3.Sum256(msgs[k]); out[k] != want {
-				t.Fatalf("len %d buffer %d: Sum256X4 disagrees with crypto/sha3", n, k)
-			}
-		}
-	}
-}
-
-func TestSum256X4RejectsRaggedLengths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sum256X4 accepted ragged message lengths")
-		}
-	}()
-	var out [4][32]byte
-	msgs := [4][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8), make([]byte, 9)}
-	Sum256X4(&out, &msgs)
-}
-
 // BenchmarkCompress64X4 measures the fused four-way 2-to-1 compression
 // (per-op cost covers four sibling pairs).
 func BenchmarkCompress64X4(b *testing.B) {

@@ -45,48 +45,44 @@ func Compress64X8(out *[8][32]byte, in *[8][64]byte) {
 		s[16][k] = 1 << 63
 	}
 	s.Permute()
-	s.squeeze(out)
+	squeezeX8(&s, out[:])
 }
 
-// Sum256X8 computes SHA3-256 of eight equal-length messages in
-// interleaved passes, as Sum256X4 does for four. All eight messages must
-// have the same length.
-func Sum256X8(out *[8][32]byte, msgs *[8][]byte) {
-	n := len(msgs[0])
-	for k := 1; k < 8; k++ {
-		if len(msgs[k]) != n {
-			panic("keccak: Sum256X8 messages must have equal length")
-		}
-	}
+// SumColumnsX8 sets out[k] to the SHA3-256 digest of column j+k of the
+// row-major matrix rows — the little-endian words rows[0][j+k],
+// rows[1][j+k], … — for every k < len(out) ≤ 8, in one interleaved pass:
+// block word l of state k is rows[17b+l][j+k], XORed straight from the
+// row into the lane, so no column is ever copied into a byte message.
+// Lanes past len(out) run unused.
+func SumColumnsX8[W ~uint64, D ~[32]byte](out []D, rows [][]W, j int) {
+	m := len(out)
 	var s StateX8
-	off := 0
-	for ; n-off >= rate; off += rate {
-		for k := range msgs {
-			s.absorb(k, msgs[k][off:off+rate])
+	for r := 0; ; r += rateWords {
+		block := rows[r:min(r+rateWords, len(rows))]
+		for l, row := range block {
+			lanes, words := s[l][:m], row[j:j+m]
+			for k := range lanes {
+				lanes[k] ^= uint64(words[k])
+			}
+		}
+		if len(block) == rateWords {
+			s.Permute()
+			continue
+		}
+		// The message ends inside this block on a word boundary, so the
+		// pad's 0x06 opens word len(block) and its 0x80 closes word 16.
+		for k := range m {
+			s[len(block)][k] ^= padByte
+			s[rateWords-1][k] ^= 1 << 63
 		}
 		s.Permute()
+		break
 	}
-	var block [rate]byte
-	for k := range msgs {
-		copy(block[:], msgs[k][off:])
-		clear(block[n-off:])
-		block[n-off] = padByte
-		block[rate-1] |= 0x80
-		s.absorb(k, block[:])
-	}
-	s.Permute()
-	s.squeeze(out)
+	squeezeX8(&s, out)
 }
 
-// absorb XORs one rate-sized block into state k.
-func (s *StateX8) absorb(k int, block []byte) {
-	for l := 0; l < rate/8; l++ {
-		s[l][k] ^= binary.LittleEndian.Uint64(block[8*l:])
-	}
-}
-
-// squeeze writes each state's 32-byte SHA3-256 digest.
-func (s *StateX8) squeeze(out *[8][32]byte) {
+// squeezeX8 writes the 32-byte SHA3-256 digest of state k to out[k].
+func squeezeX8[D ~[32]byte](s *StateX8, out []D) {
 	for k := range out {
 		for l := 0; l < 4; l++ {
 			binary.LittleEndian.PutUint64(out[k][8*l:], s[l][k])

@@ -60,42 +60,6 @@ func TestCompress64X8MatchesStdlib(t *testing.T) {
 	})
 }
 
-// TestSum256X8MatchesStdlib covers the same length classes as
-// TestSum256X4MatchesStdlib.
-func TestSum256X8MatchesStdlib(t *testing.T) {
-	eachLevel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(3))
-		for _, n := range []int{0, 1, 8, 64, 135, 136, 137, 272, 300, 1024, 1120} {
-			var msgs [8][]byte
-			for k := range msgs {
-				msgs[k] = make([]byte, n)
-				rng.Read(msgs[k])
-			}
-			var out [8][32]byte
-			Sum256X8(&out, &msgs)
-			for k := range msgs {
-				if want := sha3.Sum256(msgs[k]); out[k] != want {
-					t.Fatalf("len %d buffer %d: Sum256X8 disagrees with crypto/sha3", n, k)
-				}
-			}
-		}
-	})
-}
-
-func TestSum256X8RejectsRaggedLengths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Sum256X8 accepted ragged message lengths")
-		}
-	}()
-	var out [8][32]byte
-	var msgs [8][]byte
-	for k := range msgs {
-		msgs[k] = make([]byte, 8+k/7)
-	}
-	Sum256X8(&out, &msgs)
-}
-
 func TestLanesFollowsCapability(t *testing.T) {
 	want := map[cpu.Level]int{cpu.Scalar: 1, cpu.AVX2: 4, cpu.AVX512: 8}
 	cpu.Each(func(l cpu.Level) {

@@ -19,7 +19,6 @@ package kernel
 
 import (
 	"context"
-	"encoding/binary"
 
 	"nocap/internal/field"
 	"nocap/internal/hashfn"
@@ -210,31 +209,30 @@ func MerkleLevelCtx(ctx context.Context, eng hashfn.Engine, dst, prev []hashfn.D
 	return err
 }
 
-// columnGroup is how many columns each worker packs before one SumMany
-// call: the widest batch datapath's lane count (the 8-way sponge), so
-// every full group fills all lanes of whichever datapath runs.
+// columnGroup is how many columns one SumColumns call hashes: the widest
+// batch datapath's lane count (the 8-way sponge), so every full group
+// fills all lanes of whichever datapath runs.
 const columnGroup = 8
 
 // ColumnLeavesCtx hashes every column of the row-major matrix rows into
 // leaves: leaves[j] = H(rows[0][j] ‖ rows[1][j] ‖ …). Every rows[r] must
-// have length ≥ len(leaves). Columns fan out across the worker pool;
-// each worker packs columnGroup equal-length columns into reused byte
-// buffers and hashes them through the engine's batch entry point, so the
-// loop allocates O(workers), not O(columns), and a multi-buffer engine
-// advances a whole group of columns per permutation pass.
+// have length ≥ len(leaves). Groups of columnGroup columns fan out across
+// the worker pool, and the engine absorbs each group straight from the
+// rows, so the pass copies nothing and allocates nothing.
 func ColumnLeavesCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, rows [][]field.Element) error {
-	return leavesCtx(ctx, eng, leaves, len(rows), func(dst []byte, j int) {
-		for r, row := range rows {
-			binary.LittleEndian.PutUint64(dst[8*r:], row[j].Uint64())
+	return leavesCtx(ctx, len(leaves), len(rows), func(lo, hi int) {
+		for j := lo; j < hi; j += columnGroup {
+			eng.SumColumns(leaves[j:min(j+columnGroup, hi)], rows, j)
 		}
 	})
 }
 
 // HashColumnsCtx is ColumnLeavesCtx over columns that are already
 // contiguous — a verifier's opened columns: leaves[q] = H(cols[q]), the
-// digest hashfn.HashElems gives, through the same groups and batch entry
-// point. Every cols[q] must have the same length and len(cols) must equal
-// len(leaves).
+// digest hashfn.HashElems gives. Each worker transposes every group of
+// columnGroup columns into one depth × columnGroup block and hashes it
+// through the same SumColumns entry. Every cols[q] must have the same
+// length and len(cols) must equal len(leaves).
 func HashColumnsCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, cols [][]field.Element) error {
 	if len(cols) != len(leaves) {
 		panic("kernel: column count mismatch")
@@ -248,30 +246,38 @@ func HashColumnsCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Dige
 			panic("kernel: ragged columns")
 		}
 	}
-	return leavesCtx(ctx, eng, leaves, depth, func(dst []byte, q int) { hashfn.PutElems(dst, cols[q]) })
-}
-
-// leavesCtx is the shared body of the leaf kernels: pack(dst, j) writes
-// column j's depth elements into dst, and every group of columnGroup
-// packed columns is hashed by one SumMany.
-func leavesCtx(ctx context.Context, eng hashfn.Engine, leaves []hashfn.Digest, depth int, pack func(dst []byte, j int)) error {
-	sp := BeginCtx(ctx, StageMerkle)
-	err := par.ForErrCtx(ctx, len(leaves), func(lo, hi int) error {
-		flat := make([]byte, columnGroup*8*depth)
-		var msgs [columnGroup][]byte
-		for k := range msgs {
-			msgs[k] = flat[8*depth*k : 8*depth*(k+1)]
+	return leavesCtx(ctx, len(leaves), depth, func(lo, hi int) {
+		flat := make([]field.Element, depth*columnGroup)
+		block := make([][]field.Element, depth)
+		for r := range block {
+			block[r] = flat[r*columnGroup : (r+1)*columnGroup]
 		}
 		for j := lo; j < hi; j += columnGroup {
-			m := min(columnGroup, hi-j)
-			for k := 0; k < m; k++ {
-				pack(msgs[k], j+k)
+			group := cols[j:min(j+columnGroup, hi)]
+			for k, col := range group {
+				for r, v := range col {
+					block[r][k] = v
+				}
 			}
-			eng.SumMany(leaves[j:j+m], msgs[:m])
+			eng.SumColumns(leaves[j:j+len(group)], block, 0)
 		}
+	})
+}
+
+// leavesCtx is the shared body of the leaf kernels: it fans n columns of
+// depth elements out across the worker pool in whole groups, so only the
+// last group of the pass is narrower than columnGroup, and hash(lo, hi)
+// hashes columns [lo, hi). A group weighs its columnGroup columns, so a
+// pass fans out from par's threshold of columns: a prover's 2^13 leaves
+// do, a verifier's 189 opened columns do not.
+func leavesCtx(ctx context.Context, n, depth int, hash func(lo, hi int)) error {
+	sp := BeginCtx(ctx, StageMerkle)
+	groups := (n + columnGroup - 1) / columnGroup
+	err := par.ForErrCtxSized(ctx, groups, columnGroup, func(lo, hi int) error {
+		hash(lo*columnGroup, min(hi*columnGroup, n))
 		return nil
 	})
-	sp.End(len(leaves) * depth)
+	sp.End(n * depth)
 	return err
 }
 

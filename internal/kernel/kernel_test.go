@@ -231,12 +231,25 @@ func TestMerkleLevelCtxMatchesHash2(t *testing.T) {
 	}
 }
 
+// TestColumnLeavesCtxMatchesHashElems: both leaf kernels give each
+// column the digest HashElems gives it — ColumnLeavesCtx over a
+// row-major matrix, and HashColumnsCtx over 1…20 opened columns, which
+// covers every ragged last group.
 func TestColumnLeavesCtxMatchesHashElems(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	const depth, cols = 5, 33
 	rows := make([][]field.Element, depth)
 	for r := range rows {
 		rows[r] = randElems(t, rng, cols)
+	}
+	opened := make([][]field.Element, cols)
+	want := make([]hashfn.Digest, cols)
+	for j := range opened {
+		opened[j] = make([]field.Element, depth)
+		for r := range rows {
+			opened[j][r] = rows[r][j]
+		}
+		want[j] = hashfn.HashElems(opened[j])
 	}
 	for _, name := range hashfn.Names() {
 		eng, ok := hashfn.ByName(name)
@@ -247,13 +260,20 @@ func TestColumnLeavesCtxMatchesHashElems(t *testing.T) {
 		if err := ColumnLeavesCtx(context.Background(), eng, leaves, rows); err != nil {
 			t.Fatal(err)
 		}
-		col := make([]field.Element, depth)
-		for j := 0; j < cols; j++ {
-			for r := range rows {
-				col[r] = rows[r][j]
-			}
-			if want := hashfn.HashElems(col); leaves[j] != want {
+		for j := range leaves {
+			if leaves[j] != want[j] {
 				t.Fatalf("%s: leaf %d mismatch", name, j)
+			}
+		}
+		for n := 1; n <= 20; n++ {
+			leaves := make([]hashfn.Digest, n)
+			if err := HashColumnsCtx(context.Background(), eng, leaves, opened[:n]); err != nil {
+				t.Fatal(err)
+			}
+			for j := range leaves {
+				if leaves[j] != want[j] {
+					t.Fatalf("%s: HashColumnsCtx over %d columns: leaf %d mismatch", name, n, j)
+				}
 			}
 		}
 	}
@@ -420,6 +440,45 @@ func BenchmarkRSEncodeRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := RSEncodeRowsCtx(context.Background(), dst, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchMatrix returns rows × cols random field elements, row-major.
+func benchMatrix(rows, cols int) [][]field.Element {
+	rng := rand.New(rand.NewSource(14))
+	m := make([][]field.Element, rows)
+	for r := range m {
+		m[r] = make([]field.Element, cols)
+		for i := range m[r] {
+			m[r][i] = field.New(rng.Uint64())
+		}
+	}
+	return m
+}
+
+// BenchmarkColumnLeaves is the leaf pass of a 2^16-constraint
+// commitment: 140 rows (128 data + 12 mask) × 8192 encoded columns.
+func BenchmarkColumnLeaves(b *testing.B) {
+	rows := benchMatrix(140, 8192)
+	leaves := make([]hashfn.Digest, 8192)
+	b.SetBytes(8 * 140 * 8192)
+	for b.Loop() {
+		if err := ColumnLeavesCtx(context.Background(), hashfn.Default(), leaves, rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashColumns is the verifier's side of the same commitment:
+// 189 opened columns of 140 elements each.
+func BenchmarkHashColumns(b *testing.B) {
+	cols := benchMatrix(189, 140)
+	leaves := make([]hashfn.Digest, len(cols))
+	b.SetBytes(8 * 189 * 140)
+	for b.Loop() {
+		if err := HashColumnsCtx(context.Background(), hashfn.Default(), leaves, cols); err != nil {
 			b.Fatal(err)
 		}
 	}

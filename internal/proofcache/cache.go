@@ -16,9 +16,10 @@
 // A front index answers a repeat request before the caller has built
 // anything: an alias — a digest of the request, which determines the
 // statement — points onto a stored entry. It is one map beside the
-// content index, not a second cache: only a Commit whose verify passed
-// adds an alias, an entry owns its aliases, and evicting the entry
-// deletes them.
+// content index, not a second cache: an alias is filed only onto a
+// stored, verified entry — Acquire takes it, a hit files it at once and
+// a miss by the flight's verified Commit — an entry owns its aliases,
+// and evicting the entry deletes them.
 package proofcache
 
 import (
@@ -66,9 +67,10 @@ type Metrics struct {
 // Flight is an in-flight prove for one key. Followers Wait on it; the
 // leader resolves it through Commit or Abort.
 type Flight struct {
-	done chan struct{}
-	data []byte
-	err  error
+	done    chan struct{}
+	data    []byte
+	err     error
+	aliases []Key // filed by the leader's Commit; guarded by Cache.mu
 }
 
 // Wait blocks until the leader resolves the flight or ctx ends. On
@@ -144,23 +146,29 @@ func (c *Cache) Lookup(alias Key) ([]byte, bool) {
 }
 
 // Acquire looks up k and, on a miss, either claims leadership of the
-// prove (first caller) or joins the existing flight.
-func (c *Cache) Acquire(k Key) Acquisition {
+// prove (first caller) or joins the existing flight. The caller's
+// aliases name k's entry in the front index: a hit files them at once,
+// a miss leaves them on the flight for the leader's Commit to file.
+// Filing counts nothing.
+func (c *Cache) Acquire(k Key, aliases ...Key) Acquisition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {
 		c.ll.MoveToFront(el)
+		c.attach(el, aliases)
 		c.m.Hits++
 		return Acquisition{Data: el.Value.(*cacheEntry).data, Hit: true}
 	}
-	if f, ok := c.flights[k]; ok {
+	f, ok := c.flights[k]
+	if ok {
 		c.m.Coalesced++
-		return Acquisition{Flight: f}
+	} else {
+		c.m.Misses++
+		f = &Flight{done: make(chan struct{})}
+		c.flights[k] = f
 	}
-	c.m.Misses++
-	f := &Flight{done: make(chan struct{})}
-	c.flights[k] = f
-	return Acquisition{Flight: f, Leader: true}
+	f.aliases = append(f.aliases, aliases...)
+	return Acquisition{Flight: f, Leader: !ok}
 }
 
 // Commit resolves a leader's flight with freshly proven bytes. The
@@ -169,8 +177,9 @@ func (c *Cache) Acquire(k Key) Acquisition {
 // the rejection is returned to the leader as an internal error and
 // counted in VerifyRejects. On success the (possibly shared) verified
 // bytes are returned for the leader to serve, and the stored entry gains
-// aliases in the front index (none when the proof was not stored).
-func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(context.Context, []byte) error, aliases ...Key) ([]byte, error) {
+// the aliases the flight carries from Acquire (none when the proof was
+// not stored).
+func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(context.Context, []byte) error) ([]byte, error) {
 	if ferr := faultinject.Check(fiInsertCorrupt); ferr != nil && len(data) > 0 {
 		data = append([]byte(nil), data...)
 		data[len(data)/2] ^= 0x01
@@ -183,7 +192,7 @@ func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(cont
 		c.resolve(k, nil, rej)
 		return nil, rej
 	}
-	c.insert(k, data, aliases)
+	c.insert(k, data)
 	c.resolve(k, data, nil)
 	return data, nil
 }
@@ -205,10 +214,14 @@ func (c *Cache) resolve(k Key, data []byte, err error) {
 	}
 }
 
-func (c *Cache) insert(k Key, data []byte, aliases []Key) {
+func (c *Cache) insert(k Key, data []byte) {
 	size := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var aliases []Key
+	if f := c.flights[k]; f != nil {
+		aliases = f.aliases
+	}
 	if el, ok := c.byKey[k]; ok {
 		c.attach(el, aliases)
 		return

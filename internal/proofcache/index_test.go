@@ -16,13 +16,13 @@ func alias(b byte) Key {
 	return k
 }
 
-// commit leads k's flight and commits data under the given aliases.
+// commit leads k's flight under the given aliases and commits data.
 func commit(t *testing.T, c *Cache, k Key, data []byte, verify func(context.Context, []byte) error, aliases ...Key) error {
 	t.Helper()
-	if acq := c.Acquire(k); acq.Hit {
-		t.Fatalf("key %x: already stored", k[0])
+	if acq := c.Acquire(k, aliases...); !acq.Leader {
+		t.Fatalf("key %x: Acquire = %+v, want leader", k[0], acq)
 	}
-	_, err := c.Commit(context.Background(), k, data, verify, aliases...)
+	_, err := c.Commit(context.Background(), k, data, verify)
 	return err
 }
 
@@ -83,19 +83,19 @@ func TestAliasNotFilled(t *testing.T) {
 	}{
 		{"verify reject", func(c *Cache, k Key) {
 			bad := func(context.Context, []byte) error { return errors.New("bogus proof") }
-			if _, err := c.Commit(context.Background(), k, []byte("forged"), bad, alias(1)); err == nil {
+			if _, err := c.Commit(context.Background(), k, []byte("forged"), bad); err == nil {
 				t.Error("verify reject: Commit succeeded")
 			}
 		}},
 		{"abort", func(c *Cache, k Key) { c.Abort(k, errors.New("prove failed")) }},
 		{"oversize skip", func(c *Cache, k Key) {
-			if _, err := c.Commit(context.Background(), k, make([]byte, 64), okVerify, alias(1)); err != nil {
+			if _, err := c.Commit(context.Background(), k, make([]byte, 64), okVerify); err != nil {
 				t.Errorf("oversize: %v", err)
 			}
 		}},
 	} {
 		c := New(Config{MaxBytes: 32})
-		c.Acquire(key(1))
+		c.Acquire(key(1), alias(1))
 		tc.resolve(c, key(1))
 		if _, ok := c.Lookup(alias(1)); ok {
 			t.Errorf("%s: alias filled", tc.name)
@@ -106,27 +106,67 @@ func TestAliasNotFilled(t *testing.T) {
 	}
 }
 
-// TestAliasesShareAndEvictWithEntry: two aliases can name one entry —
-// given at once, or the second attached by a later Commit of a stored
-// key — and evicting the entry deletes every alias it owns.
+// TestAliasRidesFlight: a follower's alias rides the leader's flight,
+// filed by the leader's verified Commit and not before; an aborted
+// flight files nothing. Filing moves no counter.
+func TestAliasRidesFlight(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	proof := []byte("verified-proof")
+	if acq := c.Acquire(key(1), alias(1)); !acq.Leader {
+		t.Fatalf("first Acquire = %+v, want leader", acq)
+	}
+	if acq := c.Acquire(key(1), alias(2)); acq.Leader || acq.Hit {
+		t.Fatalf("second Acquire = %+v, want follower", acq)
+	}
+	if _, ok := c.Lookup(alias(2)); ok {
+		t.Fatal("a follower's alias was filed before the leader committed")
+	}
+	if _, err := c.Commit(context.Background(), key(1), proof, okVerify); err != nil {
+		t.Fatal(err)
+	}
+	want := Metrics{Hits: 2, Misses: 1, Coalesced: 1, Inserts: 1, Entries: 1, Bytes: int64(len(proof))}
+	for _, a := range []byte{1, 2} {
+		if data, ok := c.Lookup(alias(a)); !ok || !bytes.Equal(data, proof) {
+			t.Fatalf("alias %d: Lookup = %q, %v", a, data, ok)
+		}
+	}
+	if m := c.Metrics(); m != want {
+		t.Fatalf("metrics %+v, want %+v", m, want)
+	}
+	checkIndex(t, c)
+
+	c.Acquire(key(2), alias(4))
+	c.Acquire(key(2), alias(5))
+	c.Abort(key(2), errors.New("prove failed"))
+	for _, a := range []byte{4, 5} {
+		if _, ok := c.Lookup(alias(a)); ok {
+			t.Errorf("alias %d filed by an aborted flight", a)
+		}
+	}
+	checkIndex(t, c)
+}
+
+// TestAliasesShareAndEvictWithEntry: aliases can name one entry — given
+// at once, or attached later by an Acquire that hits it — and evicting
+// the entry deletes every alias it owns.
 func TestAliasesShareAndEvictWithEntry(t *testing.T) {
 	c := New(Config{MaxBytes: 30})
 	first := bytes.Repeat([]byte{1}, 10)
 	if err := commit(t, c, key(1), first, okVerify, alias(1), alias(2)); err != nil {
 		t.Fatal(err)
 	}
-	// A second Commit of the stored key keeps the stored bytes and
-	// attaches its alias to the existing entry.
-	if _, err := c.Commit(context.Background(), key(1), bytes.Repeat([]byte{9}, 10), okVerify, alias(3)); err != nil {
-		t.Fatal(err)
+	// A content-key hit files its alias on the entry it hits, and counts
+	// only the hit.
+	if acq := c.Acquire(key(1), alias(3)); !acq.Hit {
+		t.Fatalf("stored key: Acquire = %+v, want hit", acq)
 	}
 	for _, a := range []byte{1, 2, 3} {
 		if data, ok := c.Lookup(alias(a)); !ok || !bytes.Equal(data, first) {
-			t.Fatalf("alias %d: Lookup = %q, %v, want the first stored bytes", a, data, ok)
+			t.Fatalf("alias %d: Lookup = %q, %v, want the stored bytes", a, data, ok)
 		}
 	}
-	if m := c.Metrics(); m.Entries != 1 || m.Inserts != 1 || m.Hits != 3 {
-		t.Fatalf("metrics %+v, want one entry, one insert, three hits", m)
+	if m := c.Metrics(); m.Entries != 1 || m.Inserts != 1 || m.Hits != 4 || m.Misses != 1 {
+		t.Fatalf("metrics %+v, want one entry, one insert, one miss, four hits", m)
 	}
 	checkIndex(t, c)
 
@@ -177,10 +217,10 @@ func TestAliasConcurrent(t *testing.T) {
 					}
 					continue
 				}
-				acq := c.Acquire(key(b))
+				acq := c.Acquire(key(b), alias(b))
 				switch {
 				case acq.Leader:
-					if _, err := c.Commit(context.Background(), key(b), want, okVerify, alias(b)); err != nil {
+					if _, err := c.Commit(context.Background(), key(b), want, okVerify); err != nil {
 						panic(err)
 					}
 				case !acq.Hit:

@@ -263,8 +263,8 @@ func (p *Prover) Build(req Request) (*Statement, error) {
 }
 
 // Lookup answers a checked request from the proof cache's front index,
-// before anything is built: the verified bytes a previous identical
-// request committed, or a miss (always, with no cache configured). A
+// before anything is built: the verified bytes stored for a previous
+// identical request, or a miss (always, with no cache configured). A
 // miss costs one short hash and takes the full path — Build, then Prove.
 func (p *Prover) Lookup(req Request) ([]byte, bool) {
 	if p.cfg.Cache == nil {
@@ -274,13 +274,15 @@ func (p *Prover) Lookup(req Request) ([]byte, bool) {
 }
 
 // Prove makes one attempt at the statement under its deadline. With a
-// cache configured it runs the cache protocol: a hit returns the cached
-// bytes; a leader proves, commits (the cache re-verifies before
-// inserting, files the request digest in its front index, and resolves
-// the flight), and aborts the flight on failure;
-// a follower — an identical prove is already in flight — gets that
-// flight back instead of an outcome, for the caller to Wait on (under
-// the same deadline) where waiting is cheapest.
+// cache configured it runs the cache protocol, which files the request
+// digest in the front index under the statement's stored entry — at once
+// on a hit, at the leader's verified commit otherwise — so a request
+// whose statement another request stored is found by Lookup next time.
+// A hit returns the cached bytes; a leader proves, commits (the cache
+// re-verifies before inserting and resolves the flight), and aborts the
+// flight on failure; a follower — an identical prove is already in
+// flight — gets that flight back instead of an outcome, for the caller
+// to Wait on (under the same deadline) where waiting is cheapest.
 func (p *Prover) Prove(ctx context.Context, st *Statement) (Outcome, *proofcache.Flight, error) {
 	ctx, cancel := context.WithTimeout(ctx, st.timeout)
 	defer cancel()
@@ -295,7 +297,7 @@ func (p *Prover) prove(ctx context.Context, st *Statement, run proveFunc, credit
 		return out, nil, err
 	}
 	key := st.cacheKey()
-	acq := cache.Acquire(key)
+	acq := cache.Acquire(key, st.request)
 	switch {
 	case acq.Hit:
 		return Outcome{Proof: acq.Data, Cached: true}, nil, nil
@@ -317,7 +319,7 @@ func (p *Prover) prove(ctx context.Context, st *Statement, run proveFunc, credit
 			return err
 		}
 		return st.Verify(ctx, proof)
-	}, st.request)
+	})
 	if err != nil {
 		return Outcome{}, nil, err
 	}

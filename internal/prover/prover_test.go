@@ -299,3 +299,30 @@ func TestLookupBeforeBuild(t *testing.T) {
 		t.Fatalf("cache metrics %+v, want %+v (two hits, nothing else)", m, want)
 	}
 }
+
+// TestLookupFindsStatementStoredByAnotherRequest: synthetic n=1 clamps
+// to the statement n=64 stored, so the first n=1 request builds once to
+// reach that entry's content key; the hit files its request digest, and
+// every later n=1 request is answered by Lookup with no build.
+func TestLookupFindsStatementStoredByAnotherRequest(t *testing.T) {
+	cache := proofcache.New(proofcache.Config{MaxBytes: 8 << 20})
+	p := New(Config{Params: testParams(), Cache: cache})
+	first, err := p.Exec(context.Background(), jobs.Spec{Payload: payload(t, Request{Circuit: "synthetic", N: 64})})
+	if err != nil || first.Cached {
+		t.Fatalf("n=64: cached %v, err %v", first.Cached, err)
+	}
+	faultinject.StartRecording()
+	for range 3 {
+		res, err := p.Exec(context.Background(), jobs.Spec{Payload: payload(t, Request{Circuit: "synthetic", N: 1})})
+		if err != nil || !res.Cached || !bytes.Equal(res.Proof, first.Proof) {
+			faultinject.StopRecording()
+			t.Fatalf("n=1: cached %v, identical %v, err %v", res.Cached, bytes.Equal(res.Proof, first.Proof), err)
+		}
+	}
+	if builds := faultinject.HitCounts(faultinject.StopRecording())["prover.build"]; builds != 1 {
+		t.Fatalf("three n=1 requests built %d times, want 1", builds)
+	}
+	if m := cache.Metrics(); m.Inserts != 1 || m.Hits != 3 || m.Misses != 1 {
+		t.Fatalf("cache metrics %+v, want one insert, one miss, three hits", m)
+	}
+}

@@ -100,7 +100,7 @@ func (s *Server) openJobs() {
 	s.jobsMu.Lock()
 	s.jobsMgr, s.jobsErr = mgr, err
 	s.jobsMu.Unlock()
-	s.recovering.Store(false)
+	close(s.recovered)
 }
 
 // jobsManager returns the manager once recovery has finished.
@@ -117,7 +117,7 @@ func (s *Server) jobsUnavailable(w http.ResponseWriter) bool {
 		writeError(w, http.StatusNotImplemented, "async jobs disabled: server started without -data-dir", "jobs-disabled")
 		return true
 	}
-	if s.recovering.Load() {
+	if s.JobsRecovering() {
 		w.Header().Set("Retry-After", s.retryAfter(time.Second, 2))
 		writeError(w, http.StatusServiceUnavailable, "journal recovery in progress", "recovering")
 		return true
@@ -310,7 +310,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cfg.DataDir != "" {
-		if s.recovering.Load() {
+		if s.JobsRecovering() {
 			w.Header().Set("Retry-After", s.retryAfter(time.Second, 2))
 			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "recovering", "code": "recovering"})
 			return
@@ -342,9 +342,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
-// JobsRecovering reports whether journal recovery is still running
-// (test hook).
-func (s *Server) JobsRecovering() bool { return s.recovering.Load() }
+// JobsRecovering reports whether journal recovery is still running.
+func (s *Server) JobsRecovering() bool {
+	select {
+	case <-s.recovered:
+		return false
+	default:
+		return true
+	}
+}
 
 // JobsMetrics snapshots the job manager's counters, or a zero snapshot
 // when jobs are disabled or still recovering (test hook).
@@ -362,7 +368,7 @@ func (s *Server) renderJobsMetrics(counter, gauge func(name, help string, v int6
 		return
 	}
 	recovering := int64(0)
-	if s.recovering.Load() {
+	if s.JobsRecovering() {
 		recovering = 1
 	}
 	gauge("nocap_jobs_recovering", "1 while journal recovery is replaying", recovering)

@@ -277,11 +277,12 @@ type Server struct {
 	workersDone chan struct{}
 
 	// Async job state: the manager opens in the background (journal
-	// replay can be slow) and recovering stays true until it is usable.
-	jobsMu     sync.Mutex
-	jobsMgr    *jobs.Manager
-	jobsErr    error
-	recovering atomic.Bool
+	// replay can be slow) and recovered closes once it is usable (at
+	// once without a data dir).
+	jobsMu    sync.Mutex
+	jobsMgr   *jobs.Manager
+	jobsErr   error
+	recovered chan struct{}
 
 	listenerMu sync.Mutex
 	listener   net.Listener
@@ -316,6 +317,7 @@ func New(cfg Config) (*Server, error) {
 		sched:       tenant.NewScheduler(queues),
 		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
 		workersDone: make(chan struct{}),
+		recovered:   make(chan struct{}),
 	}
 	if cfg.CacheMB > 0 {
 		s.cache = proofcache.New(proofcache.Config{MaxBytes: int64(cfg.CacheMB) << 20})
@@ -370,8 +372,9 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	if cfg.DataDir != "" {
-		s.recovering.Store(true)
 		go s.openJobs()
+	} else {
+		close(s.recovered)
 	}
 	return s, nil
 }
@@ -421,8 +424,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// states, so interrupted jobs replay on the next start exactly as
 	// after a crash. Wait out a still-running recovery so the journal is
 	// closed cleanly when possible.
-	for s.cfg.DataDir != "" && s.recovering.Load() && ctx.Err() == nil {
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-s.recovered:
+	case <-ctx.Done():
 	}
 	if mgr, _ := s.jobsManager(); mgr != nil {
 		_ = mgr.Close(ctx)
