@@ -87,6 +87,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark(PermuteX8|Compress64X8)$$' -benchtime 1x ./internal/keccak
 	$(GO) test -run '^$$' -bench '^Benchmark(RSEncodeRows|EqExpand|ColumnLeaves|HashColumns)$$' -benchtime 1x ./internal/kernel
 	$(GO) test -run '^$$' -bench '^BenchmarkRound(Cubic|Product|Generic)$$' -benchtime 1x ./internal/sumcheck
+	$(GO) test -run '^$$' -bench '^BenchmarkWriteProveHit$$' -benchtime 1x ./internal/server
 
 # The repository's one benchmark (BENCHMARK.json; benchmark/README.md has
 # the workloads, metrics, and how to compare two result sets): by default

@@ -11,7 +11,10 @@
 //     the rest wait on the leader's flight and are served the same
 //     (verified) bytes.
 //
-// The cache is bounded by an LRU bytes budget.
+// An entry holds its proof in two forms: the marshalled bytes and their
+// standard base64 text, the form a service reply carries. The text is
+// made once, when verify-on-insert succeeds, so no hit encodes again;
+// the LRU bytes budget charges both forms.
 //
 // A front index answers a repeat request before the caller has built
 // anything: an alias — a digest of the request, which determines the
@@ -25,6 +28,7 @@ package proofcache
 import (
 	"container/list"
 	"context"
+	"encoding/base64"
 	"sync"
 
 	"nocap/internal/faultinject"
@@ -46,10 +50,21 @@ type Key [KeySize]byte
 
 // Config sizes the cache.
 type Config struct {
-	// MaxBytes is the LRU budget over stored proof bytes. <= 0 disables
-	// storage (flights still coalesce identical in-flight proves).
+	// MaxBytes is the LRU budget over everything an entry stores: both
+	// forms of its proof. <= 0 disables storage (flights still coalesce
+	// identical in-flight proves).
 	MaxBytes int64
 }
+
+// Proof is a verified proof in both forms the cache hands out: Data, the
+// marshalled bytes, and B64, their standard base64 text.
+type Proof struct {
+	Data []byte
+	B64  []byte
+}
+
+// size is what an entry holding p charges to the budget.
+func (p Proof) size() int64 { return int64(len(p.Data) + len(p.B64)) }
 
 // Metrics is a point-in-time snapshot of the cache counters.
 type Metrics struct {
@@ -59,37 +74,37 @@ type Metrics struct {
 	Inserts       int64
 	VerifyRejects int64 // soundness incidents: proofs refused at insert
 	Evictions     int64
-	OversizeSkips int64 // proofs larger than the whole budget
+	OversizeSkips int64 // proofs whose two forms exceed the whole budget
 	Entries       int64
-	Bytes         int64
+	Bytes         int64 // both forms of every stored proof
 }
 
 // Flight is an in-flight prove for one key. Followers Wait on it; the
 // leader resolves it through Commit or Abort.
 type Flight struct {
 	done    chan struct{}
-	data    []byte
+	proof   Proof
 	err     error
 	aliases []Key // filed by the leader's Commit; guarded by Cache.mu
 }
 
 // Wait blocks until the leader resolves the flight or ctx ends. On
-// success the returned bytes are the leader's verified proof.
-func (f *Flight) Wait(ctx context.Context) ([]byte, error) {
+// success the returned proof is the leader's verified one.
+func (f *Flight) Wait(ctx context.Context) (Proof, error) {
 	select {
 	case <-f.done:
-		return f.data, f.err
+		return f.proof, f.err
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return Proof{}, ctx.Err()
 	}
 }
 
 // Acquisition is the outcome of Acquire: exactly one of Hit, Leader, or
 // follower (Flight set with Leader=false) holds.
 type Acquisition struct {
-	// Data is the cached proof when Hit.
-	Data []byte
-	// Hit: the proof was in the cache; Data is servable as-is.
+	// Proof is the cached proof when Hit.
+	Proof Proof
+	// Hit: the proof was in the cache; Proof is servable as-is.
 	Hit bool
 	// Leader: the caller owns the prove for this key and must resolve
 	// it with Commit (success) or Abort (failure) — leaking a flight
@@ -102,7 +117,7 @@ type Acquisition struct {
 
 type cacheEntry struct {
 	key     Key
-	data    []byte
+	proof   Proof
 	aliases []Key // front-index keys that resolve to this entry
 }
 
@@ -130,19 +145,19 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// Lookup answers a request from the front index: the stored bytes of
+// Lookup answers a request from the front index: the stored proof of
 // the entry alias names, counted as a hit. A miss counts nothing — the
 // caller goes on to Acquire, which counts the request exactly once.
-func (c *Cache) Lookup(alias Key) ([]byte, bool) {
+func (c *Cache) Lookup(alias Key) (Proof, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byAlias[alias]
 	if !ok {
-		return nil, false
+		return Proof{}, false
 	}
 	c.ll.MoveToFront(el)
 	c.m.Hits++
-	return el.Value.(*cacheEntry).data, true
+	return el.Value.(*cacheEntry).proof, true
 }
 
 // Acquire looks up k and, on a miss, either claims leadership of the
@@ -157,7 +172,7 @@ func (c *Cache) Acquire(k Key, aliases ...Key) Acquisition {
 		c.ll.MoveToFront(el)
 		c.attach(el, aliases)
 		c.m.Hits++
-		return Acquisition{Data: el.Value.(*cacheEntry).data, Hit: true}
+		return Acquisition{Proof: el.Value.(*cacheEntry).proof, Hit: true}
 	}
 	f, ok := c.flights[k]
 	if ok {
@@ -175,11 +190,11 @@ func (c *Cache) Acquire(k Key, aliases ...Key) Acquisition {
 // bytes are re-verified first — the verify-on-insert rule — so a proof
 // the verifier rejects is never inserted and never reaches a follower;
 // the rejection is returned to the leader as an internal error and
-// counted in VerifyRejects. On success the (possibly shared) verified
-// bytes are returned for the leader to serve, and the stored entry gains
-// the aliases the flight carries from Acquire (none when the proof was
-// not stored).
-func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(context.Context, []byte) error) ([]byte, error) {
+// counted in VerifyRejects. On success the bytes gain their base64 text,
+// the verified proof is returned for the leader to serve, and the stored
+// entry gains the aliases the flight carries from Acquire (none when the
+// proof was not stored).
+func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(context.Context, []byte) error) (Proof, error) {
 	if ferr := faultinject.Check(fiInsertCorrupt); ferr != nil && len(data) > 0 {
 		data = append([]byte(nil), data...)
 		data[len(data)/2] ^= 0x01
@@ -189,33 +204,34 @@ func (c *Cache) Commit(ctx context.Context, k Key, data []byte, verify func(cont
 		c.m.VerifyRejects++
 		c.mu.Unlock()
 		rej := zkerr.Internalf("proofcache: verify-on-insert rejected proof: %v", err)
-		c.resolve(k, nil, rej)
-		return nil, rej
+		c.resolve(k, Proof{}, rej)
+		return Proof{}, rej
 	}
-	c.insert(k, data)
-	c.resolve(k, data, nil)
-	return data, nil
+	p := Proof{Data: data, B64: base64.StdEncoding.AppendEncode(nil, data)}
+	c.insert(k, p)
+	c.resolve(k, p, nil)
+	return p, nil
 }
 
 // Abort resolves a leader's flight with the prove's error; nothing is
 // inserted and followers receive err.
 func (c *Cache) Abort(k Key, err error) {
-	c.resolve(k, nil, err)
+	c.resolve(k, Proof{}, err)
 }
 
-func (c *Cache) resolve(k Key, data []byte, err error) {
+func (c *Cache) resolve(k Key, p Proof, err error) {
 	c.mu.Lock()
 	f := c.flights[k]
 	delete(c.flights, k)
 	c.mu.Unlock()
 	if f != nil {
-		f.data, f.err = data, err
+		f.proof, f.err = p, err
 		close(f.done)
 	}
 }
 
-func (c *Cache) insert(k Key, data []byte) {
-	size := int64(len(data))
+func (c *Cache) insert(k Key, p Proof) {
+	size := p.size()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var aliases []Key
@@ -241,10 +257,10 @@ func (c *Cache) insert(k Key, data []byte) {
 		for _, a := range ev.aliases {
 			delete(c.byAlias, a)
 		}
-		c.bytes -= int64(len(ev.data))
+		c.bytes -= ev.proof.size()
 		c.m.Evictions++
 	}
-	el := c.ll.PushFront(&cacheEntry{key: k, data: data})
+	el := c.ll.PushFront(&cacheEntry{key: k, proof: p})
 	c.byKey[k] = el
 	c.attach(el, aliases)
 	c.bytes += size

@@ -3,6 +3,7 @@ package proofcache
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,6 +20,10 @@ func key(b byte) Key {
 	return k
 }
 
+// charged is what an entry holding an n-byte proof charges to the
+// budget: the bytes and their base64 text.
+func charged(n int) int64 { return int64(n + base64.StdEncoding.EncodedLen(n)) }
+
 // okVerify accepts everything — tests that are not about the verify
 // rule use it.
 func okVerify(context.Context, []byte) error { return nil }
@@ -32,16 +37,16 @@ func TestAcquireMissCommitHit(t *testing.T) {
 	}
 	proof := []byte("proof-bytes")
 	got, err := c.Commit(context.Background(), k, proof, okVerify)
-	if err != nil || !bytes.Equal(got, proof) {
-		t.Fatalf("Commit: %q, %v", got, err)
+	if err != nil || !bytes.Equal(got.Data, proof) {
+		t.Fatalf("Commit: %q, %v", got.Data, err)
 	}
 	hit := c.Acquire(k)
-	if !hit.Hit || !bytes.Equal(hit.Data, proof) {
+	if !hit.Hit || !bytes.Equal(hit.Proof.Data, proof) {
 		t.Fatalf("second Acquire: %+v, want byte-identical hit", hit)
 	}
 	m := c.Metrics()
 	if m.Hits != 1 || m.Misses != 1 || m.Inserts != 1 || m.Entries != 1 ||
-		m.Bytes != int64(len(proof)) {
+		m.Bytes != charged(len(proof)) {
 		t.Fatalf("metrics %+v", m)
 	}
 }
@@ -69,7 +74,7 @@ func TestSingleflightCoalesce(t *testing.T) {
 				t.Errorf("follower %d: %v", i, err)
 				return
 			}
-			results[i] = data
+			results[i] = data.Data
 		}(i, f.Flight)
 	}
 	proof := []byte("shared-proof")
@@ -135,14 +140,14 @@ func TestVerifyOnInsertRejects(t *testing.T) {
 		return fmt.Errorf("bogus proof")
 	}
 	got, err := c.Commit(context.Background(), k, []byte("forged"), badVerify)
-	if err == nil || got != nil {
-		t.Fatalf("Commit of rejected proof returned %q, %v", got, err)
+	if err == nil || got.Data != nil || got.B64 != nil {
+		t.Fatalf("Commit of rejected proof returned %q, %v", got.Data, err)
 	}
 	if zkerr.Code(err) != "internal" {
 		t.Fatalf("verify-reject code %q, want internal", zkerr.Code(err))
 	}
-	if data, ferr := follower.Flight.Wait(context.Background()); ferr == nil || data != nil {
-		t.Fatalf("follower received rejected bytes: %q, %v", data, ferr)
+	if p, ferr := follower.Flight.Wait(context.Background()); ferr == nil || p.Data != nil || p.B64 != nil {
+		t.Fatalf("follower received rejected bytes: %q, %v", p.Data, ferr)
 	}
 	if next := c.Acquire(k); next.Hit {
 		t.Fatal("rejected proof was stored")
@@ -175,7 +180,7 @@ func TestInsertCorruptionFault(t *testing.T) {
 		return nil
 	}
 	if got, err := c.Commit(context.Background(), k, proof, verify); err == nil {
-		t.Fatalf("corrupted insert served %q", got)
+		t.Fatalf("corrupted insert served %q", got.Data)
 	}
 	if !faultinject.Fired() {
 		t.Fatal("corruption fault never fired")
@@ -191,7 +196,7 @@ func TestInsertCorruptionFault(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New(Config{MaxBytes: 30})
+	c := New(Config{MaxBytes: 3 * charged(10)})
 	put := func(b byte, size int) {
 		k := key(b)
 		if acq := c.Acquire(k); !acq.Leader {
@@ -219,7 +224,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 	}
 	m := c.Metrics()
-	if m.Evictions != 1 || m.Entries != 3 || m.Bytes != 30 {
+	if m.Evictions != 1 || m.Entries != 3 || m.Bytes != 3*charged(10) {
 		t.Fatalf("metrics %+v", m)
 	}
 
@@ -236,4 +241,66 @@ func TestLRUEviction(t *testing.T) {
 	if m := c.Metrics(); m.OversizeSkips != 1 {
 		t.Fatalf("metrics %+v, want 1 oversize skip", m)
 	}
+}
+
+// TestEntryChargesBothForms: an entry stores its proof's base64 text
+// beside the bytes, every hand-out carries both, and the budget charges
+// both — in Metrics.Bytes and in the oversize skip.
+func TestEntryChargesBothForms(t *testing.T) {
+	proof := bytes.Repeat([]byte("proof-bytes-"), 7)
+	wantB64 := []byte(base64.StdEncoding.EncodeToString(proof))
+	c := New(Config{MaxBytes: charged(len(proof))})
+	k := key(1)
+	c.Acquire(k, alias(1))
+	follower := c.Acquire(k)
+	got, err := c.Commit(context.Background(), k, proof, okVerify)
+	if err != nil || !bytes.Equal(got.Data, proof) || !bytes.Equal(got.B64, wantB64) {
+		t.Fatalf("Commit = %q / %q, %v; want the bytes and their base64 text", got.Data, got.B64, err)
+	}
+	followed, err := follower.Flight.Wait(context.Background())
+	if err != nil || !bytes.Equal(followed.B64, wantB64) {
+		t.Fatalf("follower got %q, %v", followed.B64, err)
+	}
+	hit := c.Acquire(k)
+	looked, ok := c.Lookup(alias(1))
+	if !hit.Hit || !ok || !bytes.Equal(hit.Proof.B64, wantB64) || !bytes.Equal(looked.B64, wantB64) {
+		t.Fatalf("hits: Acquire %+v, Lookup %v", hit.Hit, ok)
+	}
+	if m := c.Metrics(); m.Entries != 1 || m.Bytes != charged(len(proof)) {
+		t.Fatalf("metrics %+v, want one entry charged %d", m, charged(len(proof)))
+	}
+
+	// A proof whose bytes fit the budget but whose two forms do not is
+	// an oversize skip — still served to its leader in both forms.
+	small := New(Config{MaxBytes: charged(len(proof)) - 1})
+	small.Acquire(k)
+	got, err = small.Commit(context.Background(), k, proof, okVerify)
+	if err != nil || !bytes.Equal(got.B64, wantB64) {
+		t.Fatalf("oversize Commit = %q, %v", got.B64, err)
+	}
+	if m := small.Metrics(); m.OversizeSkips != 1 || m.Entries != 0 || m.Bytes != 0 {
+		t.Fatalf("metrics %+v, want an oversize skip and nothing stored", m)
+	}
+}
+
+// TestBudgetFitsOneEntry: a budget that holds one entry's two forms but
+// not two entries evicts the first on the second insert, and the first
+// entry's aliases go with it.
+func TestBudgetFitsOneEntry(t *testing.T) {
+	c := New(Config{MaxBytes: 2*charged(10) - 1})
+	for b := byte(1); b <= 2; b++ {
+		if err := commit(t, c, key(b), bytes.Repeat([]byte{b}, 10), okVerify, alias(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.Lookup(alias(1)); ok {
+		t.Fatal("the first entry's alias outlived its eviction")
+	}
+	if p, ok := c.Lookup(alias(2)); !ok || !bytes.Equal(p.Data, bytes.Repeat([]byte{2}, 10)) {
+		t.Fatalf("second entry: Lookup = %q, %v", p.Data, ok)
+	}
+	if m := c.Metrics(); m.Evictions != 1 || m.Entries != 1 || m.Bytes != charged(10) {
+		t.Fatalf("metrics %+v, want one eviction and one entry", m)
+	}
+	checkIndex(t, c)
 }

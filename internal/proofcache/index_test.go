@@ -51,8 +51,8 @@ func checkIndex(t *testing.T, c *Cache) {
 // bytes, and that hit moves Hits and nothing else.
 func TestAliasFilledByVerifiedCommit(t *testing.T) {
 	c := New(Config{MaxBytes: 1 << 20})
-	if data, ok := c.Lookup(alias(1)); ok || data != nil {
-		t.Fatalf("empty cache: Lookup = %q, %v", data, ok)
+	if p, ok := c.Lookup(alias(1)); ok || p.Data != nil {
+		t.Fatalf("empty cache: Lookup = %q, %v", p.Data, ok)
 	}
 	if m := c.Metrics(); m != (Metrics{}) {
 		t.Fatalf("a lookup miss moved the counters: %+v", m)
@@ -62,9 +62,9 @@ func TestAliasFilledByVerifiedCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Metrics()
-	data, ok := c.Lookup(alias(1))
-	if !ok || !bytes.Equal(data, proof) {
-		t.Fatalf("Lookup after commit = %q, %v", data, ok)
+	p, ok := c.Lookup(alias(1))
+	if !ok || !bytes.Equal(p.Data, proof) {
+		t.Fatalf("Lookup after commit = %q, %v", p.Data, ok)
 	}
 	want := before
 	want.Hits++
@@ -124,10 +124,10 @@ func TestAliasRidesFlight(t *testing.T) {
 	if _, err := c.Commit(context.Background(), key(1), proof, okVerify); err != nil {
 		t.Fatal(err)
 	}
-	want := Metrics{Hits: 2, Misses: 1, Coalesced: 1, Inserts: 1, Entries: 1, Bytes: int64(len(proof))}
+	want := Metrics{Hits: 2, Misses: 1, Coalesced: 1, Inserts: 1, Entries: 1, Bytes: charged(len(proof))}
 	for _, a := range []byte{1, 2} {
-		if data, ok := c.Lookup(alias(a)); !ok || !bytes.Equal(data, proof) {
-			t.Fatalf("alias %d: Lookup = %q, %v", a, data, ok)
+		if p, ok := c.Lookup(alias(a)); !ok || !bytes.Equal(p.Data, proof) {
+			t.Fatalf("alias %d: Lookup = %q, %v", a, p.Data, ok)
 		}
 	}
 	if m := c.Metrics(); m != want {
@@ -150,7 +150,7 @@ func TestAliasRidesFlight(t *testing.T) {
 // at once, or attached later by an Acquire that hits it — and evicting
 // the entry deletes every alias it owns.
 func TestAliasesShareAndEvictWithEntry(t *testing.T) {
-	c := New(Config{MaxBytes: 30})
+	c := New(Config{MaxBytes: 2*charged(10) + charged(20) - 1})
 	first := bytes.Repeat([]byte{1}, 10)
 	if err := commit(t, c, key(1), first, okVerify, alias(1), alias(2)); err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestAliasesShareAndEvictWithEntry(t *testing.T) {
 		t.Fatalf("stored key: Acquire = %+v, want hit", acq)
 	}
 	for _, a := range []byte{1, 2, 3} {
-		if data, ok := c.Lookup(alias(a)); !ok || !bytes.Equal(data, first) {
-			t.Fatalf("alias %d: Lookup = %q, %v, want the stored bytes", a, data, ok)
+		if p, ok := c.Lookup(alias(a)); !ok || !bytes.Equal(p.Data, first) {
+			t.Fatalf("alias %d: Lookup = %q, %v, want the stored bytes", a, p.Data, ok)
 		}
 	}
 	if m := c.Metrics(); m.Entries != 1 || m.Inserts != 1 || m.Hits != 4 || m.Misses != 1 {
@@ -201,7 +201,7 @@ func TestAliasesShareAndEvictWithEntry(t *testing.T) {
 // goroutines over a budget that holds three entries; run under -race it
 // checks the index's locking, and afterwards the ownership invariant.
 func TestAliasConcurrent(t *testing.T) {
-	c := New(Config{MaxBytes: 30})
+	c := New(Config{MaxBytes: 3 * charged(10)})
 	const workers, rounds, keys = 8, 400, 6
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -211,9 +211,9 @@ func TestAliasConcurrent(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				b := byte((w + i) % keys)
 				want := bytes.Repeat([]byte{b}, 10)
-				if data, ok := c.Lookup(alias(b)); ok {
-					if !bytes.Equal(data, want) {
-						panic(fmt.Sprintf("alias %d served %q", b, data))
+				if p, ok := c.Lookup(alias(b)); ok {
+					if !bytes.Equal(p.Data, want) {
+						panic(fmt.Sprintf("alias %d served %q", b, p.Data))
 					}
 					continue
 				}

@@ -103,7 +103,10 @@ type Statement struct {
 // flight) carries the leader's verified bytes and no stats: no prove
 // ran for it.
 type Outcome struct {
-	Proof  []byte
+	Proof []byte
+	// B64 is Proof's standard base64 text when the cache made it (every
+	// outcome that passed through a cache); nil otherwise.
+	B64    []byte
 	Stats  Stats
 	Cached bool
 	// Elapsed is the time spent inside the prover proper.
@@ -262,15 +265,21 @@ func (p *Prover) Build(req Request) (*Statement, error) {
 	}, nil
 }
 
+// FromCache is the cached outcome serving a proof the cache handed out.
+func FromCache(proof proofcache.Proof) Outcome {
+	return Outcome{Proof: proof.Data, B64: proof.B64, Cached: true}
+}
+
 // Lookup answers a checked request from the proof cache's front index,
-// before anything is built: the verified bytes stored for a previous
+// before anything is built: the verified proof stored for a previous
 // identical request, or a miss (always, with no cache configured). A
 // miss costs one short hash and takes the full path — Build, then Prove.
-func (p *Prover) Lookup(req Request) ([]byte, bool) {
+func (p *Prover) Lookup(req Request) (Outcome, bool) {
 	if p.cfg.Cache == nil {
-		return nil, false
+		return Outcome{}, false
 	}
-	return p.cfg.Cache.Lookup(p.requestKey(req))
+	proof, ok := p.cfg.Cache.Lookup(p.requestKey(req))
+	return FromCache(proof), ok
 }
 
 // Prove makes one attempt at the statement under its deadline. With a
@@ -300,7 +309,7 @@ func (p *Prover) prove(ctx context.Context, st *Statement, run proveFunc, credit
 	acq := cache.Acquire(key, st.request)
 	switch {
 	case acq.Hit:
-		return Outcome{Proof: acq.Data, Cached: true}, nil, nil
+		return FromCache(acq.Proof), nil, nil
 	case !acq.Leader:
 		return Outcome{}, acq.Flight, nil
 	}
@@ -313,7 +322,7 @@ func (p *Prover) prove(ctx context.Context, st *Statement, run proveFunc, credit
 	// re-verify against the statement. The cache refuses (and counts)
 	// anything that fails — a corrupt entry must be a visible soundness
 	// incident, never a served proof.
-	out.Proof, err = cache.Commit(ctx, key, out.Proof, func(ctx context.Context, data []byte) error {
+	verified, err := cache.Commit(ctx, key, out.Proof, func(ctx context.Context, data []byte) error {
 		proof, err := nocap.UnmarshalProofLimits(data, p.cfg.Limits)
 		if err != nil {
 			return err
@@ -323,6 +332,7 @@ func (p *Prover) prove(ctx context.Context, st *Statement, run proveFunc, credit
 	if err != nil {
 		return Outcome{}, nil, err
 	}
+	out.Proof, out.B64 = verified.Data, verified.B64
 	return out, nil, nil
 }
 
@@ -354,8 +364,8 @@ func (p *Prover) Exec(ctx context.Context, spec jobs.Spec) (jobs.Result, error) 
 	if _, err := p.Check(req); err != nil {
 		return jobs.Result{}, err
 	}
-	if data, ok := p.Lookup(req); ok {
-		return jobs.Result{Proof: data, Cached: true}, nil
+	if out, ok := p.Lookup(req); ok {
+		return jobs.Result{Proof: out.Proof, Cached: true}, nil
 	}
 	st, err := p.Build(req)
 	if err != nil {
@@ -373,8 +383,9 @@ func (p *Prover) jobAttempt(ctx context.Context, st *Statement, run proveFunc, c
 	defer cancel()
 	out, flight, err := p.prove(ctx, st, run, credit)
 	if err == nil && flight != nil {
-		out.Cached = true
-		out.Proof, err = flight.Wait(ctx)
+		var proof proofcache.Proof
+		proof, err = flight.Wait(ctx)
+		out = FromCache(proof)
 		if err != nil && ctx.Err() == nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			// The LEADER's request died, not this job: report a
 			// retryable failure so the manager re-proves, instead of

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -251,7 +250,12 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 			s.writeTaxonomyError(w, perr)
 			return
 		}
-		resp.ProofB64 = base64.StdEncoding.EncodeToString(proof)
+		// An empty proof leaves proof_b64 out, as its omitempty tag does.
+		if len(proof) > 0 {
+			resp.ProofB64 = proofSlot
+			writeProof(w, resp, proof, nil)
+			return
+		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

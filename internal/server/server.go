@@ -39,6 +39,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -619,6 +620,46 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// proofSlot is what a reply's proof_b64 holds while writeProof marshals
+// the rest of the reply; proofMark is how the slot reads in the JSON.
+// The mark cannot occur inside another string value, where every quote
+// is escaped.
+const (
+	proofSlot = "-"
+	proofMark = `"proof_b64":"` + proofSlot + `"`
+)
+
+// writeProof answers 200 with reply v — a ProveResponse or JobResponse
+// whose ProofB64 is proofSlot — carrying b64, the standard base64 text
+// of proof, in that field: the body is byte-identical to writeJSON of
+// the reply with the text in place. Only the small rest of the reply is
+// marshalled; the text is written as it is, under an explicit
+// Content-Length, with no copy and no JSON string scan. b64 is the proof
+// cache's stored form when the proof came through it; nil encodes proof
+// once here.
+func writeProof(w http.ResponseWriter, v any, proof, b64 []byte) {
+	msg, err := json.Marshal(v)
+	i := bytes.Index(msg, []byte(proofMark))
+	if err != nil || i < 0 {
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf("server: marshal proof reply: %v", err), "internal")
+		return
+	}
+	if b64 == nil {
+		b64 = base64.StdEncoding.AppendEncode(nil, proof)
+	}
+	head := msg[:i+len(proofMark)-len(proofSlot)-1]
+	tail := append(msg[i+len(proofMark)-1:], '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(b64)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	for _, part := range [][]byte{head, b64, tail} {
+		if _, err := w.Write(part); err != nil {
+			return
+		}
+	}
+}
+
 func writeError(w http.ResponseWriter, status int, msg, code string) {
 	writeJSON(w, status, ErrorResponse{Error: msg, Code: code})
 }
@@ -723,8 +764,8 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 		defer s.inflight.Add(-1)
 		// A repeat request is answered from the cache's front index
 		// before its circuit is built.
-		if data, ok := s.prover.Lookup(req); ok {
-			s.writeProve(w, req, prover.Outcome{Proof: data, Cached: true}, time.Since(admitted))
+		if out, ok := s.prover.Lookup(req); ok {
+			s.writeProve(w, req, out, time.Since(admitted))
 			return
 		}
 		st, err := s.prover.Build(req)
@@ -747,12 +788,12 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	data, err := flight.Wait(ctx)
+	proof, err := flight.Wait(ctx)
 	if err != nil {
 		s.writeTaxonomyError(w, err)
 		return
 	}
-	s.writeProve(w, req, prover.Outcome{Proof: data, Cached: true}, time.Since(admitted))
+	s.writeProve(w, req, prover.FromCache(proof), time.Since(admitted))
 }
 
 // writeProve answers 200 for a proved or cache-served statement. For
@@ -766,16 +807,16 @@ func (s *Server) writeProve(w http.ResponseWriter, req ProveRequest, out prover.
 		s.metrics.provesOK.Add(1)
 		s.metrics.proveNs.Add(out.Elapsed.Nanoseconds())
 	}
-	writeJSON(w, http.StatusOK, ProveResponse{
+	writeProof(w, ProveResponse{
 		Circuit:    req.Circuit,
 		N:          req.N,
 		Cached:     out.Cached,
-		ProofB64:   base64.StdEncoding.EncodeToString(out.Proof),
+		ProofB64:   proofSlot,
 		ProofBytes: len(out.Proof),
 		ElapsedMS:  float64(out.Elapsed) / float64(time.Millisecond),
 		QueueMS:    float64(queued) / float64(time.Millisecond),
 		Stats:      out.Stats,
-	})
+	}, out.Proof, out.B64)
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {

@@ -398,7 +398,7 @@ func TestCacheHitNoSynthesis(t *testing.T) {
 	defer faultinject.Disarm()
 
 	cfg := testConfig()
-	cfg.CacheMB = 1
+	cfg.CacheMB = 4
 	s, base, _ := startServer(t, cfg)
 	client := &http.Client{Timeout: time.Minute}
 	prove := func(req ProveRequest) ProveResponse {
@@ -435,8 +435,9 @@ func TestCacheHitNoSynthesis(t *testing.T) {
 		t.Fatalf("cache metrics %+v, want 3 hits on 1 miss", cm)
 	}
 
-	// Larger statements fill the 1 MB budget until the least recently
-	// used entry — the first statement — is evicted.
+	// Larger statements fill the 4 MB budget — each entry charges its
+	// bytes and their base64 text — until the least recently used entry,
+	// the first statement, is evicted.
 	for n := 1 << 16; s.CacheMetrics().Evictions == 0; n -= 2 {
 		if n < 1<<15 {
 			t.Fatalf("no eviction after filling: %+v", s.CacheMetrics())
