@@ -7,7 +7,6 @@ FUZZ_TARGETS = \
 	./internal/pcs:FuzzReadCommitment \
 	./internal/merkle:FuzzReadPath \
 	./internal/wire:FuzzReader \
-	./internal/cstream:FuzzDecode \
 	./internal/jobs:FuzzDecodeRecord \
 	./internal/cluster:FuzzClusterRPC \
 	./internal/hashfn:FuzzEngineParity \

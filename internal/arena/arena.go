@@ -6,7 +6,7 @@
 //
 // Discipline:
 //
-//   - Get/GetUninit check a buffer out; Put returns it. The caller that
+//   - Get/GetUninitCtx check a buffer out; Put returns it. The caller that
 //     checks a buffer out owns it and is responsible for exactly one Put.
 //   - Buffers must never be Put while still referenced — returned memory
 //     is recycled and will be overwritten by the next checkout.
@@ -148,15 +148,10 @@ func (a *Arena) GetCtx(ctx context.Context, n int) []field.Element {
 	return s
 }
 
-// GetUninit checks out a buffer of length n with arbitrary contents —
+// GetUninitCtx checks out a buffer of length n with arbitrary contents —
 // for callers that overwrite every entry before reading any. Capacity is
-// the size class (next power of two ≥ n).
-func (a *Arena) GetUninit(n int) []field.Element {
-	return a.GetUninitCtx(context.Background(), n)
-}
-
-// GetUninitCtx is GetUninit with per-run attribution via the context's
-// collector.
+// the size class (next power of two ≥ n). The checkout is attributed to
+// the context's collector, if any.
 func (a *Arena) GetUninitCtx(ctx context.Context, n int) []field.Element {
 	if n <= 0 {
 		return nil
@@ -330,9 +325,6 @@ func Get(n int) []field.Element { return Default.Get(n) }
 // GetCtx checks a zeroed buffer out of the Default arena, attributed to
 // the context's collector.
 func GetCtx(ctx context.Context, n int) []field.Element { return Default.GetCtx(ctx, n) }
-
-// GetUninit checks an uninitialized buffer out of the Default arena.
-func GetUninit(n int) []field.Element { return Default.GetUninit(n) }
 
 // GetUninitCtx checks an uninitialized buffer out of the Default arena,
 // attributed to the context's collector.

@@ -12,7 +12,7 @@ func TestGetReturnsZeroedBuffer(t *testing.T) {
 	a := New()
 	// Dirty a buffer, return it, and check the next zeroed checkout of
 	// the same class really is zeroed.
-	s := a.GetUninit(10)
+	s := a.GetUninitCtx(context.Background(), 10)
 	for i := range s {
 		s[i] = field.New(uint64(i + 1))
 	}
@@ -35,7 +35,7 @@ func TestGetReturnsZeroedBuffer(t *testing.T) {
 // only in the !race build (reuse_norace_test.go).
 func TestSizeClassReuse(t *testing.T) {
 	a := New()
-	s := a.GetUninit(100) // class 7, cap 128
+	s := a.GetUninitCtx(context.Background(), 100) // class 7, cap 128
 	if cap(s) != 128 {
 		t.Fatalf("cap = %d, want 128", cap(s))
 	}
@@ -88,7 +88,7 @@ func TestDoubleReturnDetected(t *testing.T) {
 		t.Fatalf("Puts = %d, want 1 (the double return must not count)", st.Puts)
 	}
 	// The pool must not now hand the same buffer out twice.
-	s1, s2 := a.GetUninit(8), a.GetUninit(8)
+	s1, s2 := a.GetUninitCtx(context.Background(), 8), a.GetUninitCtx(context.Background(), 8)
 	if &s1[0] == &s2[0] {
 		t.Fatal("double return poisoned the pool: one buffer checked out twice")
 	}

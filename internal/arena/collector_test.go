@@ -66,7 +66,7 @@ func TestCollectorAttribution(t *testing.T) {
 	ctx := WithCollector(context.Background(), &col)
 
 	attributed := a.GetUninitCtx(ctx, 16)
-	plain := a.GetUninit(16)
+	plain := a.GetUninitCtx(context.Background(), 16)
 
 	cs := col.Snapshot()
 	if cs.Gets != 1 || cs.OutstandingElems != 16 {

@@ -2,7 +2,10 @@
 
 package arena
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Buffer reuse itself. sync.Pool drops a share of Puts on purpose under
 // the race detector, so these run only without it; everything else the
@@ -13,10 +16,10 @@ import "testing"
 // next checkout of its size class.
 func TestSameClassCheckoutReusesBuffer(t *testing.T) {
 	a := New()
-	s := a.GetUninit(100)
+	s := a.GetUninitCtx(context.Background(), 100)
 	base := &s[:cap(s)][0]
 	a.Put(s)
-	s2 := a.GetUninit(65)
+	s2 := a.GetUninitCtx(context.Background(), 65)
 	if &s2[:cap(s2)][0] != base {
 		t.Fatal("same-class checkout did not reuse the pooled buffer")
 	}

@@ -167,9 +167,6 @@ func (w *Worker) Kill() {
 	w.killCancel()
 }
 
-// Killed reports whether Kill was called.
-func (w *Worker) Killed() bool { return w.killed.Load() }
-
 // between draws a duration uniform in [lo, hi) from the worker's seeded
 // source. Every clock the worker runs (heartbeats, RPC retry backoff) is
 // jittered so a coordinator restart cannot synchronize the fleet into a

@@ -161,16 +161,6 @@ func (p *Program) Emit(op Op, vecLen int, repeat int64) {
 	p.Streams[fu] = append(p.Streams[fu], in)
 }
 
-// EmitDelay appends an explicit delay of the given cycle count to one
-// unit's stream (the §IV-A control instruction the static scheduler uses
-// to align distributed streams).
-func (p *Program) EmitDelay(fu FU, cycles int64) {
-	if cycles <= 0 {
-		return
-	}
-	p.Streams[fu] = append(p.Streams[fu], Instr{Op: OpDelay, VecLen: int(cycles), Repeat: 1})
-}
-
 // EmitElems emits enough full vectors (of MaxVecLen, plus a remainder
 // vector) to cover n elements with the given opcode. It is the assembler
 // helper the task compilers use for bulk work.
@@ -219,11 +209,6 @@ func (p *Program) MemBytes() int64 {
 	return 8 * p.Elems(FUMem)
 }
 
-// HashBytes returns bytes pushed through the hash unit.
-func (p *Program) HashBytes() int64 {
-	return 8 * p.Elems(FUHash)
-}
-
 // NumInstrs returns the total instruction count across streams — the
 // paper's compact-code-size claim is testable with this.
 func (p *Program) NumInstrs() int {
@@ -236,9 +221,7 @@ func (p *Program) NumInstrs() int {
 
 // ShuffleControlBits is the Beneš switch state embedded in each shuffle
 // instruction: (2·log₂128 − 1)·64 = 832 bits for the 128-lane network,
-// i.e. the paper's "7 bits per 64-bit element" (§IV-B). The benes
-// package's router produces exactly this much state (cross-checked in
-// tests).
+// i.e. the paper's "7 bits per 64-bit element" (§IV-B).
 const ShuffleControlBits = 832
 
 // instrWordBytes is the packed size of one non-shuffle instruction:

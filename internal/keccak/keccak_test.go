@@ -71,7 +71,8 @@ func TestPermuteBijective(t *testing.T) {
 }
 
 func TestRoundsConstant(t *testing.T) {
-	// The FU pipeline depth assumed by internal/sched must match.
+	// Keccak-f[1600] has 24 rounds (FIPS 202); the hash FU's pipeline
+	// depth is this count.
 	if Rounds != 24 {
 		t.Fatalf("rounds = %d", Rounds)
 	}

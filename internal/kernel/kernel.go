@@ -67,7 +67,7 @@ func FoldCtx(ctx context.Context, evals []field.Element, r field.Element) []fiel
 // EqExpand fills table with the multilinear equality polynomial's
 // evaluations eq(r, x) over all x ∈ {0,1}^len(r), in lexicographic order
 // with x[0] as the high bit. len(table) must be exactly 1<<len(r). Every
-// entry is written, so uninitialized (arena GetUninit) scratch is safe.
+// entry is written, so uninitialized (arena GetUninitCtx) scratch is safe.
 func EqExpand(table []field.Element, r []field.Element) {
 	EqExpandCtx(context.Background(), table, r)
 }
@@ -311,16 +311,10 @@ func rowDot(row []Entry, x []field.Element) field.Element {
 	return acc.Reduce()
 }
 
-// SpMVSerial is SpMV on the calling goroutine, for small systems and
-// recursive encoders where fan-out costs more than it saves.
-func SpMVSerial(dst []field.Element, rows [][]Entry, x []field.Element) {
-	if err := SpMVSerialCtx(context.Background(), dst, rows, x); err != nil {
-		panic(err) // unreachable: background context never cancels
-	}
-}
-
-// SpMVSerialCtx is SpMVSerial with per-run stats attribution and
-// cooperative cancellation polled every ctxCheckInterval rows.
+// SpMVSerialCtx is SpMV on the calling goroutine, for small systems and
+// recursive encoders where fan-out costs more than it saves. It carries
+// per-run stats attribution and polls for cancellation every
+// ctxCheckInterval rows.
 func SpMVSerialCtx(ctx context.Context, dst []field.Element, rows [][]Entry, x []field.Element) error {
 	if len(dst) != len(rows) {
 		panic("kernel: spmv output size mismatch")

@@ -195,7 +195,11 @@ func TestKernelsCreditMultiplies(t *testing.T) {
 	for _, row := range sparse {
 		nnz += uint64(len(row))
 	}
-	check("SpMV", count(func() { SpMVSerial(make([]field.Element, 8), sparse, randElems(t, rng, 8)) }), nnz)
+	check("SpMV", count(func() {
+		if err := SpMVSerialCtx(context.Background(), make([]field.Element, 8), sparse, randElems(t, rng, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}), nnz)
 	// A 64-point codeword of a 16-entry message: 2 of 6 stages are
 	// replication, the other 4 are two radix-4 passes of 3·64/4 multiplies.
 	check("RSEncode", count(func() {
@@ -316,10 +320,12 @@ func TestSpMVVariantsMatchReference(t *testing.T) {
 	}
 
 	dst2 := randElems(t, rng, 200)
-	SpMVSerial(dst2, rows, x)
+	if err := SpMVSerialCtx(context.Background(), dst2, rows, x); err != nil {
+		t.Fatal(err)
+	}
 	for i := range want {
 		if dst2[i] != want[i] {
-			t.Fatalf("SpMVSerial[%d] mismatch", i)
+			t.Fatalf("SpMVSerialCtx[%d] mismatch", i)
 		}
 	}
 }

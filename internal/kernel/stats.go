@@ -143,17 +143,11 @@ func FromContext(ctx context.Context) *Collector {
 	return c
 }
 
-// Span is an in-flight timing measurement begun with Begin or BeginCtx.
+// Span is an in-flight timing measurement begun with BeginCtx.
 type Span struct {
 	stage Stage
 	start time.Time
 	c     *Collector // per-run collector, nil when unattributed
-}
-
-// Begin starts timing one kernel invocation for the given stage,
-// credited to the aggregate sink only.
-func Begin(stage Stage) Span {
-	return Span{stage: stage, start: time.Now()}
 }
 
 // BeginCtx starts timing one kernel invocation, credited to the

@@ -11,7 +11,7 @@
 // Every helper here recovers worker panics and re-raises them (with the
 // failing chunk's range and the worker stack) on the caller's goroutine,
 // where the prover's top-level recover converts them to a typed error.
-// ForErr additionally propagates ordinary errors.
+// ForErrCtx additionally propagates ordinary errors.
 //
 // Cancellation: the Ctx variants stop dispatching new chunks as soon as
 // the context is cancelled or any chunk fails, then drain the already
@@ -183,19 +183,14 @@ func ForCtx(ctx context.Context, n int, fn func(lo, hi int)) error {
 	return err
 }
 
-// ForErr runs fn(lo, hi) over a partition of [0, n) and returns the
+// ForErrCtx runs fn(lo, hi) over a partition of [0, n) and returns the
 // error of the lowest-indexed chunk that ran and failed. The first error
 // stops dispatch: chunks not yet started are skipped (the pool is
 // oversubscribed chunksPerWorker× so most of the range is undispatched
 // when an early chunk fails), and already running chunks are drained
-// before ForErr returns. Worker panics are recovered and returned as a
-// *WorkerPanic error instead of crashing the process, so Prove fails
-// cleanly on internal faults.
-func ForErr(n int, fn func(lo, hi int) error) error {
-	return ForErrCtx(context.Background(), n, fn)
-}
-
-// ForErrCtx is ForErr under a context: cancellation stops dispatch the
+// before ForErrCtx returns. Worker panics are recovered and returned as
+// a *WorkerPanic error instead of crashing the process, so Prove fails
+// cleanly on internal faults. Cancellation of ctx stops dispatch the
 // same way an error does, running workers drain (no goroutine ever
 // outlives the call), and the context's error is returned if no chunk
 // failed first. Each dispatched chunk also passes through the

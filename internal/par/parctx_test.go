@@ -33,7 +33,7 @@ func TestForErrEarlyErrorSkipsUndispatchedChunks(t *testing.T) {
 	var executed atomic.Int32
 	errFired := make(chan struct{})
 	boom := errors.New("early chunk failure")
-	err := ForErr(n, func(lo, hi int) error {
+	err := ForErrCtx(context.Background(), n, func(lo, hi int) error {
 		executed.Add(1)
 		if lo == 0 {
 			defer close(errFired)
@@ -154,7 +154,7 @@ func TestForErrCtxFaultInjectionPoint(t *testing.T) {
 	defer faultinject.Disarm()
 	faultinject.MustArm(faultinject.Plan{Point: "par.worker", Kind: faultinject.Error, Trigger: 2})
 	snap := leakcheck.Take()
-	err := ForErr(1<<14, func(lo, hi int) error { return nil })
+	err := ForErrCtx(context.Background(), 1<<14, func(lo, hi int) error { return nil })
 	if !errors.Is(err, zkerr.ErrInternal) {
 		t.Fatalf("want injected internal error from par.worker point, got %v", err)
 	}
@@ -165,7 +165,7 @@ func TestForErrCtxFaultInjectionPoint(t *testing.T) {
 	snap.Check(t)
 
 	// Containment: the very next pool run is clean.
-	if err := ForErr(1<<14, func(lo, hi int) error { return nil }); err != nil {
+	if err := ForErrCtx(context.Background(), 1<<14, func(lo, hi int) error { return nil }); err != nil {
 		t.Fatalf("pool did not recover after injected fault: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestForErrCtxContainsInjectedPanic(t *testing.T) {
 	defer faultinject.Disarm()
 	faultinject.MustArm(faultinject.Plan{Point: "par.worker", Kind: faultinject.Panic, Trigger: 3})
 	snap := leakcheck.Take()
-	err := ForErr(1<<14, func(lo, hi int) error { return nil })
+	err := ForErrCtx(context.Background(), 1<<14, func(lo, hi int) error { return nil })
 	var wp *WorkerPanic
 	if !errors.As(err, &wp) || !errors.Is(err, zkerr.ErrInternal) {
 		t.Fatalf("want a contained *WorkerPanic from the injected panic, got %v", err)

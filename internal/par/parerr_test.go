@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -14,7 +15,7 @@ import (
 func TestForErrCoversRangeAndPropagatesNil(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 1 << 13, 1<<13 + 7} {
 		covered := make([]int32, max(n, 1))
-		err := ForErr(n, func(lo, hi int) error {
+		err := ForErrCtx(context.Background(), n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&covered[i], 1)
 			}
@@ -35,7 +36,7 @@ func TestForErrReturnsLowestChunkError(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	n := 1 << 14
-	err := ForErr(n, func(lo, hi int) error {
+	err := ForErrCtx(context.Background(), n, func(lo, hi int) error {
 		return fmt.Errorf("chunk %d failed", lo)
 	})
 	if err == nil || !strings.Contains(err.Error(), "chunk 0 failed") {
@@ -47,7 +48,7 @@ func TestForErrRecoversWorkerPanic(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	n := 1 << 14
-	err := ForErr(n, func(lo, hi int) error {
+	err := ForErrCtx(context.Background(), n, func(lo, hi int) error {
 		if lo > 0 {
 			panic(fmt.Sprintf("worker detonated at %d", lo))
 		}
@@ -74,7 +75,7 @@ func TestForErrRecoversWorkerPanic(t *testing.T) {
 func TestForErrSerialPanicContained(t *testing.T) {
 	// Below the parallel threshold the chunk runs on the caller goroutine;
 	// containment must hold there too.
-	err := ForErr(10, func(lo, hi int) error { panic("serial boom") })
+	err := ForErrCtx(context.Background(), 10, func(lo, hi int) error { panic("serial boom") })
 	var wp *WorkerPanic
 	if !errors.As(err, &wp) || wp.Lo != 0 || wp.Hi != 10 {
 		t.Fatalf("serial panic not contained with chunk context: %v", err)

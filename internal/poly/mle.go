@@ -120,14 +120,10 @@ func EqTableCtx(ctx context.Context, r []field.Element) []field.Element {
 	return table
 }
 
-// EqTableInto fills table (length exactly 2^len(r), typically arena
-// scratch) with the same expansion as EqTable, without allocating.
-func EqTableInto(table []field.Element, r []field.Element) {
-	kernel.EqExpand(table, r)
-}
-
-// EqTableIntoCtx is EqTableInto with the expansion's work attributed to
-// the per-run stats collector carried by ctx.
+// EqTableIntoCtx fills table (length exactly 2^len(r), typically arena
+// scratch) with the same expansion as EqTable, without allocating. The
+// expansion's work is attributed to the per-run stats collector carried
+// by ctx.
 func EqTableIntoCtx(ctx context.Context, table []field.Element, r []field.Element) {
 	kernel.EqExpandCtx(ctx, table, r)
 }

@@ -251,17 +251,6 @@ func (in *Instance) validateShape() {
 	}
 }
 
-// PublicVector returns u = (1, io, 0…) of length NumVars/2.
-func (in *Instance) PublicVector(io []field.Element) []field.Element {
-	if len(io) != in.NumPublic {
-		panic("r1cs: wrong public input count")
-	}
-	u := make([]field.Element, in.NumVars()/2)
-	u[0] = field.One
-	copy(u[1:], io)
-	return u
-}
-
 // AssembleZ concatenates the public vector and witness into z.
 // len(witness) must be NumVars/2.
 func (in *Instance) AssembleZ(io, witness []field.Element) []field.Element {

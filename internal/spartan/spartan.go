@@ -60,7 +60,7 @@ type Params struct {
 	Reps int
 	// Recompute selects the §V-A recomputation prover for the outer
 	// sumcheck: DP inputs are re-derived from the matrices and z every
-	// round (sumcheck.ProveStreamed) instead of folding stored arrays.
+	// round (sumcheck.ProveStreamedCtx) instead of folding stored arrays.
 	// Proofs are byte-identical either way; on NoCap the recomputation
 	// variant trades multiplier throughput for 31% less memory traffic,
 	// while on CPUs it is slightly slower (§VIII-C) — hence off by

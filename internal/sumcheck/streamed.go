@@ -14,11 +14,11 @@ import (
 var fiStreamedRound = faultinject.Register("sumcheck.streamed.round")
 
 // Source produces the original (round-0) value of oracle array k at
-// hypercube index idx. ProveStreamed re-reads sources instead of storing
+// hypercube index idx. ProveStreamedCtx re-reads sources instead of storing
 // folded DP arrays.
 type Source func(k int, idx int) field.Element
 
-// ProveStreamed is the recomputation variant of the sumcheck prover
+// ProveStreamedCtx is the recomputation variant of the sumcheck prover
 // (paper §V-A): instead of materializing and folding the DP arrays
 // (which at NoCap's scale means streaming them from HBM every round), it
 // recomputes every folded value from the sources on demand using the
@@ -37,26 +37,12 @@ type Source func(k int, idx int) field.Element
 // Prove on the same inputs: bounded extra memory, at the cost of
 // re-reading sources in the early rounds — compute traded for memory,
 // exactly the accelerator's trade.
-func ProveStreamed(tr *transcript.Transcript, label string, claim field.Element,
-	numArrays, numVars int, src Source, degree int, combine Combiner,
-	materializeBelow int) (*Proof, []field.Element, []field.Element) {
-
-	proof, challenges, finals, err := ProveStreamedCtx(context.Background(), tr, label, claim,
-		numArrays, numVars, src, degree, combine, materializeBelow)
-	if err != nil {
-		// Only an injected chaos fault can reach here under a background
-		// context; escape as a panic for the caller's zkerr boundary.
-		panic(err)
-	}
-	return proof, challenges, finals
-}
-
-// ProveStreamedCtx is ProveStreamed with cooperative cancellation: the
-// context is checked between rounds and every ctxCheckInterval points of
-// the per-round evaluation loop (the recomputation rounds are the most
-// expensive part of the §V-A prover, so intra-round checkpoints matter),
-// and the "sumcheck.streamed.round" fault-injection point fires once
-// per round. It runs on the same round driver as ProveCtx; once the
+//
+// Cancellation is cooperative: the context is checked between rounds
+// and every ctxCheckInterval points of the per-round evaluation loop
+// (the recomputation rounds are the most expensive part of the §V-A
+// prover, so intra-round checkpoints matter), and the
+// "sumcheck.streamed.round" fault-injection point fires once per round. It runs on the same round driver as ProveCtx; once the
 // arrays are materialized the rounds are the generic rounder's.
 func ProveStreamedCtx(ctx context.Context, tr *transcript.Transcript, label string, claim field.Element,
 	numArrays, numVars int, src Source, degree int, combine Combiner,

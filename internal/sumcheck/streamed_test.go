@@ -1,6 +1,7 @@
 package sumcheck
 
 import (
+	"context"
 	"testing"
 
 	"nocap/internal/field"
@@ -35,8 +36,11 @@ func TestStreamedMatchesStored(t *testing.T) {
 		src := func(k, idx int) field.Element { return mles[k].At(idx) }
 		// Materialize threshold 4 exercises both the streaming rounds and
 		// the scratchpad phase.
-		pStream, rStream, fStream := ProveStreamed(transcript.New("eq"), "sc", claim,
+		pStream, rStream, fStream, err := ProveStreamedCtx(context.Background(), transcript.New("eq"), "sc", claim,
 			tc.arrays, tc.logN, src, tc.degree, combine, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		for i := range pStored.RoundPolys {
 			for j := range pStored.RoundPolys[i] {
@@ -62,7 +66,10 @@ func TestStreamedVerifies(t *testing.T) {
 	m := randMLE(6, 7)
 	claim := SumOverHypercube([]*poly.MLE{m}, product)
 	src := func(k, idx int) field.Element { return m.At(idx) }
-	proof, r, finals := ProveStreamed(transcript.New("sv"), "sc", claim, 1, 6, src, 1, product, 8)
+	proof, r, finals, err := ProveStreamedCtx(context.Background(), transcript.New("sv"), "sc", claim, 1, 6, src, 1, product, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rV, fc, err := Verify(transcript.New("sv"), "sc", claim, 6, 1, proof)
 	if err != nil {
 		t.Fatal(err)
@@ -81,10 +88,10 @@ func TestStreamedPanics(t *testing.T) {
 	src := func(k, idx int) field.Element { return field.Zero }
 	for name, fn := range map[string]func(){
 		"no arrays": func() {
-			ProveStreamed(transcript.New("x"), "s", field.Zero, 0, 3, src, 1, product, 4)
+			ProveStreamedCtx(context.Background(), transcript.New("x"), "s", field.Zero, 0, 3, src, 1, product, 4)
 		},
 		"no vars": func() {
-			ProveStreamed(transcript.New("x"), "s", field.Zero, 1, 0, src, 1, product, 4)
+			ProveStreamedCtx(context.Background(), transcript.New("x"), "s", field.Zero, 1, 0, src, 1, product, 4)
 		},
 	} {
 		func() {
