@@ -13,11 +13,12 @@ FUZZ_TARGETS = \
 	./internal/sumcheck:FuzzRoundKernelParity \
 	./internal/ntt:FuzzNTTParity \
 	./internal/r1cs:FuzzMatrixEvalsParity \
+	./internal/r1cs:FuzzBuilderParity \
 	./internal/kernel:FuzzEqExpandParity \
 	./internal/merkle:FuzzMerkleVerifyManyParity \
 	./internal/tenant:FuzzDRR
 
-.PHONY: all build test vet staticcheck inline-check race purego chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
+.PHONY: all build test vet fmt-check staticcheck inline-check race purego chaos bench-smoke bench fuzz-smoke corpus serve-smoke stats-race jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos ci
 
 all: build test
 
@@ -29,6 +30,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must be gofmt-clean: the target fails and names the
+# files when `gofmt -l` prints anything.
+fmt-check:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would change:"; echo "$$out"; exit 1; fi; \
+	echo "fmt-check: gofmt clean"
 
 # Static analysis beyond vet. Skips gracefully when staticcheck is not on
 # PATH (local dev boxes); CI installs it and gets the full gate.
@@ -81,6 +89,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench Prove -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkVerify$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^BenchmarkMatrixEvals$$' -benchtime 1x ./internal/r1cs
+	$(GO) test -run '^$$' -bench '^Benchmark(BuildAESBlock|BuildSHABlock)$$' -benchtime 1x ./internal/circuits
 	$(GO) test -run '^$$' -bench '^Benchmark(Mul|VecScaleAdd|InnerProduct)$$' -benchtime 1x ./internal/field
 	$(GO) test -run '^$$' -bench '^Benchmark(Forward|ForwardPadded)$$' -benchtime 1x ./internal/ntt
 	$(GO) test -run '^$$' -bench '^Benchmark(PermuteX8|Compress64X8)$$' -benchtime 1x ./internal/keccak
@@ -175,4 +184,4 @@ cluster-chaos:
 	$(GO) test -race -run 'TestClusterServer' ./internal/server
 	$(GO) run -race ./cmd/nocap-loadgen -cluster -requests 32 -clients 8 -n 256
 
-ci: vet staticcheck inline-check build test race purego chaos bench-smoke fuzz-smoke stats-race serve-smoke jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos
+ci: vet fmt-check staticcheck inline-check build test race purego chaos bench-smoke fuzz-smoke stats-race serve-smoke jobs-chaos disk-chaos tenants-soak batch-soak cluster-chaos

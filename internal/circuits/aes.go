@@ -147,9 +147,15 @@ func sboxCircuit(b *r1cs.Builder, bits []r1cs.Variable) []r1cs.Variable {
 	coeffs := SBoxPoly()
 	x := r1cs.FromBits(bits)
 	acc := r1cs.Const(coeffs[255])
+	// Horner's rule: acc = m + c_i, with m = acc·x. The builder copies
+	// what it keeps, so one two-term buffer serves every step; a zero
+	// c_i is dropped when the constraint is emitted (Var 0 is the
+	// constant wire).
+	var step [2]r1cs.Term
 	for i := 254; i >= 0; i-- {
 		m := b.Mul(acc, x)
-		acc = r1cs.AddLC(r1cs.FromVar(m), r1cs.Const(coeffs[i]))
+		step = [2]r1cs.Term{{Coeff: field.One, Var: m}, {Coeff: coeffs[i]}}
+		acc = step[:]
 	}
 	out := b.Secret(b.Eval(acc))
 	b.AssertEq(acc, r1cs.FromVar(out))

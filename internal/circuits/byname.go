@@ -2,7 +2,9 @@ package circuits
 
 import (
 	"sort"
+	"strconv"
 
+	"nocap/internal/r1cs"
 	"nocap/internal/zkerr"
 )
 
@@ -46,11 +48,23 @@ func Clamp(name string, n int) (int, bool) {
 // ByName builds the named benchmark at size parameter n (blocks, bids,
 // squarings, transactions, or constraints, per circuit), clamped to the
 // circuit's minimum. Unknown names return a usage-classified error.
+//
+// The instance is named "circuit/n" with the clamped n
+// (r1cs.SetName): its inputs below are fixed and synthesis is
+// data-oblivious, so a name fixes the matrices, and the process hashes
+// each name's digest once.
 func ByName(name string, n int) (*Benchmark, error) {
 	n, ok := Clamp(name, n)
 	if !ok {
 		return nil, zkerr.Usagef("unknown circuit %q (want aes|sha|rsa|auction|litmus|synthetic)", name)
 	}
+	bm := build(name, n)
+	r1cs.SetName(bm.Inst, name+"/"+strconv.Itoa(n))
+	return bm, nil
+}
+
+// build synthesizes the clamped (name, n) statement.
+func build(name string, n int) *Benchmark {
 	switch name {
 	case "aes":
 		key := [16]byte{0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
@@ -59,24 +73,24 @@ func ByName(name string, n int) (*Benchmark, error) {
 		for i := range pt {
 			pt[i] = byte(i)
 		}
-		return AES(key, pt), nil
+		return AES(key, pt)
 	case "sha":
 		data := make([]byte, 64*n)
 		for i := range data {
 			data[i] = byte(i * 3)
 		}
-		return SHA256(data), nil
+		return SHA256(data)
 	case "rsa":
-		return RSA(n, 8, 42), nil
+		return RSA(n, 8, 42)
 	case "auction":
 		bids := make([]uint64, n)
 		for i := range bids {
 			bids[i] = uint64((i*2654435761 + 12345) % (1 << 20))
 		}
-		return Auction(bids), nil
+		return Auction(bids)
 	case "litmus":
-		return Litmus(n, 8, 42), nil
+		return Litmus(n, 8, 42)
 	default: // "synthetic"
-		return Synthetic(n), nil
+		return Synthetic(n)
 	}
 }

@@ -2,11 +2,13 @@ package circuits
 
 import (
 	"bytes"
+	"context"
 	"crypto/aes"
 	"crypto/sha256"
 	"testing"
 
 	"nocap/internal/field"
+	"nocap/internal/hashfn"
 	"nocap/internal/spartan"
 )
 
@@ -275,5 +277,87 @@ func BenchmarkBuildSHABlock(b *testing.B) {
 	blocks := make([]byte, 64)
 	for i := 0; i < b.N; i++ {
 		SHA256(blocks)
+	}
+}
+
+// TestBuildAllocs guards synthesis against sliding back to an allocation
+// per constraint row or per gadget term: one AES block (2^17 padded rows)
+// and one SHA block (2^16) each build with a small fraction of an
+// allocation per row.
+func TestBuildAllocs(t *testing.T) {
+	key := [16]byte{1}
+	for _, c := range []struct {
+		name  string
+		limit float64
+		build func()
+	}{
+		{"aes", 10_000, func() { AES(key, make([]byte, 16)) }},
+		{"sha", 40_000, func() { SHA256(make([]byte, 64)) }},
+	} {
+		if got := testing.AllocsPerRun(2, c.build); got > c.limit {
+			t.Errorf("%s block: %.0f allocations per build, limit %.0f", c.name, got, c.limit)
+		}
+	}
+}
+
+// TestNamedDigestMemo checks ByName's per-process statement digest for
+// every circuit, at an ordinary size and at one Clamp raises: a second
+// ByName of the name is served the digest under an already-cancelled
+// context, so it did not hash, and that digest equals keccak-x4's, which
+// is never memoized and always hashes.
+func TestNamedDigestMemo(t *testing.T) {
+	x4, ok := hashfn.ByName("keccak-x4")
+	if !ok {
+		t.Fatal("keccak-x4 engine not registered")
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	ordinary := map[string]int{"aes": 1, "sha": 1, "rsa": 3, "auction": 12, "litmus": 12, "synthetic": 3000}
+	for _, name := range Names() {
+		for _, n := range []int{ordinary[name], 0} {
+			first, err := ByName(name, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.Inst.Digest()
+			again, _ := ByName(name, n)
+			d, err := again.Inst.DigestEngineCtx(done, nil)
+			if err != nil {
+				t.Fatalf("%s/%d: second ByName hashed under a done ctx: %v", name, n, err)
+			}
+			if dx4 := again.Inst.DigestEngine(x4); dx4 != d {
+				t.Fatalf("%s/%d: memoized digest %x, keccak-x4 %x", name, n, d, dx4)
+			}
+		}
+	}
+}
+
+// memoRulesRuns counts runs of TestNamedDigestMemoRules (-count > 1).
+var memoRulesRuns int
+
+// TestNamedDigestMemoRules checks that a cancelled digest is never
+// memoized and that an instance built without ByName never reads the
+// memo, even when ByName has filled it for the same statement.
+func TestNamedDigestMemoRules(t *testing.T) {
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	memoRulesRuns++
+	n := 4320 + memoRulesRuns // a size no other test or earlier run names
+	bm, _ := ByName("synthetic", n)
+	if _, err := bm.Inst.DigestEngineCtx(done, nil); err != context.Canceled {
+		t.Fatalf("cancelled digest: err %v, want context.Canceled", err)
+	}
+	again, _ := ByName("synthetic", n)
+	if _, err := again.Inst.DigestEngineCtx(done, nil); err != context.Canceled {
+		t.Fatalf("after a cancelled digest, the next ByName got err %v, want context.Canceled", err)
+	}
+	want := again.Inst.Digest()
+
+	direct := Synthetic(n)
+	if _, err := direct.Inst.DigestEngineCtx(done, nil); err != context.Canceled {
+		t.Fatalf("Builder-made instance under a done ctx: err %v, want context.Canceled", err)
+	}
+	if got := direct.Inst.Digest(); got != want {
+		t.Fatalf("Builder-made digest %x, ByName's %x", got, want)
 	}
 }

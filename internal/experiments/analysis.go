@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 	"time"
@@ -130,16 +131,21 @@ func Ablations(logRows int) AblationResult {
 	}
 	rs := code.NewReedSolomon()
 	ex := code.NewExpander(7)
+	rs.Encode(msg) // warm twiddle tables
 	ex.Encode(msg) // warm graph cache
-	timeIt := func(f func()) float64 {
+	// Each encoder's best single run, the two interleaved so that both
+	// see the same machine: scheduler and GC stalls only ever add time,
+	// so the minimum is the steadiest estimate.
+	rsT, exT := math.Inf(1), math.Inf(1)
+	timed := func(f func()) float64 {
 		start := time.Now()
-		for i := 0; i < 5; i++ {
-			f()
-		}
+		f()
 		return time.Since(start).Seconds()
 	}
-	rsT := timeIt(func() { rs.Encode(msg) })
-	exT := timeIt(func() { ex.Encode(msg) })
+	for range 21 {
+		rsT = min(rsT, timed(func() { rs.Encode(msg) }))
+		exT = min(exT, timed(func() { ex.Encode(msg) }))
+	}
 
 	// Measure raw modular-multiply throughput: Goldilocks vs 256-bit.
 	const mulIters = 1 << 20

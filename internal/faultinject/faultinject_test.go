@@ -8,7 +8,6 @@ import (
 	"nocap/internal/zkerr"
 )
 
-
 // Test points used by this file; registered once so Arm accepts them.
 func init() {
 	for _, p := range []string{"any.point", "stage.a", "stage.b", "p", "q"} {

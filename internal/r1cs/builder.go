@@ -58,20 +58,27 @@ func ScaleLC(s field.Element, a LC) LC {
 // SubLC returns a−b.
 func SubLC(a, b LC) LC { return AddLC(a, ScaleLC(field.Neg(field.One), b)) }
 
-// constraint is one R1CS row: a·b = c.
-type constraint struct {
-	a, b, c LC
-}
+// entryBlock is how many entries Constrain carves rows from at a time:
+// one allocation per 64 KiB of nonzeros instead of one per row.
+const entryBlock = 1 << 12
 
 // Builder constructs an R1CS instance and its witness simultaneously:
 // every allocated wire carries its concrete value, so Build returns a
 // satisfied (Instance, io, witness) triple directly. Gadget synthesis is
 // data-oblivious, so the matrices depend only on the circuit structure.
+//
+// Constrain writes each constraint straight into the instance's rows:
+// the nonzero terms of a, b and c become its rows of A, B and C, back to
+// back in one entry block, with the wire in Col until Build maps it to
+// its z column. No linear combination outlives the call that passes it.
 type Builder struct {
-	values      []field.Element // indexed by Variable; [0] = 1
-	isPublic    []bool
-	numPublic   int
-	constraints []constraint
+	values    []field.Element // indexed by Variable; [0] = 1
+	isPublic  []bool
+	numPublic int
+	lens      [][3]uint32 // per constraint, its row lengths in A, B, C
+	blocks    [][]Entry   // entry blocks, filled in constraint order
+	used      int         // entries used in the last block
+	built     bool
 }
 
 // NewBuilder returns an empty circuit builder.
@@ -83,7 +90,7 @@ func NewBuilder() *Builder {
 }
 
 // NumConstraints returns the number of constraints emitted so far.
-func (b *Builder) NumConstraints() int { return len(b.constraints) }
+func (b *Builder) NumConstraints() int { return len(b.lens) }
 
 // NumWires returns the number of allocated wires (including the constant).
 func (b *Builder) NumWires() int { return len(b.values) }
@@ -115,9 +122,52 @@ func (b *Builder) Eval(lc LC) field.Element {
 	return acc
 }
 
-// Constrain emits the constraint a·b = c.
+// Constrain emits the constraint a·b = c. Terms with a zero coefficient
+// are dropped, as SparseMatrix.Add drops them; repeated wires stay
+// separate until Build merges them.
 func (b *Builder) Constrain(a, bb, c LC) {
-	b.constraints = append(b.constraints, constraint{a: a, b: bb, c: c})
+	if b.built {
+		panic("r1cs: Constrain after Build")
+	}
+	lcs := [3]LC{a, bb, c}
+	n := 0
+	for _, lc := range lcs {
+		n += nonzeroTerms(lc)
+	}
+	var lens [3]uint32
+	if n > 0 {
+		// A constraint's rows never straddle two blocks; Build relies on
+		// this rule to find them again from lens alone.
+		if len(b.blocks) == 0 || n > len(b.blocks[len(b.blocks)-1])-b.used {
+			b.blocks = append(b.blocks, make([]Entry, max(n, entryBlock)))
+			b.used = 0
+		}
+		blk := b.blocks[len(b.blocks)-1][b.used:]
+		k := 0
+		for i, lc := range lcs {
+			start := k
+			for _, t := range lc {
+				if !t.Coeff.IsZero() {
+					blk[k] = Entry{Col: int(t.Var), Val: t.Coeff}
+					k++
+				}
+			}
+			lens[i] = uint32(k - start)
+		}
+		b.used += n
+	}
+	b.lens = append(b.lens, lens)
+}
+
+// nonzeroTerms counts lc's terms with a nonzero coefficient.
+func nonzeroTerms(lc LC) int {
+	n := 0
+	for _, t := range lc {
+		if !t.Coeff.IsZero() {
+			n++
+		}
+	}
+	return n
 }
 
 // AssertEq emits a = c (as the constraint a·1 = c).
@@ -150,7 +200,7 @@ func (b *Builder) Inverse(x LC) Variable {
 
 // AssertBool emits v·(v−1) = 0.
 func (b *Builder) AssertBool(v Variable) {
-	b.Constrain(FromVar(v), SubLC(FromVar(v), Const(field.One)), nil)
+	b.Constrain(FromVar(v), LC{{field.One, v}, {field.Neg(field.One), oneVar}}, nil)
 }
 
 // ToBits decomposes x into n boolean wires, little-endian, constraining
@@ -186,8 +236,9 @@ func FromBits(bits []Variable) LC {
 // Xor returns a wire with a⊕b for boolean wires: a + b − 2ab.
 func (b *Builder) Xor(x, y Variable) Variable {
 	prod := b.Mul(FromVar(x), FromVar(y))
-	out := b.Secret(b.Eval(SubLC(AddLC(FromVar(x), FromVar(y)), ScaleLC(field.Double(field.One), FromVar(prod)))))
-	b.AssertEq(SubLC(AddLC(FromVar(x), FromVar(y)), ScaleLC(field.Double(field.One), FromVar(prod))), FromVar(out))
+	sum := LC{{field.One, x}, {field.One, y}, {field.Neg(field.Double(field.One)), prod}}
+	out := b.Secret(b.Eval(sum))
+	b.AssertEq(sum, FromVar(out))
 	return out
 }
 
@@ -258,59 +309,107 @@ func (b *Builder) Add32(terms ...LC) Variable {
 	return out
 }
 
-// Build pads and freezes the circuit into an Instance plus the io and
-// witness vectors. The returned instance always satisfies
-// Satisfied(AssembleZ(io, witness)).
-func (b *Builder) Build() (*Instance, []field.Element, []field.Element) {
-	// z layout: u = (1, publics…, 0 pad) ‖ w = (secrets…, 0 pad).
+// buildHook, when a test sets it, sees each builder as its Build starts.
+var buildHook func(*Builder)
+
+// layout returns the padded constraint count m, the padded z length n
+// and each wire's z column, for z = u ‖ w with u = (1, publics…, 0 pad)
+// and w = (secrets…, 0 pad).
+func (b *Builder) layout() (m, n int, zIndex []int) {
 	numSecret := len(b.values) - 1 - b.numPublic
 	half := 2
 	for half < 1+b.numPublic || half < numSecret {
 		half <<= 1
 	}
-	n := 2 * half
-	m := 2
-	for m < len(b.constraints) {
+	m = 2
+	for m < b.NumConstraints() {
 		m <<= 1
 	}
-
-	// Wire → z index mapping.
-	zIndex := make([]int, len(b.values))
-	io := make([]field.Element, b.numPublic)
-	witness := make([]field.Element, half)
+	zIndex = make([]int, len(b.values))
 	pubSeen, secSeen := 0, 0
-	for v := range b.values {
+	for v := 1; v < len(b.values); v++ {
 		if b.isPublic[v] {
-			if v == 0 {
-				zIndex[v] = 0
-				continue
-			}
 			pubSeen++
 			zIndex[v] = pubSeen
-			io[pubSeen-1] = b.values[v]
 		} else {
 			zIndex[v] = half + secSeen
-			witness[secSeen] = b.values[v]
 			secSeen++
 		}
 	}
+	return m, 2 * half, zIndex
+}
 
-	inst := &Instance{
-		A:         NewSparseMatrix(m, n),
-		B:         NewSparseMatrix(m, n),
-		C:         NewSparseMatrix(m, n),
-		NumPublic: b.numPublic,
+// Build pads and freezes the circuit into an Instance plus the io and
+// witness vectors. The returned instance always satisfies
+// Satisfied(AssembleZ(io, witness)). Its rows are the builder's own, so
+// a builder builds once: Constrain or Build after Build panics.
+func (b *Builder) Build() (*Instance, []field.Element, []field.Element) {
+	if b.built {
+		panic("r1cs: Build called twice")
 	}
-	emit := func(mat *SparseMatrix, row int, lc LC) {
-		for _, t := range lc {
-			mat.Add(row, zIndex[t.Var], t.Coeff)
+	if buildHook != nil {
+		buildHook(b)
+	}
+	m, n, zIndex := b.layout()
+	half := n / 2
+	io := make([]field.Element, b.numPublic)
+	witness := make([]field.Element, half)
+	for v, col := range zIndex[1:] {
+		if col < half {
+			io[col-1] = b.values[1+v]
+		} else {
+			witness[col-half] = b.values[1+v]
 		}
 	}
-	for i, c := range b.constraints {
-		emit(inst.A, i, c.a)
-		emit(inst.B, i, c.b)
-		emit(inst.C, i, c.c)
+
+	// Walk the blocks as Constrain filled them, map every wire to its z
+	// column and merge repeated wires in place. A wire's stamp is the tag
+	// of the last row that used it and pos its slot there, so a repeat
+	// adds into its first occurrence: the columns, order and values
+	// SparseMatrix.Add gives, in O(nnz).
+	var mats [3]*SparseMatrix
+	for k := range mats {
+		mats[k] = &SparseMatrix{NumRows: m, NumCols: n, Rows: make([][]Entry, m)}
 	}
+	stamp := make([]uint32, len(b.values))
+	pos := make([]int32, len(b.values))
+	tag := uint32(0)
+	var rest []Entry // unread tail of the current block
+	blk := 0
+	for r, lens := range b.lens {
+		if int(lens[0]+lens[1]+lens[2]) > len(rest) {
+			rest = b.blocks[blk]
+			blk++
+		}
+		for k, l := range lens {
+			row := rest[:l:l]
+			rest = rest[l:]
+			switch len(row) {
+			case 0:
+				continue
+			case 1:
+				row[0].Col = zIndex[row[0].Col]
+			default:
+				tag++
+				w := 0
+				for _, e := range row {
+					if stamp[e.Col] == tag {
+						p := pos[e.Col]
+						row[p].Val = field.Add(row[p].Val, e.Val)
+						continue
+					}
+					stamp[e.Col], pos[e.Col] = tag, int32(w)
+					row[w] = Entry{Col: zIndex[e.Col], Val: e.Val}
+					w++
+				}
+				row = row[:w:w]
+			}
+			mats[k].Rows[r] = row
+		}
+	}
+	b.lens, b.blocks, b.built = nil, nil, true
+
+	inst := &Instance{A: mats[0], B: mats[1], C: mats[2], NumPublic: b.numPublic}
 	inst.validateShape()
 	return inst, io, witness
 }

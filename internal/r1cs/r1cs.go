@@ -42,7 +42,9 @@ func NewSparseMatrix(rows, cols int) *SparseMatrix {
 	return &SparseMatrix{NumRows: rows, NumCols: cols, Rows: make([][]Entry, rows)}
 }
 
-// Add accumulates v at (r, c).
+// Add accumulates v at (r, c): a zero v is dropped, and a repeated column
+// adds into its first occurrence. Builder.Build produces exactly these rows
+// in place, and its parity tests assemble their reference through Add.
 func (m *SparseMatrix) Add(r, c int, v field.Element) {
 	if r < 0 || r >= m.NumRows || c < 0 || c >= m.NumCols {
 		panic(fmt.Sprintf("r1cs: entry (%d,%d) out of %dx%d", r, c, m.NumRows, m.NumCols))
@@ -131,6 +133,58 @@ type Instance struct {
 	// a digest has run to completion, so provers and verifiers sharing
 	// one instance read either nothing or the final value.
 	digest atomic.Pointer[hashfn.Digest]
+	// name, when set, keys the default-engine digest in the process-wide
+	// memo (namedDigests), shared by every instance of that name.
+	name string
+}
+
+// SetName gives in its canonical statement name, under which
+// DigestEngineCtx shares the default-engine digest with every other
+// instance of that name in the process. Every instance given one name
+// must therefore have the same matrices and public count; circuits.ByName
+// is the only namer, with "circuit/clamped n". Call it before in is
+// shared. It is a function rather than a method so that the nocap
+// facade, which re-exports Instance, does not offer it.
+func SetName(in *Instance, name string) { in.name = name }
+
+// namedDigestCap bounds the process-wide digest memo: more names than the
+// paper suite's statements at a handful of sizes each, at 32 bytes plus
+// the name per entry.
+const namedDigestCap = 64
+
+// namedDigests is the process-wide default-engine digest of each named
+// statement, so a statement built again is not hashed again. Only a
+// completed digest is stored; when full, the oldest name is dropped.
+var namedDigests = struct {
+	sync.Mutex
+	m     map[string]hashfn.Digest
+	order [namedDigestCap]string // ring of the names in m, oldest at next
+	next  int
+}{m: make(map[string]hashfn.Digest, namedDigestCap)}
+
+func lookupNamed(name string) (hashfn.Digest, bool) {
+	if name == "" {
+		return hashfn.Digest{}, false
+	}
+	namedDigests.Lock()
+	defer namedDigests.Unlock()
+	d, ok := namedDigests.m[name]
+	return d, ok
+}
+
+func storeNamed(name string, d hashfn.Digest) {
+	if name == "" {
+		return
+	}
+	nd := &namedDigests
+	nd.Lock()
+	defer nd.Unlock()
+	if _, ok := nd.m[name]; !ok {
+		delete(nd.m, nd.order[nd.next]) // a no-op until the ring wraps
+		nd.order[nd.next] = name
+		nd.next = (nd.next + 1) % namedDigestCap
+	}
+	nd.m[name] = d
 }
 
 // ctxCheckInterval is how many matrix rows the digest serializer
@@ -199,13 +253,19 @@ func (in *Instance) DigestEngine(eng hashfn.Engine) hashfn.Digest {
 // engine computes SHA3-256 (hashfn's sha3fn), so the serialization
 // streams through crypto/sha3's incremental SHA3-256 whatever the
 // engine, and the result equals eng.Sum of the same bytes. Only the
-// default engine's digest is memoized. Cancelling ctx abandons the
+// default engine's digest is memoized: on the instance, and for a named
+// instance (see SetName) also process-wide under its name, so a memoized
+// digest is returned even under a done ctx. Cancelling ctx abandons the
 // digest, which is then never memoized, and returns the context's error.
 func (in *Instance) DigestEngineCtx(ctx context.Context, eng hashfn.Engine) (hashfn.Digest, error) {
 	memo := eng == nil || eng.ID() == hashfn.IDSHA3
 	if memo {
 		if d := in.digest.Load(); d != nil {
 			return *d, nil
+		}
+		if d, ok := lookupNamed(in.name); ok {
+			in.digest.Store(&d)
+			return d, nil
 		}
 	}
 	h := sha3.New256()
@@ -216,6 +276,7 @@ func (in *Instance) DigestEngineCtx(ctx context.Context, eng hashfn.Engine) (has
 	h.Sum(d[:0])
 	if memo {
 		in.digest.Store(&d)
+		storeNamed(in.name, d)
 	}
 	return d, nil
 }
